@@ -492,7 +492,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             merged[key] = None if value is None else _coerce(key, value)
         merged_runs.append(merged)
 
-    results = []
+    run_configs = []
     seen_labels = set()
     for merged in merged_runs:
         run_config = _training_config(merged)
@@ -501,7 +501,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"duplicate run label {run_config.run_label!r}; set distinct --label values"
             )
         seen_labels.add(run_config.run_label)
-        result = sim.run_training(run_config)
+        run_configs.append(run_config)
+    # Every run trains on one build of the data, so a mismatch is
+    # rejected before any of them starts.
+    sim.check_shared_data(run_configs)
+    data = sim.prepare_data(run_configs[0])
+
+    results = []
+    for run_config in run_configs:
+        result = sim.run_training(run_config, data)
         results.append(result)
         print(_summary_line(result))
 

@@ -99,7 +99,10 @@ def gen_synthetic(
     beta_star = rng.standard_normal(p) / np.sqrt(p)
     component = rng.random(d) < 0.5
     X = rng.standard_normal((d, p))
-    X += np.where(component[:, None], mu1, mu2)
+    # Masked in-place adds: no (d, p) temporary for the cluster means.
+    m = component[:, None]
+    np.add(X, mu1, out=X, where=m)
+    np.add(X, mu2, out=X, where=~m)
     kappa = sigmoid(-2.0 * (X @ beta_star))
     y = (rng.random(d) < kappa).astype(float)
     return Dataset(X, y, ((0, d),)), beta_star
@@ -127,12 +130,9 @@ def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[D
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, exact at extreme arguments."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; 1/(1 + e^-z) for z >= 0, e^z/(1 + e^z) below.
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def log_loss(ds: Dataset, beta: np.ndarray) -> float:

@@ -29,6 +29,12 @@ Aggregation rules:
   whoever sent them; the update is again exact.
 
 Aggregator-side decode and summation costs are not modeled.
+
+The data of a run (the synthetic draw, its holdout split and the
+smoothness bound) depends only on the data seed, d, p and the holdout
+fraction. ``prepare_data`` builds it once; the runs of one comparison
+must agree on those four values and are all trained on that one
+build, so they differ only in strategy, timing and optimizer.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -508,21 +515,74 @@ def _check_exact(gradient: np.ndarray, G: list[np.ndarray], survivors: tuple[int
 # Full runs
 
 
-def run_training(config: TrainingConfig) -> RunResult:
-    """Train to completion under one strategy; fully seed-determined."""
+DataKey = tuple[int, int, int, float]  # (data seed, d, p, holdout fraction)
+
+
+def data_key(config: TrainingConfig) -> DataKey:
+    """The settings that determine a run's training and holdout data."""
+    return (config.seeds.data, config.d, config.p, config.holdout_frac)
+
+
+@dataclass(frozen=True, eq=False)
+class TrainingData:
+    """The unpartitioned training rows and the holdout of one data key.
+
+    The smoothness bound is computed on first use only, since a run with
+    an explicit step size never needs it, and at most once however many
+    runs share the data.
+    """
+
+    key: DataKey
+    train: learn.Dataset
+    holdout: learn.Dataset
+
+    @cached_property
+    def lipschitz(self) -> float:
+        return learn.lipschitz_bound(self.train.X)
+
+
+def prepare_data(config: TrainingConfig) -> TrainingData:
+    """Draw, split and hold the data of ``config``; seed-determined."""
     data_rng = make_rng(config.seeds.data)
+    dataset, _ = learn.gen_synthetic(data_rng, config.d, config.p)
+    train, holdout = learn.holdout_split(dataset, config.holdout_frac, data_rng)
+    # Only the split stays resident once this returns.
+    return TrainingData(data_key(config), train, holdout)
+
+
+def check_shared_data(configs: list[TrainingConfig]) -> None:
+    """Raise MismatchedConfigs unless every config trains on the same data."""
+    first = configs[0]
+    for c in configs[1:]:
+        if data_key(c) != data_key(first):
+            raise MismatchedConfigs(
+                f"run {c.run_label!r} trains on different data than {first.run_label!r}; "
+                "data seed, d, p and holdout fraction must all match"
+            )
+
+
+def run_training(config: TrainingConfig, data: TrainingData | None = None) -> RunResult:
+    """Train to completion under one strategy; fully seed-determined.
+
+    ``data`` is the result of ``prepare_data`` for a config with the same
+    data key; without it the run builds its own.
+    """
+    if data is None:
+        data = prepare_data(config)
+    elif data.key != data_key(config):
+        raise MismatchedConfigs(
+            f"run {config.run_label!r} needs data {data_key(config)}, was given {data.key}"
+        )
     latency_rng = make_rng(config.seeds.latency)
     straggler_rng = make_rng(config.seeds.straggler)
 
-    dataset, _ = learn.gen_synthetic(data_rng, config.d, config.p)
-    train, holdout = learn.holdout_split(dataset, config.holdout_frac, data_rng)
-    train = learn.with_partitions(train, config.strategy.partition_count)
+    train = learn.with_partitions(data.train, config.strategy.partition_count)
 
     if config.optimizer.method == learn.GD_DECAY:
         needs_scale = config.optimizer.c1 is None
     else:
         needs_scale = config.optimizer.eta is None
-    lipschitz = learn.lipschitz_bound(train.X) if needs_scale else None
+    lipschitz = data.lipschitz if needs_scale else None
     opt = learn.make_optimizer(config.optimizer, config.p, lipschitz)
 
     cache: DecodeCache = {}
@@ -550,7 +610,7 @@ def run_training(config: TrainingConfig) -> RunResult:
         if t % config.auc_interval == 0 or t == config.iterations:
             # Scores are linear: AUC only needs the ranking, and the
             # logistic link is monotone.
-            auc_val = learn.auc(holdout.X @ beta, holdout.y)
+            auc_val = learn.auc(data.holdout.X @ beta, data.holdout.y)
         traces.append(
             IterationTrace(t, clock, duration, survivors, kind, loss, auc_val)
         )
@@ -620,19 +680,7 @@ def compare_runs(results: list[RunResult]) -> Comparison:
     labels = [r.label for r in results]
     if len(set(labels)) != len(labels):
         raise MismatchedConfigs(f"run labels must be unique, got {labels}")
-    first = results[0].config
-    for r in results[1:]:
-        c = r.config
-        same = (
-            c.seeds.data == first.seeds.data
-            and c.d == first.d
-            and c.p == first.p
-            and c.holdout_frac == first.holdout_frac
-        )
-        if not same:
-            raise MismatchedConfigs(
-                f"run {r.label!r} was trained on different data than {results[0].label!r}"
-            )
+    check_shared_data([r.config for r in results])
     horizon = max(len(r.traces) for r in results)
     iterations = tuple(range(1, horizon + 1))
 

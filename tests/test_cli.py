@@ -300,6 +300,65 @@ def test_compare_mismatched_data_is_validation_error(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_compare_mismatched_data_fails_before_training(tmp_path, capsys):
+    config = {
+        "shared": {"d": 480, "p": 6, "iterations": 3, "seed_all": 1},
+        "runs": [
+            {"strategy": "naive", "n": 4},
+            {"strategy": "ignore", "n": 4, "s": 1, "seed_data": 9},
+        ],
+    }
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "x") == 3
+    out = capsys.readouterr()
+    assert "different data" in out.err
+    assert not any(line.startswith("run ") for line in out.out.splitlines())
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_compare_bundle_matches_independent_runs(tmp_path):
+    prefix = tmp_path / "cmp"
+    assert run("compare", "--bundle", "--n", 6, "--s", 1, "--d", 480, "--p", 6,
+               "--iterations", 5, "--straggler-mode", "random", "--straggler-count", 1,
+               "--straggler-extra", 5, "--seed-all", 40, "--out-prefix", prefix) == 0
+    policy = sim.StragglerPolicy(mode="random", count=1, kind="delay", extra=5.0)
+    strategies = [
+        sim.Naive(6),
+        sim.IgnoreStragglers(6, 1),
+        sim.Coded(codec.build_frac(6, 1)),
+        sim.Coded(codec.build_cyc(6, 1, 40)),
+    ]
+    for strategy in strategies:
+        cfg = sim.TrainingConfig(
+            strategy=strategy,
+            optimizer=learn.OptimizerConfig(),
+            seeds=sim.SeedBundle(40, 41, 42, 43),
+            d=480,
+            p=6,
+            iterations=5,
+            policy=policy,
+        )
+        alone = tmp_path / f"alone_{cfg.run_label}.csv"
+        sim.write_run_csv(sim.run_training(cfg), alone)
+        assert alone.read_bytes() == (tmp_path / f"cmp_{cfg.run_label}.csv").read_bytes()
+
+
+def test_compare_builds_data_once_per_invocation(tmp_path, monkeypatch):
+    calls = []
+    gen = learn.gen_synthetic
+    monkeypatch.setattr(
+        learn, "gen_synthetic", lambda *a, **kw: calls.append(1) or gen(*a, **kw)
+    )
+    argv = ["compare", "--bundle", "--n", 4, "--s", 1, "--d", 240, "--p", 4,
+            "--iterations", 2, "--seed-all", 3, "--out-prefix", tmp_path / "cmp"]
+    assert run(*argv) == 0
+    assert len(calls) == 1
+    # Nothing outlives an invocation: the next one draws its data again.
+    assert run(*argv) == 0
+    assert len(calls) == 2
+
+
 def test_compare_duplicate_labels_rejected(tmp_path):
     config = {
         "shared": {"d": 480, "p": 6, "iterations": 3, "seed_all": 5},

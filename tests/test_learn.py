@@ -84,6 +84,42 @@ def test_sigmoid_and_loss_stable_at_extremes():
     assert loss == pytest.approx(2e3)  # both rows maximally wrong
 
 
+def _two_branch_sigmoid(z):
+    # The former masked formula, kept as the oracle for the single-pass one.
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_identical_to_two_branch_formula():
+    rng = make_rng(17)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1e4, -1e4, np.nan, 745.2, -745.2])
+    cases = [special, np.concatenate([rng.standard_normal(50), special])]
+    cases += [scale * rng.standard_normal(size) for size in (1, 7, 333, 4099)
+              for scale in (1.0, 30.0, 800.0)]
+    for z in cases:
+        # equal_nan: both give NaN at NaN, whatever its sign bit.
+        assert np.array_equal(learn.sigmoid(z), _two_branch_sigmoid(z), equal_nan=True)
+
+
+def test_gen_synthetic_matches_dense_mean_expression():
+    # The masked in-place adds give the same X as adding a dense
+    # (d, p) array of cluster means, on the same draws.
+    seed, d, p = 23, 300, 7
+    rng = make_rng(seed)
+    mu1 = rng.standard_normal(p)
+    mu2 = rng.standard_normal(p)
+    rng.standard_normal(p)  # beta_star
+    component = rng.random(d) < 0.5
+    X = rng.standard_normal((d, p))
+    X += np.where(component[:, None], mu1, mu2)
+    ds, _ = learn.gen_synthetic(make_rng(seed), d, p)
+    assert np.array_equal(ds.X, X)
+
+
 def test_gen_synthetic_deterministic():
     a, bs_a = learn.gen_synthetic(make_rng(5), 100, 8)
     b, bs_b = learn.gen_synthetic(make_rng(5), 100, 8)

@@ -77,6 +77,46 @@ def seq_sum(parts):
 
 
 # ---------------------------------------------------------------------------
+# Shared training data
+
+
+def test_run_on_prepared_data_matches_private_build():
+    cfg = small_config(sim.Coded(codec.build_frac(4, 1)))
+    own = sim.run_training(cfg)
+    shared = sim.run_training(cfg, sim.prepare_data(cfg))
+    assert shared.traces == own.traces
+    assert np.array_equal(shared.beta, own.beta)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"seeds": sim.SeedBundle(11, 22, 31, 41)},
+        {"d": 520},
+        {"p": 7},
+        {"holdout_frac": 0.25},
+    ],
+)
+def test_run_rejects_data_built_for_another_key(change):
+    data = sim.prepare_data(small_config(sim.Naive(4), **change))
+    with pytest.raises(MismatchedConfigs):
+        sim.run_training(small_config(sim.Naive(4)), data)
+
+
+def test_shared_data_computes_lipschitz_once_and_only_on_demand(monkeypatch):
+    calls = []
+    bound = learn.lipschitz_bound
+    monkeypatch.setattr(learn, "lipschitz_bound", lambda X: calls.append(1) or bound(X))
+    explicit = small_config(sim.Naive(4), optimizer=learn.OptimizerConfig(eta=1e-3))
+    data = sim.prepare_data(explicit)
+    sim.run_training(explicit, data)
+    assert calls == []
+    for strategy in (sim.Naive(4), sim.IgnoreStragglers(4, 1)):
+        sim.run_training(small_config(strategy), data)
+    assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
 # Round clock vs brute force over raw events
 
 
