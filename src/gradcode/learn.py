@@ -109,8 +109,13 @@ def gen_synthetic(
 
 
 def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
-    """Shuffle rows and carve off the first ``frac`` as a holdout set.
+    """Shuffle rows in place and carve off the first ``frac`` as a holdout set.
 
+    ``ds``'s rows (features and labels together) are permuted in place,
+    and the returned ``(train, holdout)`` are views of them: the holdout
+    is the first ``round(frac * rows)`` shuffled rows, the training set
+    the rest. So the data is held once, not twice; ``ds`` stays a
+    consistent shuffled dataset but shares its memory with both splits.
     The training rows keep their shuffled order, so contiguous
     partitions of the training set are random subsamples of the data.
     """
@@ -120,11 +125,46 @@ def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[D
     n_hold = int(round(frac * ds.rows))
     if n_hold < 1 or ds.rows - n_hold < 1:
         raise DimensionMismatch(f"holdout fraction {frac} leaves an empty split at d={ds.rows}")
-    hold, train = perm[:n_hold], perm[n_hold:]
+    _permute_rows(ds.X, perm)
+    ds.y[:] = ds.y[perm]
     return (
-        Dataset(ds.X[train], ds.y[train], ((0, len(train)),)),
-        Dataset(ds.X[hold], ds.y[hold], ((0, len(hold)),)),
+        Dataset(ds.X[n_hold:], ds.y[n_hold:], ((0, ds.rows - n_hold),)),
+        Dataset(ds.X[:n_hold], ds.y[:n_hold], ((0, n_hold),)),
     )
+
+
+# Rows moved per block by _permute_rows: its scratch is two such blocks
+# of X plus two integer index arrays of one entry per row.
+_PERMUTE_CHUNK = 8192
+
+
+def _permute_rows(X: np.ndarray, perm: np.ndarray, chunk: int = _PERMUTE_CHUNK) -> None:
+    """``X[:] = X[perm]`` in place, with O(chunk) rows of X as scratch.
+
+    Fills the destination slots a block at a time. ``pos[r]`` is the slot
+    original row r sits in now, ``at[q]`` the original row in slot q; both
+    are kept current for the rows not yet placed, which all sit at or
+    beyond the current block. For block [i, j) the wanted rows are
+    gathered, the unwanted rows still in [i, j) move to the slots the
+    gather vacated beyond j, and the block is written. Every value is
+    copied, never recomputed, so the result is bit-identical to the
+    fancy-indexed copy.
+    """
+    pos = np.arange(len(perm))
+    at = pos.copy()
+    for i in range(0, len(perm), chunk):
+        j = min(i + chunk, len(perm))
+        src = pos[perm[i:j]]
+        block = X[src]
+        free = src[src >= j]
+        kept = np.zeros(j - i, dtype=bool)
+        kept[src[src < j] - i] = True
+        evict = np.flatnonzero(~kept) + i
+        X[free] = X[evict]
+        moved = at[evict]
+        at[free] = moved
+        pos[moved] = free
+        X[i:j] = block
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -166,7 +206,10 @@ def lipschitz_bound(X: np.ndarray) -> float:
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve via average ranks (ties count half)."""
+    """Area under the ROC curve via average ranks (ties count half).
+
+    Raises NonFinite for NaN scores; infinite scores rank like any other.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
@@ -178,7 +221,11 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels(f"need both classes, got {n_pos} positives of {pos.size}")
-    order = np.argsort(scores, kind="mergesort")
+    # NaN ranks would depend on the sort order; every other score gets its
+    # tie group's mean rank, so any sort, stable or not, gives the same AUC.
+    if np.isnan(scores).any():
+        raise NonFinite("AUC scores contain NaN")
+    order = np.argsort(scores)
     s = scores[order]
     first_of_group = np.r_[True, s[1:] != s[:-1]]
     group = np.cumsum(first_of_group) - 1

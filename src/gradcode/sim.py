@@ -546,7 +546,7 @@ def prepare_data(config: TrainingConfig) -> TrainingData:
     data_rng = make_rng(config.seeds.data)
     dataset, _ = learn.gen_synthetic(data_rng, config.d, config.p)
     train, holdout = learn.holdout_split(dataset, config.holdout_frac, data_rng)
-    # Only the split stays resident once this returns.
+    # The split is the generated array, shuffled in place: one copy of the data.
     return TrainingData(data_key(config), train, holdout)
 
 

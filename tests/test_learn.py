@@ -10,6 +10,8 @@ frozen by hand.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,17 +153,75 @@ def test_gen_synthetic_label_model():
 def test_holdout_split_deterministic_and_partitioning():
     rng = make_rng(3)
     ds, _ = learn.gen_synthetic(rng, 250, 6)
+    before = np.column_stack([ds.X, ds.y])  # a copy: the split shuffles ds in place
     train, hold = learn.holdout_split(ds, 0.2, rng)
     rng2 = make_rng(3)
     ds2, _ = learn.gen_synthetic(rng2, 250, 6)
     train2, hold2 = learn.holdout_split(ds2, 0.2, rng2)
     assert np.array_equal(train.X, train2.X) and np.array_equal(hold.y, hold2.y)
     assert hold.rows == 50 and train.rows == 200
-    # Same multiset of rows overall.
-    assert float(train.X.sum() + hold.X.sum()) == pytest.approx(float(ds.X.sum()))
-    assert float(train.y.sum() + hold.y.sum()) == pytest.approx(float(ds.y.sum()))
+    # Same multiset of rows, each feature row with its label.
+    after = np.vstack([np.column_stack([d.X, d.y]) for d in (train, hold)])
+    assert np.array_equal(_lexsorted_rows(after), _lexsorted_rows(before))
     with pytest.raises(DimensionMismatch):
         learn.holdout_split(ds, 0.0, make_rng(0))
+
+
+def _lexsorted_rows(A: np.ndarray) -> np.ndarray:
+    return A[np.lexsort(A.T[::-1])]
+
+
+CHUNK = learn._PERMUTE_CHUNK
+
+
+@pytest.mark.parametrize(
+    "d, frac",
+    [(3, 0.2), (3, 0.5), (3, 0.34), (1000, 0.2), (1000, 0.34),
+     (2 * CHUNK, 0.2), (2 * CHUNK, 0.5), (2 * CHUNK + 1, 0.2), (2 * CHUNK + 1, 0.34)],
+)
+def test_holdout_split_in_place_matches_fancy_index_split(d, frac):
+    data = make_rng(d)
+    X0 = data.standard_normal((d, 3))
+    y0 = (data.random(d) < 0.5).astype(float)
+    ds = learn.Dataset(X0.copy(), y0.copy(), ((0, d),))
+    rng, ref_rng = make_rng(5), make_rng(5)
+    train, hold = learn.holdout_split(ds, frac, rng)
+    # Reference: the permuted rows copied out by fancy index.
+    perm = ref_rng.permutation(d)
+    n_hold = int(round(frac * d))
+    for split, idx in ((train, perm[n_hold:]), (hold, perm[:n_hold])):
+        assert np.array_equal(split.X, X0[idx]) and np.array_equal(split.y, y0[idx])
+        assert split.partition_bounds == ((0, len(idx)),)
+        assert np.shares_memory(split.X, ds.X) and np.shares_memory(split.y, ds.y)
+    # The split draws one permutation and nothing else from the generator.
+    assert rng.random() == ref_rng.random()
+    # ds stays a consistent shuffled dataset: each row keeps its label.
+    assert np.array_equal(ds.X, X0[perm]) and np.array_equal(ds.y, y0[perm])
+
+
+@pytest.mark.parametrize("d, chunk", [(1, 4), (2, 1), (10, 3), (64, 8), (100, 7), (500, 64)])
+def test_permute_rows_matches_fancy_index(d, chunk):
+    rng = make_rng(d * 100 + chunk)
+    for _ in range(5):
+        X = rng.standard_normal((d, 2))
+        perm = rng.permutation(d)
+        expected = X[perm]
+        learn._permute_rows(X, perm, chunk)
+        assert np.array_equal(X, expected)
+
+
+def test_holdout_split_scratch_memory_is_a_fraction_of_the_data():
+    rng = make_rng(8)
+    d = 100_000
+    ds = learn.Dataset(rng.standard_normal((d, 40)), (rng.random(d) < 0.5).astype(float), ((0, d),))
+    tracemalloc.start()
+    try:
+        learn.holdout_split(ds, 0.2, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A copying split allocates a whole second X (30.5 MB here).
+    assert peak < 0.35 * ds.X.nbytes
 
 
 def test_auc_frozen_and_edge_values():
@@ -181,6 +241,45 @@ def test_auc_matches_pair_enumeration(seed):
     if labels.all() or not labels.any():
         labels[0] = ~labels[0]
     assert learn.auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels))
+
+
+def mergesort_auc(scores, labels) -> float:
+    """Reference AUC: a stable sort, then tie-group mean ranks."""
+    scores = np.asarray(scores, dtype=float)
+    pos = np.asarray(labels).astype(bool)
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = pos.size - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    group = np.cumsum(np.r_[True, s[1:] != s[:-1]]) - 1
+    counts = np.bincount(group)
+    avg_rank = np.cumsum(counts) - (counts - 1) / 2.0
+    ranks = np.empty(s.size)
+    ranks[order] = avg_rank[group]
+    return (float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_auc_bit_identical_to_stable_sort(seed):
+    rng = make_rng(200 + seed)
+    n = int(rng.integers(2, 3000))
+    scores = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    if seed % 2:
+        scores = np.round(scores, 1)  # many ties
+    if seed % 3 == 0:
+        scores[rng.random(n) < 0.1] = np.inf
+        scores[rng.random(n) < 0.1] = -np.inf
+    if seed % 5 == 0:
+        scores[rng.random(n) < 0.2] = 0.0
+        scores[rng.random(n) < 0.2] = -0.0
+    labels = rng.random(n) < 0.4
+    labels[0], labels[-1] = True, False
+    assert learn.auc(scores, labels) == mergesort_auc(scores, labels)
+
+
+def test_auc_rejects_nan_scores():
+    with pytest.raises(NonFinite):
+        learn.auc([0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0])
 
 
 def test_decaying_gd_frozen_first_step():
