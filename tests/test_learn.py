@@ -107,6 +107,49 @@ def test_sigmoid_bit_identical_to_two_branch_formula():
         assert np.array_equal(learn.sigmoid(z), _two_branch_sigmoid(z), equal_nan=True)
 
 
+def _logaddexp_loss(ds, beta):
+    # The former np.logaddexp expression, kept as the oracle for the
+    # exp/log1p one.
+    z = ds.X @ beta
+    return np.sum(np.logaddexp(0.0, z) - ds.y * z)
+
+
+def _logit_dataset(z, y):
+    # One feature and beta = [1.0], so X @ beta is z itself.
+    return learn.Dataset(np.asarray(z, dtype=float).reshape(-1, 1), y, ((0, len(y)),))
+
+
+def test_log_loss_matches_logaddexp_formula():
+    rng = make_rng(19)
+    one = np.array([1.0])
+    for rows in (1, 7, 1000, 100_000):
+        for scale in (1e-3, 1.0, 30.0, 800.0):
+            ds = _logit_dataset(scale * rng.standard_normal(rows),
+                                (rng.random(rows) < 0.5).astype(float))
+            X, y = ds.X.copy(), ds.y.copy()
+            expected = _logaddexp_loss(ds, one)
+            assert learn.log_loss(ds, one) == pytest.approx(expected, rel=1e-13, abs=0.0)
+            assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
+            if rows <= 7:
+                # Row by row too, so no tiny loss term hides in a larger sum.
+                for i in range(rows):
+                    row = _logit_dataset(ds.X[i], ds.y[i:i + 1])
+                    assert learn.log_loss(row, one) == pytest.approx(
+                        _logaddexp_loss(row, one), rel=1e-13, abs=0.0)
+
+
+def test_log_loss_equals_logaddexp_formula_at_extremes():
+    one = np.array([1.0])
+    special = (0.0, -0.0, 745.2, -745.2, 1e4, -1e4, np.inf, -np.inf, np.nan)
+    for z in special:
+        for y in (0.0, 1.0):
+            ds = _logit_dataset([z], np.array([y]))
+            # 0 * inf is NaN on both paths.
+            with np.errstate(invalid="ignore"):
+                got, expected = learn.log_loss(ds, one), _logaddexp_loss(ds, one)
+            assert np.array_equal(got, expected, equal_nan=True), (z, y, got, expected)
+
+
 def test_gen_synthetic_matches_dense_mean_expression():
     # The masked in-place adds give the same X as adding a dense
     # (d, p) array of cluster means, on the same draws.

@@ -618,3 +618,16 @@ def test_collect_iterates_matches_final_beta():
     for ours, theirs in zip(res.iterates, reference):
         assert float(np.max(np.abs(ours - theirs))) < 1e-9
     assert sim.run_training(small_config(sim.Naive(4))).iterates is None
+
+
+@pytest.mark.parametrize("method", [learn.NAG, learn.GD_DECAY])
+def test_trace_loss_is_log_loss_of_each_iterate(method):
+    cfg = small_config(sim.Coded(codec.build_frac(4, 1)), iterations=12, collect_iterates=True,
+                       optimizer=learn.OptimizerConfig(method=method))
+    # The same arrays the run trains on: a rebuilt copy may be aligned
+    # differently, and the product X @ beta with it.
+    data = sim.prepare_data(cfg)
+    res = sim.run_training(cfg, data)
+    assert len(res.traces) == len(res.iterates) == cfg.iterations
+    for trace, beta in zip(res.traces, res.iterates):
+        assert trace.loss == learn.log_loss(data.train, beta)
