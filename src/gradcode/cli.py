@@ -42,87 +42,75 @@ class _UsageError(Exception):
 
 _SEED_NAMES = ("seed_scheme", "seed_data", "seed_latency", "seed_straggler")
 
-# Everything a run can configure, with its resolved default. Paths are
-# flag-only so config files stay relocatable.
-_RUN_DEFAULTS = {
-    "strategy": None,
-    "scheme_file": None,
-    "kind": None,
-    "n": None,
-    "s": None,
-    "alpha": None,
-    "d": 10000,
-    "p": 100,
-    "iterations": 100,
-    "optimizer": learn.NAG,
-    "eta": None,
-    "c1": None,
-    "c2": 10.0,
-    "compute_time": 1.0,
-    "comm_time": 0.05,
-    "jitter_sigma": sim.DEFAULT_JITTER_SIGMA,
-    "straggler_mode": "none",
-    "straggler_workers": (),
-    "straggler_count": 0,
-    "straggler_kind": "delay",
-    "straggler_extra": 0.0,
-    "straggler_alpha": 1.0,
-    "holdout_frac": 0.2,
-    "auc_interval": 10,
-    "seed_all": None,
-    "seed_scheme": None,
-    "seed_data": None,
-    "seed_latency": None,
-    "seed_straggler": None,
-    "label": None,
-    "verify_decode": False,
+# Everything a run can configure: its type in a config file and its
+# resolved default. Paths are flag-only so config files stay relocatable.
+_RUN_SCHEMA: dict[str, tuple[type, object]] = {
+    "strategy": (str, None),
+    "scheme_file": (str, None),
+    "kind": (str, None),
+    "n": (int, None),
+    "s": (int, None),
+    "alpha": (float, None),
+    "d": (int, 10000),
+    "p": (int, 100),
+    "iterations": (int, 100),
+    "optimizer": (str, learn.NAG),
+    "eta": (float, None),
+    "c1": (float, None),
+    "c2": (float, 10.0),
+    "compute_time": (float, 1.0),
+    "comm_time": (float, 0.05),
+    # The one field a config file may set to null: no jitter.
+    "jitter_sigma": (float, sim.DEFAULT_JITTER_SIGMA),
+    "straggler_mode": (str, "none"),
+    "straggler_workers": (tuple, ()),
+    "straggler_count": (int, 0),
+    "straggler_kind": (str, "delay"),
+    "straggler_extra": (float, 0.0),
+    "straggler_alpha": (float, 1.0),
+    "holdout_frac": (float, 0.2),
+    "auc_interval": (int, 10),
+    "seed_all": (int, None),
+    "seed_scheme": (int, None),
+    "seed_data": (int, None),
+    "seed_latency": (int, None),
+    "seed_straggler": (int, None),
+    "label": (str, None),
+    "verify_decode": (bool, False),
 }
-
-_INT_KEYS = frozenset(
-    {"n", "s", "d", "p", "iterations", "straggler_count", "auc_interval",
-     "seed_all", *_SEED_NAMES}
-)
-_FLOAT_KEYS = frozenset(
-    {"alpha", "eta", "c1", "c2", "compute_time", "comm_time",
-     "straggler_extra", "straggler_alpha", "holdout_frac"}
-)
-_STR_KEYS = frozenset(
-    {"strategy", "scheme_file", "kind", "optimizer", "straggler_mode",
-     "straggler_kind", "label"}
-)
+_RUN_DEFAULTS = {key: default for key, (_, default) in _RUN_SCHEMA.items()}
 
 
 def _coerce(key: str, value):
     """Type-check one config-file value, JSON natives in, run types out."""
-    if key not in _RUN_DEFAULTS:
+    if key not in _RUN_SCHEMA:
         raise ConfigError(f"unknown config field {key!r}")
+    want = _RUN_SCHEMA[key][0]
     if value is None:
         if key == "jitter_sigma":
             return None
         raise ConfigError(f"config field {key!r} must not be null")
-    if key in _INT_KEYS:
+    if want is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
         return value
-    if key in _FLOAT_KEYS or key == "jitter_sigma":
+    if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
         return float(value)
-    if key in _STR_KEYS:
+    if want is str:
         if not isinstance(value, str):
             raise ConfigError(f"config field {key!r} must be a string, got {value!r}")
         return value
-    if key == "straggler_workers":
+    if want is tuple:
         if not isinstance(value, list) or not all(
             isinstance(w, int) and not isinstance(w, bool) for w in value
         ):
             raise ConfigError(f"config field {key!r} must be a list of integers")
         return tuple(value)
-    if key == "verify_decode":
-        if not isinstance(value, bool):
-            raise ConfigError(f"config field {key!r} must be true or false")
-        return value
-    raise ConfigError(f"unknown config field {key!r}")
+    if not isinstance(value, bool):
+        raise ConfigError(f"config field {key!r} must be true or false")
+    return value
 
 
 def _read_json(path) -> dict:
@@ -489,7 +477,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for entry in entries:
         merged = _merge_run(shared, overrides)
         for key, value in entry.items():
-            merged[key] = None if value is None else _coerce(key, value)
+            # null unsets a known field, as the bundle lineup does
+            merged[key] = None if value is None and key in _RUN_SCHEMA else _coerce(key, value)
         merged_runs.append(merged)
 
     run_configs = []

@@ -1,34 +1,32 @@
 """Deterministic simulator for synchronous distributed gradient descent.
 
-Each training iteration is one synchronous round: every worker computes
-gradients over its assigned partitions at the optimizer's current
-evaluation point and sends one message (two for the two-stage
-strategy); the aggregator combines messages per its strategy, steps the
-optimizer, and the simulated clock advances by the round's completion
-time. Time is simulated, never measured: a worker's compute cost is
-proportional to the rows it processes, scaled so that
-``compute_time_per_partition`` is the cost of one n-way partition.
+Each training iteration is one synchronous round. Every strategy runs
+through one message layout (``Layout``), built once per run from the
+strategy and the partitioned training set: each worker's stage rows, the
+partition terms of each message it sends (a naive stage, a coded stage,
+or both in turn), and one of four aggregation rules:
 
-Message arrival = jitter * slowdown * compute + comm (+ comm again for
-a second message) + injected delay. Arrivals are ordered by the total
-key (time, worker index, message kind) with naive messages ranking
-before coded ones, so ties resolve identically on every run. All
-randomness flows from three named seeds (data, latency, straggler);
+* every naive message (naive); the update is the exact gradient;
+* the first n - s naive messages, summed (ignore-stragglers): a biased,
+  partial gradient;
+* the first n - s coded messages, decoded (coded): the exact gradient
+  whichever set arrived;
+* every naive message plus the first n - s coded messages, decoded
+  (two-stage): again exact.
+
+A round draws the stragglers, times itself from the layout alone
+(``time_round``, no gradient work), picks the survivors and aggregates.
+Time is simulated, never measured: a worker's compute cost is
+proportional to the rows it processes, scaled so that
+``compute_time_per_partition`` is the cost of one n-way partition. A
+stage-k message arrives at jitter * slowdown * (compute of stages 0..k)
++ (k + 1) * comm + injected delay. Among messages of one kind, ties in
+time go to the lower worker index, so every run resolves them alike.
+All randomness flows from three named seeds (data, latency, straggler);
 jitter is drawn for all workers every iteration whether or not anyone
 straggles, so a model trajectory can never depend on the straggler
-stream through draw-order coupling.
-
-Aggregation rules:
-
-* naive: every message is required; the update is the exact gradient;
-* ignore-stragglers: first n - s messages win; the update is the plain
-  sum over surviving partitions (a biased, partial gradient);
-* coded: first n - s messages pick the survivor set, the decoded
-  combination is the exact gradient regardless of which set arrived;
-* two-stage: all n naive sums plus the first n - s coded messages,
-  whoever sent them; the update is again exact.
-
-Aggregator-side decode and summation costs are not modeled.
+stream through draw-order coupling. Aggregator-side decode and
+summation costs are not modeled.
 
 The data of a run (the synthetic draw, its holdout split and the
 smoothness bound) depends only on the data seed, d, p and the holdout
@@ -69,7 +67,6 @@ PARTIAL_SUM = "partial_sum"
 
 MSG_NAIVE = "naive"
 MSG_CODED = "coded"
-_MSG_RANK = {MSG_NAIVE: 0, MSG_CODED: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +316,68 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
+# Message layout
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """What each worker sends in a round, and the aggregation rule; fixed for a run.
+
+    Each worker runs the stages in order and sends a message of kind
+    ``kinds[k]`` once stage k's compute is done: ``rows[k, w]`` is the
+    rows worker w computes in stage k, and ``terms[k][w]`` the
+    (partition, coefficient or None) pairs its message sums. The rule
+    needs every message of stage ``every`` and the first ``need`` = n - s
+    of stage ``first``, decoded with ``code`` when there is one and
+    summed otherwise; either stage may be None.
+    """
+
+    n: int
+    need: int
+    train_rows: int
+    kinds: tuple[str, ...]
+    rows: np.ndarray
+    terms: tuple[tuple[tuple[tuple[int, float | None], ...], ...], ...]
+    every: int | None
+    first: int | None
+    code: GradientCode | None
+
+
+def _plain_terms(assignment) -> tuple:
+    return tuple(tuple((j, None) for j in supp) for supp in assignment)
+
+
+def _coded_terms(code: GradientCode, offset: int = 0) -> tuple:
+    return tuple(
+        tuple((offset + j, code.B[w, j]) for j in codec.assignment(code, w))
+        for w in range(code.n)
+    )
+
+
+def build_layout(strategy: Strategy, train: learn.Dataset) -> Layout:
+    """The message layout of ``strategy`` over ``train``'s partitions."""
+    n = strategy.workers
+    code = None
+    if isinstance(strategy, (Naive, IgnoreStragglers)):
+        kinds, terms = (MSG_NAIVE,), (_plain_terms((w,) for w in range(n)),)
+        every, first = (0, None) if isinstance(strategy, Naive) else (None, 0)
+    elif isinstance(strategy, Coded):
+        code = strategy.code
+        kinds, terms, every, first = (MSG_CODED,), (_coded_terms(code),), None, 0
+    elif isinstance(strategy, PartialCoded):
+        plan = strategy.plan
+        code = plan.code
+        kinds, every, first = (MSG_NAIVE, MSG_CODED), 0, 1
+        terms = (_plain_terms(plan.naive_assignment), _coded_terms(code, plan.coded_offset))
+    else:
+        raise ConfigError(f"unknown strategy type {type(strategy).__name__}")
+    sizes = [hi - lo for lo, hi in train.partition_bounds]
+    rows = np.array([[float(sum(sizes[j] for j, _ in msg)) for msg in stage] for stage in terms])
+    return Layout(n, n - strategy.tolerated, train.rows, kinds, rows, terms, every, first, code)
+
+
+# ---------------------------------------------------------------------------
 # One synchronous round
-
-
-def _select_stragglers(
-    policy: StragglerPolicy, n: int, rng: np.random.Generator
-) -> tuple[int, ...]:
-    if policy.mode == "fixed":
-        return tuple(sorted(policy.workers))
-    if policy.mode == "random":
-        return tuple(sorted(rng.choice(n, size=policy.count, replace=False).tolist()))
-    return ()
 
 
 def _sequential_sum(parts: list[np.ndarray]) -> np.ndarray:
@@ -340,44 +388,74 @@ def _sequential_sum(parts: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _partition_gradients(train: learn.Dataset, point: np.ndarray) -> list[np.ndarray]:
-    return [learn.partial_gradient(train, j, point) for j in range(train.partitions)]
+def _message(G: list[np.ndarray], terms: tuple) -> np.ndarray:
+    parts = [G[j] if c is None else c * G[j] for j, c in terms]
+    return parts[0] if len(parts) == 1 else _sequential_sum(parts)
 
 
-def _worker_timing(
-    strategy: Strategy,
+def time_round(
+    layout: Layout,
     latency: LatencyModel,
     policy: StragglerPolicy,
-    stragglers: tuple[int, ...],
-    rows_per_worker: np.ndarray,
-    train_rows: int,
     latency_rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(compute seconds, additive delay) per worker for one round."""
-    n = strategy.workers
-    per_row = latency.compute_time_per_partition * n / train_rows
+    straggler_rng: np.random.Generator,
+) -> tuple[np.ndarray, float, tuple[int, ...]]:
+    """Draw the stragglers and time one round, with no gradient work.
+
+    Returns (arrival times indexed [stage, worker], round duration,
+    survivors): the senders of stage ``first``'s first ``need`` messages,
+    or every worker. Raises StarvedIteration when a required message can
+    never arrive.
+    """
+    n = layout.n
+    stragglers = []
+    if policy.mode == "fixed":
+        stragglers = list(policy.workers)
+    elif policy.mode == "random":
+        stragglers = straggler_rng.choice(n, size=policy.count, replace=False)
+    per_row = latency.compute_time_per_partition * n / layout.train_rows
     jitter = np.ones(n)
     if latency.jitter_sigma is not None:
         jitter = np.exp(latency.jitter_sigma * latency_rng.standard_normal(n))
     slow = np.ones(n)
     extra = np.zeros(n)
-    if stragglers:
-        idx = list(stragglers)
-        if policy.kind == "slowdown":
-            slow[idx] = policy.alpha
-        else:
-            extra[idx] = policy.extra
-    compute = jitter * slow * per_row * rows_per_worker
-    return compute, extra
-
-
-def _first_arrivals(events: list[Event], need: int) -> list[Event]:
-    ordered = sorted(events, key=lambda e: (e[0], e[1], _MSG_RANK[e[2]]))
-    return ordered[:need]
+    if policy.kind == "slowdown":
+        slow[stragglers] = policy.alpha
+    else:
+        extra[stragglers] = policy.extra
+    rows = layout.rows
+    compute = jitter * slow * per_row * rows[0]
+    finish = np.empty(rows.shape)
+    finish[0] = compute + latency.comm_time + extra
+    # A later stage's message goes out after all earlier stages' compute,
+    # at the first stage's per-row cost, jitter and slowdown included.
+    scale = compute / rows[0]
+    for k in range(1, len(rows)):
+        compute = compute + scale * rows[k]
+        finish[k] = compute + (k + 1) * latency.comm_time + extra
+    duration = 0.0
+    survivors = tuple(range(n))
+    if layout.every is not None:
+        duration = float(np.max(finish[layout.every]))
+        if not math.isfinite(duration):
+            raise StarvedIteration(
+                f"the aggregator needs every {layout.kinds[layout.every]} message; "
+                "a full delay never arrives"
+            )
+    if layout.first is not None:
+        times = finish[layout.first]
+        # A stable sort breaks ties by worker index.
+        first = np.argsort(times, kind="stable")[: layout.need]
+        last = float(times[first[-1]])
+        if not math.isfinite(last):
+            raise StarvedIteration(f"fewer than {layout.need} of {n} workers can ever finish")
+        duration = max(duration, last)
+        survivors = tuple(sorted(first.tolist()))
+    return finish, duration, survivors
 
 
 def run_iteration(
-    strategy: Strategy,
+    layout: Layout,
     latency: LatencyModel,
     policy: StragglerPolicy,
     train: learn.Dataset,
@@ -393,110 +471,28 @@ def run_iteration(
     all message events). Raises StarvedIteration when a required
     message can never arrive.
     """
-    n = strategy.workers
-    stragglers = _select_stragglers(policy, n, straggler_rng)
-    G = _partition_gradients(train, point)
-    part_rows = np.array([hi - lo for lo, hi in train.partition_bounds], dtype=float)
-
-    if isinstance(strategy, (Naive, IgnoreStragglers)):
-        compute, extra = _worker_timing(
-            strategy, latency, policy, stragglers, part_rows, train.rows, latency_rng
-        )
-        finish = compute + latency.comm_time + extra
-        events = [(float(finish[w]), w, MSG_NAIVE) for w in range(n)]
-        if isinstance(strategy, Naive):
-            if not np.all(np.isfinite(finish)):
-                raise StarvedIteration(
-                    "naive aggregation needs every worker; a full delay never arrives"
-                )
-            gradient = _sequential_sum(G)
-            return gradient, float(np.max(finish)), tuple(range(n)), EXACT, tuple(events)
-        need = n - strategy.s
-        first = _first_arrivals(events, need)
-        duration = first[-1][0]
-        if not math.isfinite(duration):
-            raise StarvedIteration(
-                f"fewer than {need} of {n} workers can ever finish"
-            )
-        survivors = tuple(sorted(w for _, w, _ in first))
-        gradient = _sequential_sum([G[w] for w in survivors])
-        return gradient, duration, survivors, PARTIAL_SUM, tuple(events)
-
-    if isinstance(strategy, Coded):
-        code = strategy.code
-        supports = [codec.assignment(code, w) for w in range(n)]
-        rows_per_worker = np.array([part_rows[list(supp)].sum() for supp in supports])
-        compute, extra = _worker_timing(
-            strategy, latency, policy, stragglers, rows_per_worker, train.rows, latency_rng
-        )
-        finish = compute + latency.comm_time + extra
-        events = [(float(finish[w]), w, MSG_CODED) for w in range(n)]
-        need = n - code.s
-        first = _first_arrivals(events, need)
-        duration = first[-1][0]
-        if not math.isfinite(duration):
-            raise StarvedIteration(f"fewer than {need} of {n} workers can ever finish")
-        survivors = tuple(sorted(w for _, w, _ in first))
-        row = decode_row(code, survivors, cache)
-        messages = [
-            _sequential_sum([code.B[w, j] * G[j] for j in supports[w]]) for w in survivors
-        ]
-        gradient = _sequential_sum(
-            [c * m for c, m in zip(row.coeffs, messages)]
-        )
-        if verify_decode:
-            _check_exact(gradient, G, survivors)
-        return gradient, duration, survivors, EXACT, tuple(events)
-
-    if isinstance(strategy, PartialCoded):
-        plan = strategy.plan
-        code = plan.code
-        offset = plan.coded_offset
-        naive_rows = np.array(
-            [part_rows[list(plan.naive_assignment[w])].sum() for w in range(n)]
-        )
-        coded_supports = [codec.assignment(code, w) for w in range(n)]
-        coded_rows = np.array(
-            [part_rows[[offset + j for j in supp]].sum() for supp in coded_supports]
-        )
-        # The coded message goes out only after both stages' compute.
-        compute_naive, extra = _worker_timing(
-            strategy, latency, policy, stragglers, naive_rows, train.rows, latency_rng
-        )
-        scale = compute_naive / naive_rows  # per-row cost incl. jitter and slowdown
-        compute_both = compute_naive + scale * coded_rows
-        naive_finish = compute_naive + latency.comm_time + extra
-        coded_finish = compute_both + 2.0 * latency.comm_time + extra
-        events = [(float(naive_finish[w]), w, MSG_NAIVE) for w in range(n)]
-        events += [(float(coded_finish[w]), w, MSG_CODED) for w in range(n)]
-        if not np.all(np.isfinite(naive_finish)):
-            raise StarvedIteration(
-                "two-stage aggregation needs every naive sum; a full delay never arrives"
-            )
-        need = n - code.s
-        coded_first = _first_arrivals(
-            [e for e in events if e[2] == MSG_CODED], need
-        )
-        duration = max(float(np.max(naive_finish)), coded_first[-1][0])
-        if not math.isfinite(duration):
-            raise StarvedIteration(f"fewer than {need} of {n} coded messages can ever arrive")
-        survivors = tuple(sorted(w for _, w, _ in coded_first))
-        row = decode_row(code, survivors, cache)
-        naive_msgs = [
-            _sequential_sum([G[j] for j in plan.naive_assignment[w]]) for w in range(n)
-        ]
-        coded_msgs = [
-            _sequential_sum([code.B[w, j] * G[offset + j] for j in coded_supports[w]])
-            for w in survivors
-        ]
-        gradient = _sequential_sum(
-            naive_msgs + [c * m for c, m in zip(row.coeffs, coded_msgs)]
-        )
-        if verify_decode:
-            _check_exact(gradient, G, survivors)
-        return gradient, duration, survivors, EXACT, tuple(events)
-
-    raise ConfigError(f"unknown strategy type {type(strategy).__name__}")
+    finish, duration, survivors = time_round(layout, latency, policy, latency_rng, straggler_rng)
+    events = tuple(
+        (t, w, kind)
+        for kind, times in zip(layout.kinds, finish.tolist())
+        for w, t in enumerate(times)
+    )
+    G = learn.partition_gradients(train, point)
+    parts = []
+    if layout.every is not None:
+        parts += [_message(G, terms) for terms in layout.terms[layout.every]]
+    if layout.first is not None:
+        terms = layout.terms[layout.first]
+        messages = [_message(G, terms[w]) for w in survivors]
+        if layout.code is not None:
+            row = decode_row(layout.code, survivors, cache)
+            messages = [c * m for c, m in zip(row.coeffs, messages)]
+        parts += messages
+    gradient = _sequential_sum(parts)
+    if verify_decode and layout.code is not None:
+        _check_exact(gradient, G, survivors)
+    kind = EXACT if layout.first is None or layout.code is not None else PARTIAL_SUM
+    return gradient, duration, survivors, kind, events
 
 
 def _check_exact(gradient: np.ndarray, G: list[np.ndarray], survivors: tuple[int, ...]) -> None:
@@ -577,6 +573,7 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     straggler_rng = make_rng(config.seeds.straggler)
 
     train = learn.with_partitions(data.train, config.strategy.partition_count)
+    layout = build_layout(config.strategy, train)
 
     if config.optimizer.method == learn.GD_DECAY:
         needs_scale = config.optimizer.c1 is None
@@ -593,7 +590,7 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     for t in range(1, config.iterations + 1):
         point = opt.eval_point()
         gradient, duration, survivors, kind, events = run_iteration(
-            config.strategy,
+            layout,
             config.latency,
             config.policy,
             train,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gradcode import cli, codec, learn, partial, sim
+from gradcode.errors import ConfigError
 
 WEAK_B = [
     [1.0, 1.0, 0.0, 0.0],
@@ -204,6 +205,16 @@ def test_simulate_rejects_unknown_config_field(tmp_path, capsys):
     assert "unknown config field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", sorted(cli._RUN_DEFAULTS))
+def test_every_run_field_has_a_checked_type(key):
+    good = {int: 3, float: 2, str: "x", tuple: [1, 2], bool: True}
+    kind = cli._RUN_SCHEMA[key][0]
+    value = cli._coerce(key, good[kind])
+    assert type(value) is kind and value == (tuple(good[kind]) if kind is tuple else good[kind])
+    with pytest.raises(ConfigError, match=f"config field '{key}' must"):
+        cli._coerce(key, {})
+
+
 def test_simulate_partial_from_plan_file(tmp_path):
     plan_path = tmp_path / "plan.json"
     run("scheme", "build", "--kind", "frac", "--n", 4, "--s", 1, "--alpha", 2.0,
@@ -315,6 +326,30 @@ def test_compare_mismatched_data_fails_before_training(tmp_path, capsys):
     assert "different data" in out.err
     assert not any(line.startswith("run ") for line in out.out.splitlines())
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("value", [None, 1])
+def test_compare_rejects_unknown_run_field_whatever_its_value(tmp_path, capsys, value):
+    config = {
+        "shared": {"d": 480, "p": 6, "iterations": 3, "seed_all": 1},
+        "runs": [{"strategy": "naive", "n": 4, "strategyy": value}],
+    }
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "x") == 3
+    assert "unknown config field 'strategyy'" in capsys.readouterr().err
+    assert list(tmp_path.glob("x*")) == []
+
+
+def test_compare_null_unsets_a_known_run_field(tmp_path):
+    config = {
+        "shared": {"d": 480, "p": 6, "iterations": 3, "seed_all": 1, "s": 1},
+        "runs": [{"strategy": "naive", "n": 4, "s": None}],
+    }
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "x") == 0
+    assert (tmp_path / "x_naive.csv").exists()
 
 
 def test_compare_bundle_matches_independent_runs(tmp_path):

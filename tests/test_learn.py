@@ -64,6 +64,48 @@ def test_partials_sum_to_full_gradient(k):
     np.testing.assert_allclose(total, learn.full_gradient(ds, beta), rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "d, k",
+    [(1003, 10), (997, 7), (1000, 1), (120, 120), (8000, 120)],
+)
+@pytest.mark.parametrize("group", ["default", "several", "one_each"])
+def test_partition_gradients_equal_partial_gradient(monkeypatch, d, k, group):
+    # 1003/10 and 997/7 leave an uneven last partition and put the
+    # partitions at odd offsets in the logits buffer.
+    ds = learn.with_partitions(small_problem(3, d, 37), k)
+    row_bytes = ds.X.itemsize * ds.dim
+    budget = {
+        "default": learn._GROUP_BYTES,
+        "several": 3 * (d // k) * row_bytes,
+        "one_each": 1,
+    }[group]
+    monkeypatch.setattr(learn, "_GROUP_BYTES", budget)
+    calls = []
+    sigmoid = learn.sigmoid
+    monkeypatch.setattr(learn, "sigmoid", lambda z: calls.append(z.size) or sigmoid(z))
+    beta = make_rng(7).standard_normal(ds.dim)
+    G = learn.partition_gradients(ds, beta)
+    groups = len(calls)
+    assert sum(calls) == d
+    if group == "default":
+        assert groups == 1  # every dataset here fits in one group
+    elif group == "one_each":
+        assert groups == k
+    elif k > 3:
+        assert 1 < groups < k
+    assert len(G) == k
+    for j, g in enumerate(G):
+        assert np.array_equal(g, learn.partial_gradient(ds, j, beta))
+
+
+def test_partition_gradients_never_group_across_a_gap():
+    ds = small_problem(4, 60, 3)
+    ds = learn.Dataset(ds.X, ds.y, ((30, 40), (0, 10), (10, 20), (40, 60)))
+    beta = make_rng(8).standard_normal(ds.dim)
+    for j, g in enumerate(learn.partition_gradients(ds, beta)):
+        assert np.array_equal(g, learn.partial_gradient(ds, j, beta))
+
+
 def test_partition_bounds_layout():
     assert learn.make_partition_bounds(10, 3) == ((0, 3), (3, 6), (6, 10))
     assert learn.make_partition_bounds(10, 1) == ((0, 10),)

@@ -378,6 +378,75 @@ def test_partial_completion_identity_integral_ratio():
     assert all(tr.survivors == (1, 2, 3) for tr in res.traces)
 
 
+def _one_round_durations(strategy, latency, policy, d, iterations=2):
+    cfg = small_config(strategy, latency=latency, policy=policy, d=d, p=3,
+                       iterations=iterations)
+    durations = {tr.duration for tr in sim.run_training(cfg).traces}
+    assert len(durations) == 1
+    return durations.pop()
+
+
+@pytest.mark.parametrize("n, s", [(4, 1), (4, 3), (6, 1), (6, 2), (8, 1), (8, 3)])
+def test_zero_jitter_round_times_over_a_grid(n, s):
+    # d = 80 n leaves 64 rows per n-way partition after the holdout, so
+    # every product below is exact. The first s workers straggle.
+    c, comm = EXACT_LAT.compute_time_per_partition, EXACT_LAT.comm_time
+    d = 80 * n
+    for extra in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+        policy = sim.StragglerPolicy(
+            mode="fixed", workers=tuple(range(s)), kind="delay", extra=extra
+        )
+        naive = _one_round_durations(sim.Naive(n), EXACT_LAT, policy, d)
+        assert naive == c + comm + extra
+        assert _one_round_durations(sim.IgnoreStragglers(n, s), EXACT_LAT, policy, d) == c + comm
+        for code in (codec.build_frac(n, s), codec.build_cyc(n, s, seed=n + s)):
+            coded = _one_round_durations(sim.Coded(code), EXACT_LAT, policy, d)
+            assert coded == (s + 1) * c + comm
+            assert (coded < naive) == (extra > s * c)
+
+
+@pytest.mark.parametrize("n, s", [(4, 1), (6, 1), (6, 2), (8, 3)])
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 5.0])
+def test_two_stage_round_time_matches_plan_slack_and_load(n, s, alpha):
+    # The first s workers run alpha times slower. The round closes when
+    # the fast workers' coded messages are in and the slow workers'
+    # naive sums, which trail by the plan's timing slack, are too.
+    plan = partial.plan_partial(n, s, alpha, kind=codec.FRAC)
+    parts = plan.total_partitions
+    c_part = 0.5  # compute time of one of the plan's partitions
+    latency = sim.LatencyModel(
+        compute_time_per_partition=c_part * parts / n, comm_time=0.03125, jitter_sigma=None
+    )
+    policy = sim.StragglerPolicy(
+        mode="fixed", workers=tuple(range(s)), kind="slowdown", alpha=alpha
+    )
+    # 64 training rows per partition after the 20% holdout.
+    duration = _one_round_durations(sim.PartialCoded(plan), latency, policy, 80 * parts)
+    fast_load = round(partial.realized_load_fraction(plan) * parts)
+    assert fast_load == plan.naive_per_worker + s + 1
+    fast_coded = fast_load * c_part + 2 * latency.comm_time
+    slow_naive = (fast_load + partial.timing_slack(plan)) * c_part + latency.comm_time
+    assert duration == max(fast_coded, slow_naive)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        sim.Coded(codec.build_frac(4, 1)),
+        sim.Coded(codec.build_cyc(5, 2, seed=3)),
+        sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.CYC, seed=4)),
+    ],
+)
+def test_layout_is_built_once_per_run(monkeypatch, strategy):
+    calls = []
+    assignment = codec.assignment
+    monkeypatch.setattr(
+        codec, "assignment", lambda code, w: calls.append(w) or assignment(code, w)
+    )
+    sim.run_training(small_config(strategy, d=640, iterations=12))
+    assert calls == list(range(strategy.workers))
+
+
 # ---------------------------------------------------------------------------
 # Starvation and validation
 
