@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 usage (bad flags, missing seeds), 3 validation
 or decode failures, divergence, starved rounds), 5 I/O (unreadable or
 malformed files).
 
-Run parameters resolve as defaults < config file < command-line flags.
+Run parameters resolve as defaults < config file (a compare config's
+``shared`` block) < command-line flags < a compare run entry's own fields.
 Every simulation must be explicitly seeded: give the four sub-seeds or
 ``--seed-all N``, which derives scheme, data, latency, and straggler
 seeds as N, N+1, N+2, N+3 (individual flags still override). The
@@ -19,13 +20,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import codec, learn, partial, sim
 from .errors import (
     ConfigError,
     IO_ERRORS,
     NUMERICAL_ERRORS,
-    ParseError,
     VALIDATION_ERRORS,
 )
 
@@ -42,43 +43,77 @@ class _UsageError(Exception):
 
 _SEED_NAMES = ("seed_scheme", "seed_data", "seed_latency", "seed_straggler")
 
-# Everything a run can configure: its type in a config file and its
-# resolved default. Paths are flag-only so config files stay relocatable.
-_RUN_SCHEMA: dict[str, tuple[type, object]] = {
-    "strategy": (str, None),
-    "scheme_file": (str, None),
-    "kind": (str, None),
-    "n": (int, None),
-    "s": (int, None),
-    "alpha": (float, None),
-    "d": (int, 10000),
-    "p": (int, 100),
-    "iterations": (int, 100),
-    "optimizer": (str, learn.NAG),
-    "eta": (float, None),
-    "c1": (float, None),
-    "c2": (float, 10.0),
-    "compute_time": (float, 1.0),
-    "comm_time": (float, 0.05),
+
+class _Field(NamedTuple):
+    """One run setting: its type in a config file, its resolved default,
+    and how its flag reads (``parse`` turns flag text into the value
+    when the type alone cannot)."""
+
+    type: type
+    default: object
+    choices: tuple | None = None
+    help: str | None = None
+    parse: Callable[[str], object] | None = None
+
+
+def _parse_workers(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"wants comma-separated integers: {err}")
+
+
+def _parse_jitter(text: str) -> float | None:
+    if text.lower() in ("none", "null", "off"):
+        return None
+    try:
+        return float(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"wants a number or 'none': {err}")
+
+
+# Everything a run can configure, one flag each. Paths are flag-only so
+# config files stay relocatable.
+_RUN_SCHEMA: dict[str, _Field] = {
+    "strategy": _Field(str, None, ("naive", "ignore", "coded", "partial")),
+    "scheme_file": _Field(str, None),
+    "kind": _Field(str, None, codec.KINDS),
+    "n": _Field(int, None),
+    "s": _Field(int, None),
+    "alpha": _Field(float, None),
+    "d": _Field(int, 10000),
+    "p": _Field(int, 100),
+    "iterations": _Field(int, 100),
+    "optimizer": _Field(str, learn.NAG, (learn.NAG, learn.GD_DECAY)),
+    "eta": _Field(float, None),
+    "c1": _Field(float, None),
+    "c2": _Field(float, 10.0),
+    "compute_time": _Field(float, 1.0),
+    "comm_time": _Field(float, 0.05),
     # The one field a config file may set to null: no jitter.
-    "jitter_sigma": (float, sim.DEFAULT_JITTER_SIGMA),
-    "straggler_mode": (str, "none"),
-    "straggler_workers": (tuple, ()),
-    "straggler_count": (int, 0),
-    "straggler_kind": (str, "delay"),
-    "straggler_extra": (float, 0.0),
-    "straggler_alpha": (float, 1.0),
-    "holdout_frac": (float, 0.2),
-    "auc_interval": (int, 10),
-    "seed_all": (int, None),
-    "seed_scheme": (int, None),
-    "seed_data": (int, None),
-    "seed_latency": (int, None),
-    "seed_straggler": (int, None),
-    "label": (str, None),
-    "verify_decode": (bool, False),
+    "jitter_sigma": _Field(float, sim.DEFAULT_JITTER_SIGMA, None, "number or 'none'",
+                           _parse_jitter),
+    "straggler_mode": _Field(str, "none", ("none", "fixed", "random")),
+    "straggler_workers": _Field(tuple, (), None, "comma-separated worker indices",
+                                _parse_workers),
+    "straggler_count": _Field(int, 0),
+    "straggler_kind": _Field(str, "delay", ("delay", "slowdown")),
+    "straggler_extra": _Field(float, 0.0, None, "seconds added per message (inf allowed)"),
+    "straggler_alpha": _Field(float, 1.0),
+    "holdout_frac": _Field(float, 0.2),
+    "auc_interval": _Field(int, 10),
+    "seed_all": _Field(int, None, None, "derive the four sub-seeds as N, N+1, N+2, N+3"),
+    "seed_scheme": _Field(int, None),
+    "seed_data": _Field(int, None),
+    "seed_latency": _Field(int, None),
+    "seed_straggler": _Field(int, None),
+    "label": _Field(str, None),
+    "verify_decode": _Field(bool, False),
 }
-_RUN_DEFAULTS = {key: default for key, (_, default) in _RUN_SCHEMA.items()}
+# What tells a compare's runs apart: compare reads these from its run
+# entries only, never from flags.
+_PER_RUN_KEYS = ("strategy", "scheme_file", "kind", "alpha", "label")
+_RUN_DEFAULTS = {key: field.default for key, field in _RUN_SCHEMA.items()}
 
 
 def _coerce(key: str, value):
@@ -113,51 +148,11 @@ def _coerce(key: str, value):
     return value
 
 
-def _read_json(path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from err
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path} is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path} must hold a JSON object")
-    return raw
-
-
-def _parse_workers(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as err:
-        raise _UsageError(f"--straggler-workers wants comma-separated integers: {err}")
-
-
-def _parse_jitter(text: str) -> float | None:
-    if text.lower() in ("none", "null", "off"):
-        return None
-    try:
-        return float(text)
-    except ValueError as err:
-        raise _UsageError(f"--jitter-sigma wants a number or 'none': {err}")
-
-
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    """Run keys explicitly present on the command line."""
-    out = {}
-    for key in _RUN_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key == "jitter_sigma":
-            value = _parse_jitter(value)
-        elif key == "straggler_workers":
-            value = _parse_workers(value)
-        out[key] = value
-    if getattr(args, "verify_decode", False):
-        out["verify_decode"] = True
-    return out
+    """Run keys given on the command line, in schema order so that a
+    compare echo's ``shared`` block keeps the schema's key order."""
+    given = vars(args)
+    return {key: given[key] for key in _RUN_SCHEMA if key in given}
 
 
 def _merge_run(config: dict, overrides: dict) -> dict:
@@ -189,7 +184,7 @@ def _need(merged: dict, key: str, why: str):
 
 
 def _load_scheme_or_plan(path):
-    raw = _read_json(path)
+    raw = codec.read_json_object(path)
     if "alpha" in raw:
         return partial.import_plan(path)
     return codec.import_code(path)
@@ -425,7 +420,7 @@ def _summary_line(result: sim.RunResult) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _read_json(args.config) if args.config else {}
+    config = codec.read_json_object(args.config) if args.config else {}
     merged = _merge_run(config, _flag_overrides(args))
     run_config = _training_config(merged)
     result = sim.run_training(run_config)
@@ -458,7 +453,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         shared: dict = {}
         entries = _bundle_entries(_merge_run({}, overrides))
     elif args.config:
-        raw = _read_json(args.config)
+        raw = codec.read_json_object(args.config)
         unknown = set(raw) - {"shared", "runs"}
         if unknown:
             raise ConfigError(f"unknown compare config fields {sorted(unknown)}")
@@ -525,44 +520,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_run_flags(p: argparse.ArgumentParser, with_strategy: bool) -> None:
-    if with_strategy:
-        p.add_argument("--strategy", choices=["naive", "ignore", "coded", "partial"])
-        p.add_argument("--scheme-file", dest="scheme_file")
-        p.add_argument("--kind", choices=list(codec.KINDS))
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--label")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--optimizer", choices=[learn.NAG, learn.GD_DECAY])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--compute-time", dest="compute_time", type=float)
-    p.add_argument("--comm-time", dest="comm_time", type=float)
-    p.add_argument("--jitter-sigma", dest="jitter_sigma", help="number or 'none'")
-    p.add_argument("--straggler-mode", dest="straggler_mode",
-                   choices=["none", "fixed", "random"])
-    p.add_argument("--straggler-workers", dest="straggler_workers",
-                   help="comma-separated worker indices")
-    p.add_argument("--straggler-count", dest="straggler_count", type=int)
-    p.add_argument("--straggler-kind", dest="straggler_kind",
-                   choices=["delay", "slowdown"])
-    p.add_argument("--straggler-extra", dest="straggler_extra", type=float,
-                   help="seconds added per message (inf allowed)")
-    p.add_argument("--straggler-alpha", dest="straggler_alpha", type=float)
-    p.add_argument("--holdout-frac", dest="holdout_frac", type=float)
-    p.add_argument("--auc-interval", dest="auc_interval", type=int)
-    p.add_argument("--verify-decode", dest="verify_decode", action="store_true")
-    p.add_argument("--seed-all", dest="seed_all", type=int,
-                   help="derive the four sub-seeds as N, N+1, N+2, N+3")
-    p.add_argument("--seed-scheme", dest="seed_scheme", type=int)
-    p.add_argument("--seed-data", dest="seed_data", type=int)
-    p.add_argument("--seed-latency", dest="seed_latency", type=int)
-    p.add_argument("--seed-straggler", dest="seed_straggler", type=int)
+def _add_run_flags(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
+    """One flag per run field; a flag not given leaves no attribute."""
+    for key, field in _RUN_SCHEMA.items():
+        if key in omit:
+            continue
+        if field.type is bool:
+            how = {"action": "store_true"}
+        else:
+            how = {"type": field.parse or field.type, "choices": field.choices}
+        p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                       help=field.help, **how)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -596,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = top.add_parser("simulate", help="run one training simulation")
     simulate.add_argument("--config", help="JSON file of run parameters")
-    _add_run_flags(simulate, with_strategy=True)
+    _add_run_flags(simulate)
     simulate.add_argument("--out", required=True, help="per-iteration CSV path")
     simulate.set_defaults(func=cmd_simulate)
 
@@ -604,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--config", help="JSON with 'shared' and 'runs'")
     compare.add_argument("--bundle", action="store_true",
                          help="naive, ignore, frac, cyc on one cluster")
-    _add_run_flags(compare, with_strategy=False)
+    _add_run_flags(compare, omit=_PER_RUN_KEYS)
     compare.add_argument("--out-prefix", dest="out_prefix", required=True)
     compare.set_defaults(func=cmd_compare)
 

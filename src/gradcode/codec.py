@@ -477,8 +477,8 @@ def code_from_dict(raw: dict, extra_fields: tuple[str, ...] = ()) -> GradientCod
         raise ParseError(f"scheme violates its invariants: {err}") from err
 
 
-def import_code(path) -> GradientCode:
-    """Load and fully re-validate a scheme file."""
+def read_json_object(path) -> dict:
+    """Parse a JSON file that must hold one object; ParseError otherwise."""
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -487,4 +487,11 @@ def import_code(path) -> GradientCode:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path} is not valid JSON: {err}") from err
-    return code_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path} must hold a JSON object")
+    return raw
+
+
+def import_code(path) -> GradientCode:
+    """Load and fully re-validate a scheme file."""
+    return code_from_dict(read_json_object(path))

@@ -32,6 +32,7 @@ from .codec import (
     build_frac,
     code_from_dict,
     code_to_dict,
+    read_json_object,
 )
 from .errors import (
     ConfigError,
@@ -74,20 +75,17 @@ def load_fraction(n: int, s: int, alpha: float) -> float:
     return (s + 1) * alpha / (n * (s + alpha))
 
 
-def _canonical_assignment(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(range(w * r, (w + 1) * r)) for w in range(n))
-
-
 @dataclass(frozen=True, eq=False)
 class TwoStagePlan:
-    """A validated two-stage layout for n workers and s slow ones."""
+    """A validated two-stage layout for n workers and s slow ones.
 
-    n: int
-    s: int
+    The slowdown factor and the stage-two code determine everything
+    else: n and s are the code's, and the naive stage is r contiguous
+    partitions per worker with r = ceil((s+1)/(alpha-1)).
+    """
+
     alpha: float
-    naive_per_worker: int
     code: GradientCode
-    naive_assignment: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
@@ -95,22 +93,24 @@ class TwoStagePlan:
             raise DimensionMismatch(f"need 1 <= s < n, got s={self.s}, n={self.n}")
         if self.code.kind not in (FRAC, CYC):
             raise DimensionMismatch(f"stage two needs a coded scheme, got {self.code.kind!r}")
-        if (self.code.n, self.code.s) != (self.n, self.s):
-            raise DimensionMismatch(
-                f"stage-two code is ({self.code.n}, s={self.code.s}), "
-                f"plan is ({self.n}, s={self.s})"
-            )
-        want_r = naive_partition_count(self.s, self.alpha)
-        if self.naive_per_worker != want_r:
-            raise DimensionMismatch(
-                f"naive_per_worker={self.naive_per_worker} inconsistent with "
-                f"ceil((s+1)/(alpha-1))={want_r}"
-            )
-        canonical = _canonical_assignment(self.n, self.naive_per_worker)
-        normalized = tuple(tuple(int(i) for i in row) for row in self.naive_assignment)
-        if normalized != canonical:
-            raise DimensionMismatch("naive assignment must be contiguous by worker")
-        object.__setattr__(self, "naive_assignment", normalized)
+
+    @property
+    def n(self) -> int:
+        return self.code.n
+
+    @property
+    def s(self) -> int:
+        return self.code.s
+
+    @property
+    def naive_per_worker(self) -> int:
+        return naive_partition_count(self.s, self.alpha)
+
+    @property
+    def naive_assignment(self) -> tuple[tuple[int, ...], ...]:
+        """Worker w's naive partitions: w*r, ..., (w+1)*r - 1."""
+        r = self.naive_per_worker
+        return tuple(tuple(range(w * r, (w + 1) * r)) for w in range(self.n))
 
     @property
     def naive_partitions_total(self) -> int:
@@ -154,15 +154,7 @@ def plan_partial(
         code = build_cyc(n, s, seed)
     else:
         raise ConfigError(f"stage-two kind must be {FRAC!r} or {CYC!r}, got {kind!r}")
-    r = naive_partition_count(s, alpha)
-    return TwoStagePlan(
-        n=n,
-        s=s,
-        alpha=alpha,
-        naive_per_worker=r,
-        code=code,
-        naive_assignment=_canonical_assignment(n, r),
-    )
+    return TwoStagePlan(alpha=alpha, code=code)
 
 
 def timing_slack(plan: TwoStagePlan) -> float:
@@ -191,17 +183,12 @@ def export_plan(plan: TwoStagePlan, path) -> None:
 
 
 def import_plan(path) -> TwoStagePlan:
-    """Load and fully re-validate a plan file."""
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from err
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path} is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ParseError(f"plan file must hold a JSON object, got {type(raw).__name__}")
+    """Load and fully re-validate a plan file.
+
+    The stored ``naive_per_worker`` and ``naive_assignment`` must equal
+    what ``alpha`` and the code determine.
+    """
+    raw = read_json_object(path)
     missing = sorted(set(PLAN_FIELDS) - set(raw))
     if missing:
         raise ParseError(f"missing plan fields: {', '.join(missing)}")
@@ -216,13 +203,16 @@ def import_plan(path) -> TwoStagePlan:
     if not isinstance(rows, list) or any(not isinstance(row, list) for row in rows):
         raise ParseError("field 'naive_assignment' must be a list of index lists")
     try:
-        return TwoStagePlan(
-            n=code.n,
-            s=code.s,
-            alpha=float(alpha),
-            naive_per_worker=r,
-            code=code,
-            naive_assignment=tuple(tuple(row) for row in rows),
-        )
+        plan = TwoStagePlan(alpha=float(alpha), code=code)
     except GradientCodingError as err:
         raise ParseError(f"plan violates its invariants: {err}") from err
+    if r != plan.naive_per_worker:
+        raise ParseError(
+            f"plan violates its invariants: naive_per_worker={r} inconsistent with "
+            f"ceil((s+1)/(alpha-1))={plan.naive_per_worker}"
+        )
+    if rows != [list(row) for row in plan.naive_assignment]:
+        raise ParseError(
+            "plan violates its invariants: naive assignment must be contiguous by worker"
+        )
+    return plan

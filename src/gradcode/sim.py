@@ -82,16 +82,17 @@ class LatencyModel:
     jitter_sigma: float | None = DEFAULT_JITTER_SIGMA
 
     def __post_init__(self):
-        if not self.compute_time_per_partition > 0:
+        # A dead worker is a straggler policy (extra=inf), not a latency.
+        compute = self.compute_time_per_partition
+        if not (math.isfinite(compute) and compute > 0):
+            raise ConfigError(f"compute time must be finite and positive, got {compute}")
+        if not (math.isfinite(self.comm_time) and self.comm_time >= 0):
             raise ConfigError(
-                f"compute time must be positive, got {self.compute_time_per_partition}"
+                f"comm time must be finite and non-negative, got {self.comm_time}"
             )
-        if self.comm_time < 0:
-            raise ConfigError(f"comm time must be non-negative, got {self.comm_time}")
-        if self.jitter_sigma is not None and not self.jitter_sigma > 0:
-            raise ConfigError(
-                f"jitter sigma must be positive or None, got {self.jitter_sigma}"
-            )
+        sigma = self.jitter_sigma
+        if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
+            raise ConfigError(f"jitter sigma must be finite and positive or None, got {sigma}")
 
 
 @dataclass(frozen=True)

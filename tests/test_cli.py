@@ -215,6 +215,93 @@ def test_every_run_field_has_a_checked_type(key):
         cli._coerce(key, {})
 
 
+# A config-file value different from every default, and a flag that
+# gives a value different from it (bool flags can only turn a field on).
+def _file_and_flag(key):
+    field = cli._RUN_SCHEMA[key]
+    if field.choices:
+        return field.choices[-1], [field.choices[0]], field.choices[0]
+    return {
+        int: (3, ["5"], 5),
+        float: (2.5, ["0.5"], 0.5),
+        str: ("from-file", ["from-flag"], "from-flag"),
+        tuple: ([1, 2], ["3"], (3,)),
+        bool: (True, [], True),
+    }[field.type]
+
+
+@pytest.mark.parametrize("key", list(cli._RUN_SCHEMA))
+def test_flags_beat_the_config_file_for_every_run_key(key):
+    in_file, flag_args, from_flag = _file_and_flag(key)
+    assert cli._coerce(key, in_file) != cli._RUN_DEFAULTS[key]
+    parser = cli.build_parser()
+    flag = "--" + key.replace("_", "-")
+    absent = parser.parse_args(["simulate", "--out", "x.csv"])
+    merged = cli._merge_run({key: in_file}, cli._flag_overrides(absent))
+    assert merged[key] == cli._coerce(key, in_file)
+    given = parser.parse_args(["simulate", "--out", "x.csv", flag, *flag_args])
+    other = False if key == "verify_decode" else in_file
+    merged = cli._merge_run({key: other}, cli._flag_overrides(given))
+    assert merged[key] == from_flag
+
+
+def test_verify_decode_from_a_config_file_turns_checking_on(tmp_path, monkeypatch):
+    seen = []
+    train = sim.run_training
+    monkeypatch.setattr(
+        sim, "run_training",
+        lambda config, *a: seen.append(config.verify_decode) or train(config, *a),
+    )
+    run_fields = {"strategy": "coded", "kind": "frac", "n": 4, "s": 1}
+    shared = {"d": 480, "p": 6, "iterations": 2, "seed_all": 4, "verify_decode": True}
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({**shared, **run_fields}))
+    assert run("simulate", "--config", cfg_path, "--out", tmp_path / "run.csv") == 0
+    assert json.loads((tmp_path / "run.csv.config.json").read_text())["verify_decode"] is True
+
+    cfg_path.write_text(json.dumps({"shared": shared, "runs": [run_fields]}))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "cmp") == 0
+    echo = json.loads((tmp_path / "cmp.config.json").read_text())
+    assert echo["shared"]["verify_decode"] is True
+    assert seen == [True, True]
+
+
+def test_compare_run_entry_beats_flag_beats_shared(tmp_path):
+    config = {
+        "shared": {"d": 480, "p": 6, "iterations": 5, "seed_all": 2, "strategy": "naive",
+                   "n": 4},
+        "runs": [{"label": "own", "iterations": 8}, {"label": "flagged"}],
+    }
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--iterations", 3,
+               "--out-prefix", tmp_path / "x") == 0
+    assert len(read_csv(tmp_path / "x_own.csv")) == 8
+    assert len(read_csv(tmp_path / "x_flagged.csv")) == 3
+
+
+@pytest.mark.parametrize(
+    "field, flag", [("compute_time_per_partition", "--compute-time"),
+                    ("comm_time", "--comm-time"), ("jitter_sigma", "--jitter-sigma")],
+)
+def test_non_finite_latency_is_a_validation_error(tmp_path, capsys, field, flag):
+    with pytest.raises(ConfigError, match="finite"):
+        sim.LatencyModel(**{field: float("inf")})
+    assert run("simulate", "--strategy", "coded", "--kind", "frac", "--n", 6, "--s", 1,
+               "--d", 480, "--p", 6, "--iterations", 2, "--seed-all", 1, flag, "inf",
+               "--out", tmp_path / "x.csv") == 3
+    assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, text", [("--straggler-workers", "1,x"), ("--jitter-sigma", "wide")]
+)
+def test_unreadable_flag_value_is_a_usage_error(tmp_path, capsys, flag, text):
+    assert run("simulate", "--strategy", "naive", "--n", 4, "--seed-all", 1,
+               flag, text, "--out", tmp_path / "x.csv") == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_simulate_partial_from_plan_file(tmp_path):
     plan_path = tmp_path / "plan.json"
     run("scheme", "build", "--kind", "frac", "--n", 4, "--s", 1, "--alpha", 2.0,

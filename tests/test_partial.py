@@ -9,6 +9,7 @@ full iteration does.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -150,6 +151,19 @@ def test_plan_export_import_round_trip(tmp_path):
         assert (tmp_path / "again.json").read_text() == path.read_text()
 
 
+def test_plan_holds_only_alpha_and_code(tmp_path):
+    assert [f.name for f in dataclasses.fields(partial.TwoStagePlan)] == ["alpha", "code"]
+    plan = partial.plan_partial(6, 2, 1.7, kind=codec.CYC, seed=4)
+    path = tmp_path / "plan.json"
+    partial.export_plan(plan, path)
+    loaded = partial.import_plan(path)
+    derived = ("n", "s", "naive_per_worker", "naive_assignment", "total_partitions")
+    assert [getattr(loaded, name) for name in derived] == [
+        getattr(plan, name) for name in derived
+    ]
+    assert (plan.n, plan.s, plan.naive_per_worker, plan.total_partitions) == (6, 2, 5, 36)
+
+
 def test_plan_file_field_order(tmp_path):
     path = tmp_path / "plan.json"
     partial.export_plan(partial.plan_partial(4, 1, 3.0), path)
@@ -187,6 +201,9 @@ def test_plan_import_rejections(tmp_path):
         partial.import_plan(dump({**raw, "naive_assignment": shuffled}))
     with pytest.raises(ParseError, match="invariants"):
         partial.import_plan(dump({**raw, "alpha": 1.0}))
+    # alpha = 2 plans r = 2 naive partitions a worker; the file stores 1.
+    with pytest.raises(ParseError, match="naive_per_worker=1 inconsistent"):
+        partial.import_plan(dump({**raw, "alpha": 2.0}))
     with pytest.raises(ParseError, match="unknown fields"):
         partial.import_plan(dump({**raw, "mystery": True}))
     # A plan file is not a plain scheme file.
