@@ -192,15 +192,11 @@ def _load_scheme_or_plan(path):
 
 def _build_strategy(merged: dict) -> sim.Strategy:
     name = _need(merged, "strategy", "(naive, ignore, coded, or partial)")
+    why = f"for the {name} strategy"
     if name == "naive":
-        return sim.Naive(_need(merged, "n", "for the naive strategy"))
+        return sim.Naive(_need(merged, "n", why))
     if name == "ignore":
-        return sim.IgnoreStragglers(
-            _need(merged, "n", "for the ignore strategy"),
-            _need(merged, "s", "for the ignore strategy"),
-        )
-    if name not in ("coded", "partial"):
-        raise _UsageError(f"unknown strategy {name!r}")
+        return sim.IgnoreStragglers(_need(merged, "n", why), _need(merged, "s", why))
     if merged["scheme_file"] is not None:
         loaded = _load_scheme_or_plan(merged["scheme_file"])
         if isinstance(loaded, partial.TwoStagePlan):
@@ -215,6 +211,8 @@ def _build_strategy(merged: dict) -> sim.Strategy:
             )
         return sim.Coded(loaded)
     kind = _need(merged, "kind", "to build a scheme inline (or give --scheme-file)")
+    if kind not in (codec.FRAC, codec.CYC):
+        raise ConfigError(f"coded and partial strategies need kind frac or cyc, got {kind!r}")
     n = _need(merged, "n", "to build a scheme inline")
     s = _need(merged, "s", "to build a scheme inline")
     if name == "partial":
@@ -224,12 +222,14 @@ def _build_strategy(merged: dict) -> sim.Strategy:
         )
     if kind == codec.FRAC:
         return sim.Coded(codec.build_frac(n, s))
-    if kind == codec.CYC:
-        return sim.Coded(codec.build_cyc(n, s, merged["seed_scheme"]))
-    raise _UsageError(f"--kind must be frac or cyc for the coded strategy, got {kind!r}")
+    return sim.Coded(codec.build_cyc(n, s, merged["seed_scheme"]))
 
 
 def _training_config(merged: dict) -> sim.TrainingConfig:
+    for key, field in _RUN_SCHEMA.items():
+        if field.choices and merged[key] not in (None, *field.choices):
+            raise ConfigError(f"config field {key!r} must be one of {field.choices}, "
+                              f"got {merged[key]!r}")
     _resolve_seeds(merged)
     strategy = _build_strategy(merged)
     optimizer = learn.OptimizerConfig(

@@ -1,10 +1,10 @@
 """Deterministic simulator for synchronous distributed gradient descent.
 
-Each training iteration is one synchronous round. Every strategy runs
-through one message layout (``Layout``), built once per run from the
-strategy and the partitioned training set: each worker's stage rows, the
-partition terms of each message it sends (a naive stage, a coded stage,
-or both in turn), and one of four aggregation rules:
+Each training iteration is one synchronous round. A strategy is one
+``Strategy`` value, its message layout: the partition terms of each
+message a worker sends (a naive stage, a coded stage, or both in turn)
+and one of four aggregation rules. ``Naive``, ``IgnoreStragglers``,
+``Coded`` and ``PartialCoded`` build the four of them:
 
 * every naive message (naive); the update is the exact gradient;
 * the first n - s naive messages, summed (ignore-stragglers): a biased,
@@ -14,8 +14,10 @@ or both in turn), and one of four aggregation rules:
 * every naive message plus the first n - s coded messages, decoded
   (two-stage): again exact.
 
-A round draws the stragglers, times itself from the layout alone
-(``time_round``, no gradient work), picks the survivors and aggregates.
+``build_layout`` adds only each worker's stage rows over one run's
+partitioned training set (``Layout``), once per run. A round draws the
+stragglers, times itself from the layout alone (``time_round``, no
+gradient work), picks the survivors and aggregates.
 Time is simulated, never measured: a worker's compute cost is
 proportional to the rows it processes, scaled so that
 ``compute_time_per_partition`` is the cost of one n-way partition. A
@@ -149,71 +151,80 @@ NO_STRAGGLERS = StragglerPolicy()
 # Strategies
 
 
-@dataclass(frozen=True)
-class Naive:
-    """Uncoded: one partition per worker, every message required."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"need at least one worker, got n={self.n}")
-
-    workers = property(lambda self: self.n)
-    tolerated = property(lambda self: 0)
-    partition_count = property(lambda self: self.n)
-    label = property(lambda self: "naive")
+Terms = tuple[tuple[int, float | None], ...]  # (partition, coefficient or None)
 
 
-@dataclass(frozen=True)
-class IgnoreStragglers:
-    """Uncoded, but the aggregator stops waiting after n - s messages."""
+@dataclass(frozen=True, eq=False)
+class Strategy:
+    """What each worker sends in a round, and the aggregation rule.
 
+    Each of the n workers runs the stages in order and sends a message
+    of kind ``kinds[k]`` once stage k's compute is done; ``terms[k][w]``
+    are the partition terms worker w's stage-k message sums. The rule
+    needs every message of stage ``every`` and the first n - s of stage
+    ``first``, decoded with ``code`` when there is one and summed
+    otherwise; either stage may be None. Build one with ``Naive``,
+    ``IgnoreStragglers``, ``Coded`` or ``PartialCoded``.
+    """
+
+    label: str
     n: int
     s: int
-
-    def __post_init__(self):
-        if not 1 <= self.s < self.n:
-            raise ConfigError(f"need 1 <= s < n, got s={self.s}, n={self.n}")
-
-    workers = property(lambda self: self.n)
-    tolerated = property(lambda self: self.s)
-    partition_count = property(lambda self: self.n)
-    label = property(lambda self: f"ignore_s{self.s}")
+    partition_count: int
+    kinds: tuple[str, ...]
+    terms: tuple[tuple[Terms, ...], ...]
+    every: int | None
+    first: int | None
+    code: GradientCode | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class Coded:
-    """A gradient code: any n - s messages reproduce the exact gradient."""
-
-    code: GradientCode
-
-    workers = property(lambda self: self.code.n)
-    tolerated = property(lambda self: self.code.s)
-    partition_count = property(lambda self: self.code.k)
-    label = property(lambda self: f"{self.code.kind}_n{self.code.n}_s{self.code.s}")
+def _plain_terms(assignment) -> tuple[Terms, ...]:
+    return tuple(tuple((j, None) for j in supp) for supp in assignment)
 
 
-@dataclass(frozen=True, eq=False)
-class PartialCoded:
-    """Two-stage plan: all naive sums plus any n - s coded messages."""
-
-    plan: TwoStagePlan
-
-    workers = property(lambda self: self.plan.n)
-    tolerated = property(lambda self: self.plan.s)
-    partition_count = property(lambda self: self.plan.total_partitions)
-    label = property(
-        lambda self: f"partial_{self.plan.code.kind}_a{self.plan.alpha:g}"
+def _coded_terms(code: GradientCode, offset: int = 0) -> tuple[Terms, ...]:
+    return tuple(
+        tuple((offset + j, code.B[w, j]) for j in codec.assignment(code, w))
+        for w in range(code.n)
     )
 
 
-Strategy = Naive | IgnoreStragglers | Coded | PartialCoded
+def Naive(n: int) -> Strategy:
+    """Uncoded: one partition per worker, every message required."""
+    if n < 1:
+        raise ConfigError(f"need at least one worker, got n={n}")
+    terms = _plain_terms((w,) for w in range(n))
+    return Strategy("naive", n, 0, n, (MSG_NAIVE,), (terms,), every=0, first=None)
+
+
+def IgnoreStragglers(n: int, s: int) -> Strategy:
+    """Uncoded, but the aggregator stops waiting after n - s messages."""
+    if not 1 <= s < n:
+        raise ConfigError(f"need 1 <= s < n, got s={s}, n={n}")
+    terms = _plain_terms((w,) for w in range(n))
+    return Strategy(f"ignore_s{s}", n, s, n, (MSG_NAIVE,), (terms,), every=None, first=0)
+
+
+def Coded(code: GradientCode) -> Strategy:
+    """A gradient code: any n - s messages reproduce the exact gradient."""
+    return Strategy(
+        f"{code.kind}_n{code.n}_s{code.s}", code.n, code.s, code.k,
+        (MSG_CODED,), (_coded_terms(code),), every=None, first=0, code=code,
+    )
+
+
+def PartialCoded(plan: TwoStagePlan) -> Strategy:
+    """Two-stage plan: all naive sums plus any n - s coded messages."""
+    terms = (_plain_terms(plan.naive_assignment), _coded_terms(plan.code, plan.coded_offset))
+    return Strategy(
+        f"partial_{plan.code.kind}_a{plan.alpha:g}", plan.n, plan.s, plan.total_partitions,
+        (MSG_NAIVE, MSG_CODED), terms, every=0, first=1, code=plan.code,
+    )
 
 
 def validate_policy(policy: StragglerPolicy, strategy: Strategy) -> None:
     """Cross-checks that need both halves of the configuration."""
-    n = strategy.workers
+    n = strategy.n
     if policy.mode == "fixed":
         bad = [w for w in policy.workers if not 0 <= w < n]
         if bad:
@@ -225,12 +236,10 @@ def validate_policy(policy: StragglerPolicy, strategy: Strategy) -> None:
         return
     if chosen >= n:
         raise ConfigError(f"{chosen} stragglers leaves no working cluster of {n}")
-    # A tolerance-carrying strategy is only meaningful within it; the
-    # naive baseline runs under any injection.
-    if not isinstance(strategy, Naive) and chosen > strategy.tolerated:
-        raise ConfigError(
-            f"{chosen} stragglers exceeds the strategy's tolerance s={strategy.tolerated}"
-        )
+    # Waiting for the first n - s messages is only meaningful within s;
+    # waiting for every message runs under any injection.
+    if strategy.first is not None and chosen > strategy.s:
+        raise ConfigError(f"{chosen} stragglers exceeds the strategy's tolerance s={strategy.s}")
 
 
 @dataclass(frozen=True)
@@ -322,59 +331,21 @@ class RunResult:
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """What each worker sends in a round, and the aggregation rule; fixed for a run.
+    """A strategy over one run's partitions: ``rows[k, w]`` is the rows
+    worker w computes in stage k, out of ``train_rows`` in all."""
 
-    Each worker runs the stages in order and sends a message of kind
-    ``kinds[k]`` once stage k's compute is done: ``rows[k, w]`` is the
-    rows worker w computes in stage k, and ``terms[k][w]`` the
-    (partition, coefficient or None) pairs its message sums. The rule
-    needs every message of stage ``every`` and the first ``need`` = n - s
-    of stage ``first``, decoded with ``code`` when there is one and
-    summed otherwise; either stage may be None.
-    """
-
-    n: int
-    need: int
+    strategy: Strategy
     train_rows: int
-    kinds: tuple[str, ...]
     rows: np.ndarray
-    terms: tuple[tuple[tuple[tuple[int, float | None], ...], ...], ...]
-    every: int | None
-    first: int | None
-    code: GradientCode | None
-
-
-def _plain_terms(assignment) -> tuple:
-    return tuple(tuple((j, None) for j in supp) for supp in assignment)
-
-
-def _coded_terms(code: GradientCode, offset: int = 0) -> tuple:
-    return tuple(
-        tuple((offset + j, code.B[w, j]) for j in codec.assignment(code, w))
-        for w in range(code.n)
-    )
 
 
 def build_layout(strategy: Strategy, train: learn.Dataset) -> Layout:
-    """The message layout of ``strategy`` over ``train``'s partitions."""
-    n = strategy.workers
-    code = None
-    if isinstance(strategy, (Naive, IgnoreStragglers)):
-        kinds, terms = (MSG_NAIVE,), (_plain_terms((w,) for w in range(n)),)
-        every, first = (0, None) if isinstance(strategy, Naive) else (None, 0)
-    elif isinstance(strategy, Coded):
-        code = strategy.code
-        kinds, terms, every, first = (MSG_CODED,), (_coded_terms(code),), None, 0
-    elif isinstance(strategy, PartialCoded):
-        plan = strategy.plan
-        code = plan.code
-        kinds, every, first = (MSG_NAIVE, MSG_CODED), 0, 1
-        terms = (_plain_terms(plan.naive_assignment), _coded_terms(code, plan.coded_offset))
-    else:
-        raise ConfigError(f"unknown strategy type {type(strategy).__name__}")
+    """The per-worker stage rows of ``strategy`` over ``train``'s partitions."""
     sizes = [hi - lo for lo, hi in train.partition_bounds]
-    rows = np.array([[float(sum(sizes[j] for j, _ in msg)) for msg in stage] for stage in terms])
-    return Layout(n, n - strategy.tolerated, train.rows, kinds, rows, terms, every, first, code)
+    rows = np.array(
+        [[float(sum(sizes[j] for j, _ in msg)) for msg in stage] for stage in strategy.terms]
+    )
+    return Layout(strategy, train.rows, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +375,12 @@ def time_round(
     """Draw the stragglers and time one round, with no gradient work.
 
     Returns (arrival times indexed [stage, worker], round duration,
-    survivors): the senders of stage ``first``'s first ``need`` messages,
+    survivors): the senders of stage ``first``'s first n - s messages,
     or every worker. Raises StarvedIteration when a required message can
     never arrive.
     """
-    n = layout.n
+    strategy = layout.strategy
+    n = strategy.n
     stragglers = []
     if policy.mode == "fixed":
         stragglers = list(policy.workers)
@@ -436,20 +408,21 @@ def time_round(
         finish[k] = compute + (k + 1) * latency.comm_time + extra
     duration = 0.0
     survivors = tuple(range(n))
-    if layout.every is not None:
-        duration = float(np.max(finish[layout.every]))
+    if strategy.every is not None:
+        duration = float(np.max(finish[strategy.every]))
         if not math.isfinite(duration):
             raise StarvedIteration(
-                f"the aggregator needs every {layout.kinds[layout.every]} message; "
+                f"the aggregator needs every {strategy.kinds[strategy.every]} message; "
                 "a full delay never arrives"
             )
-    if layout.first is not None:
-        times = finish[layout.first]
+    if strategy.first is not None:
+        times = finish[strategy.first]
+        need = n - strategy.s
         # A stable sort breaks ties by worker index.
-        first = np.argsort(times, kind="stable")[: layout.need]
+        first = np.argsort(times, kind="stable")[:need]
         last = float(times[first[-1]])
         if not math.isfinite(last):
-            raise StarvedIteration(f"fewer than {layout.need} of {n} workers can ever finish")
+            raise StarvedIteration(f"fewer than {need} of {n} workers can ever finish")
         duration = max(duration, last)
         survivors = tuple(sorted(first.tolist()))
     return finish, duration, survivors
@@ -472,27 +445,28 @@ def run_iteration(
     all message events). Raises StarvedIteration when a required
     message can never arrive.
     """
+    strategy = layout.strategy
     finish, duration, survivors = time_round(layout, latency, policy, latency_rng, straggler_rng)
     events = tuple(
         (t, w, kind)
-        for kind, times in zip(layout.kinds, finish.tolist())
+        for kind, times in zip(strategy.kinds, finish.tolist())
         for w, t in enumerate(times)
     )
     G = learn.partition_gradients(train, point)
     parts = []
-    if layout.every is not None:
-        parts += [_message(G, terms) for terms in layout.terms[layout.every]]
-    if layout.first is not None:
-        terms = layout.terms[layout.first]
+    if strategy.every is not None:
+        parts += [_message(G, terms) for terms in strategy.terms[strategy.every]]
+    if strategy.first is not None:
+        terms = strategy.terms[strategy.first]
         messages = [_message(G, terms[w]) for w in survivors]
-        if layout.code is not None:
-            row = decode_row(layout.code, survivors, cache)
+        if strategy.code is not None:
+            row = decode_row(strategy.code, survivors, cache)
             messages = [c * m for c, m in zip(row.coeffs, messages)]
         parts += messages
     gradient = _sequential_sum(parts)
-    if verify_decode and layout.code is not None:
+    if verify_decode and strategy.code is not None:
         _check_exact(gradient, G, survivors)
-    kind = EXACT if layout.first is None or layout.code is not None else PARTIAL_SUM
+    kind = EXACT if strategy.first is None or strategy.code is not None else PARTIAL_SUM
     return gradient, duration, survivors, kind, events
 
 

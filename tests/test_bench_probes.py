@@ -11,7 +11,11 @@ import inspect
 import sys
 from pathlib import Path
 
-from gradcode import sim
+import numpy as np
+import pytest
+
+from gradcode import codec, learn, partial, sim
+from gradcode.numerics import make_rng
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -39,3 +43,24 @@ def test_every_layer_probe_names_an_existing_attribute(monkeypatch):
 def test_run_iteration_takes_train_as_parameter_3():
     # The round probe reads the training set's row count from argument 3.
     assert list(inspect.signature(sim.run_iteration).parameters)[3] == "train"
+
+
+@pytest.mark.parametrize(
+    "strategy, sent, used",
+    [
+        (sim.Naive(4), 4, 4),
+        (sim.IgnoreStragglers(4, 1), 4, 3),
+        (sim.Coded(codec.build_frac(4, 1)), 4, 3),
+        (sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.FRAC)), 8, 7),
+    ],
+)
+def test_round_probe_counts_sent_and_used_messages(monkeypatch, strategy, sent, used):
+    # These counts feed sim.messages_sent and sim.useful_message_share.
+    spans = _load_spans(monkeypatch)
+    data, _ = learn.gen_synthetic(make_rng(0), 96, 3)
+    train = learn.with_partitions(data, strategy.partition_count)
+    policy = sim.StragglerPolicy(mode="random", count=1, kind="delay", extra=5.0)
+    args = (sim.build_layout(strategy, train), sim.LatencyModel(), policy, train,
+            np.zeros(3), make_rng(1), make_rng(2), {})
+    attrs = spans._iteration_after({}, args, {}, sim.run_iteration(*args))
+    assert (attrs["sent"], attrs["used"]) == (sent, used)

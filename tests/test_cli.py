@@ -205,6 +205,24 @@ def test_simulate_rejects_unknown_config_field(tmp_path, capsys):
     assert "unknown config field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key", ["strategy", "kind", "optimizer", "straggler_mode", "straggler_kind"]
+)
+def test_config_value_outside_a_fields_choices_is_a_validation_error(tmp_path, capsys, key):
+    assert cli._RUN_SCHEMA[key].choices
+    run_fields = {"strategy": "coded", "kind": "frac", "n": 4, "s": 1, key: "bogus"}
+    shared = {"d": 480, "p": 6, "iterations": 2, "seed_all": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**shared, **run_fields}))
+    assert run("simulate", "--config", cfg_path, "--out", tmp_path / "x.csv") == 3
+    assert f"config field '{key}' must be one of" in capsys.readouterr().err
+
+    cfg_path.write_text(json.dumps({"shared": shared, "runs": [run_fields]}))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "cmp") == 3
+    assert f"config field '{key}' must be one of" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 @pytest.mark.parametrize("key", sorted(cli._RUN_DEFAULTS))
 def test_every_run_field_has_a_checked_type(key):
     good = {int: 3, float: 2, str: "x", tuple: [1, 2], bool: True}
@@ -323,6 +341,16 @@ def test_simulate_strategy_file_kind_mismatch(tmp_path, capsys):
               "--out", tmp_path / "x.csv"]
     assert run("simulate", "--strategy", "coded", "--scheme-file", plan_path, *common) == 3
     assert run("simulate", "--strategy", "partial", "--scheme-file", scheme_path, *common) == 3
+
+
+@pytest.mark.parametrize("strategy", [["coded"], ["partial", "--alpha", 2.0]])
+def test_naive_kind_for_a_coded_strategy_is_a_validation_error(tmp_path, capsys, strategy):
+    assert run("simulate", "--strategy", *strategy, "--kind", "naive", "--n", 4, "--s", 1,
+               "--d", 480, "--p", 6, "--iterations", 2, "--seed-all", 1,
+               "--out", tmp_path / "x.csv") == 3
+    err = capsys.readouterr().err
+    assert "coded and partial strategies need kind frac or cyc, got 'naive'" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_starved_iteration_exit_code(tmp_path, capsys):

@@ -121,18 +121,18 @@ def test_shared_data_computes_lipschitz_once_and_only_on_demand(monkeypatch):
 
 
 def brute_force_duration(strategy, events):
+    # Each strategy's own rule, told apart by its label alone.
     times = sorted(events, key=lambda e: (e[0], e[1], 0 if e[2] == "naive" else 1))
-    if isinstance(strategy, sim.Naive):
+    need = strategy.n - strategy.s
+    if strategy.label == "naive":
         return max(t for t, _, _ in events)
-    if isinstance(strategy, sim.IgnoreStragglers):
-        return times[strategy.n - strategy.s - 1][0]
-    if isinstance(strategy, sim.Coded):
-        coded = [e for e in times if e[2] == "coded"]
-        return coded[strategy.code.n - strategy.code.s - 1][0]
-    plan = strategy.plan
-    naive = [t for t, _, k in events if k == "naive"]
+    if strategy.label.startswith("ignore_"):
+        return times[need - 1][0]
     coded = [e for e in times if e[2] == "coded"]
-    return max(max(naive), coded[plan.n - plan.s - 1][0])
+    if not strategy.label.startswith("partial_"):
+        return coded[need - 1][0]
+    naive = [t for t, _, k in events if k == "naive"]
+    return max(max(naive), coded[need - 1][0])
 
 
 @pytest.mark.parametrize(
@@ -429,12 +429,13 @@ def test_two_stage_round_time_matches_plan_slack_and_load(n, s, alpha):
     assert duration == max(fast_coded, slow_naive)
 
 
+# (constructor, argument): the strategy itself is built under the patch.
 @pytest.mark.parametrize(
     "strategy",
     [
-        sim.Coded(codec.build_frac(4, 1)),
-        sim.Coded(codec.build_cyc(5, 2, seed=3)),
-        sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.CYC, seed=4)),
+        (sim.Coded, codec.build_frac(4, 1)),
+        (sim.Coded, codec.build_cyc(5, 2, seed=3)),
+        (sim.PartialCoded, partial.plan_partial(4, 1, 2.0, kind=codec.CYC, seed=4)),
     ],
 )
 def test_layout_is_built_once_per_run(monkeypatch, strategy):
@@ -443,8 +444,11 @@ def test_layout_is_built_once_per_run(monkeypatch, strategy):
     monkeypatch.setattr(
         codec, "assignment", lambda code, w: calls.append(w) or assignment(code, w)
     )
-    sim.run_training(small_config(strategy, d=640, iterations=12))
-    assert calls == list(range(strategy.workers))
+    make, arg = strategy
+    built = make(arg)
+    for _ in range(2):
+        sim.run_training(small_config(built, d=640, iterations=12))
+    assert calls == list(range(built.n))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +501,27 @@ def test_policy_validation():
             sim.Naive(2),
             policy=sim.StragglerPolicy(mode="random", count=2, kind="delay", extra=1.0),
         )
+
+
+@pytest.mark.parametrize(
+    "strategy, accepts",
+    [
+        (sim.Naive(4), True),
+        (sim.IgnoreStragglers(4, 1), False),
+        (sim.Coded(codec.build_frac(4, 1)), False),
+        (sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.FRAC)), False),
+    ],
+)
+def test_tolerance_check_follows_the_aggregation_rule(strategy, accepts):
+    # Waiting for every message runs under any injection; waiting for
+    # the first n - s refuses more than s stragglers.
+    policy = sim.StragglerPolicy(mode="random", count=2, kind="delay", extra=1.0)
+    if accepts:
+        res = sim.run_training(small_config(strategy, policy=policy, iterations=3))
+        assert all(tr.survivors == (0, 1, 2, 3) for tr in res.traces)
+    else:
+        with pytest.raises(ConfigError, match="tolerance"):
+            small_config(strategy, policy=policy)
 
 
 def test_policy_shape_validation():
