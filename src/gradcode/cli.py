@@ -472,8 +472,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for entry in entries:
         merged = _merge_run(shared, overrides)
         for key, value in entry.items():
-            # null unsets a known field, as the bundle lineup does
-            merged[key] = None if value is None and key in _RUN_SCHEMA else _coerce(key, value)
+            # null unsets a field that is unset by default, as the bundle
+            # lineup does; any other field is type-checked as usual
+            unset = value is None and key in _RUN_SCHEMA and _RUN_SCHEMA[key].default is None
+            merged[key] = None if unset else _coerce(key, value)
         merged_runs.append(merged)
 
     run_configs = []

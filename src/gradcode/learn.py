@@ -176,20 +176,29 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def log_loss(ds: Dataset, beta: np.ndarray) -> float:
-    """Summed logistic negative log-likelihood, overflow-safe.
+    """Summed logistic negative log-likelihood of ``beta``: one product
+    over the whole matrix, then ``logits_loss``."""
+    return logits_loss(ds.X @ beta, ds.y)
+
+
+def logits_loss(z: np.ndarray, y: np.ndarray) -> float:
+    """Summed logistic negative log-likelihood of the logits ``z``.
 
     Each row adds log(1 + e^z) - y*z, written as max(z, 0) + log1p(e^-|z|)
     - y*z: the exponent is never positive, and numpy's vectorized exp and
-    log1p run several times faster than `np.logaddexp`. z is one product
-    over the whole matrix, so the loss never depends on the partitioning.
+    log1p run several times faster than `np.logaddexp`. ``z`` is only
+    read. A simulated run does not call ``log_loss`` each round: it feeds
+    this function the logits its partition gradients already compute,
+    carried one round back to the iterate (``sim.run_training``), so a
+    trace loss matches ``log_loss`` of its iterate to rounding, measured
+    at most 3.5e-16 relative under NAG and exactly under ``gd_decay``.
     """
-    z = ds.X @ beta
     t = np.abs(z)
     np.negative(t, out=t)
     np.exp(t, out=t)
     np.log1p(t, out=t)
     t += np.maximum(z, 0.0)
-    t -= ds.y * z
+    t -= y * z
     return float(np.sum(t))
 
 
@@ -214,7 +223,12 @@ def partial_gradient(ds: Dataset, j: int, beta: np.ndarray) -> np.ndarray:
 _GROUP_BYTES = 8 << 20
 
 
-def partition_gradients(ds: Dataset, beta: np.ndarray) -> list[np.ndarray]:
+def partition_gradients(
+    ds: Dataset,
+    beta: np.ndarray,
+    logits: np.ndarray | None = None,
+    wanted: set[int] | None = None,
+) -> list[np.ndarray | None]:
     """Every partition's gradient, each equal to ``partial_gradient(ds, j, beta)``.
 
     Consecutive partitions are grouped up to ``_GROUP_BYTES`` of rows. A
@@ -223,6 +237,12 @@ def partition_gradients(ds: Dataset, beta: np.ndarray) -> list[np.ndarray]:
     the buffer; then each partition takes its own ``X_j.T @ r_j``. Each
     value is computed by the same operations as in ``partial_gradient``,
     so the results are bit-identical.
+
+    ``logits``, when given, is a buffer of ``ds.rows`` entries that the
+    groups' logits are written into, so it ends up holding every
+    partition's ``X_j @ beta``. With ``wanted`` given, only those
+    partitions take the second product; the others' entries are None,
+    though their logits are still computed.
     """
     bounds = ds.partition_bounds
     row_bytes = ds.X.itemsize * ds.dim
@@ -238,11 +258,14 @@ def partition_gradients(ds: Dataset, beta: np.ndarray) -> list[np.ndarray]:
         ):
             hi = bounds[last][1]
             last += 1
-        z = np.empty(hi - lo)
+        z = np.empty(hi - lo) if logits is None else logits[lo:hi]
         for a, b in bounds[first:last]:
             np.matmul(ds.X[a:b], beta, out=z[a - lo : b - lo])
         r = sigmoid(z) - ds.y[lo:hi]
-        out += [ds.X[a:b].T @ r[a - lo : b - lo] for a, b in bounds[first:last]]
+        out += [
+            ds.X[a:b].T @ r[a - lo : b - lo] if wanted is None or j in wanted else None
+            for j, (a, b) in enumerate(bounds[first:last], first)
+        ]
         first = last
     return out
 
@@ -325,6 +348,12 @@ class NesterovAG:
     def eval_point(self) -> np.ndarray:
         return self.beta + self._momentum() * self._velocity
 
+    def eval_weights(self) -> tuple[float, float]:
+        """(a, b) with ``eval_point() == a*beta + b*beta_prev`` in exact
+        arithmetic, beta_prev the iterate before ``beta``."""
+        m = self._momentum()
+        return 1.0 + m, -m
+
     def step(self, g: np.ndarray) -> np.ndarray:
         _check_gradient(g, self._t)
         # Overflow is reported through the NonFinite check, not a warning.
@@ -349,6 +378,9 @@ class DecayingGD:
 
     def eval_point(self) -> np.ndarray:
         return self.beta
+
+    def eval_weights(self) -> tuple[float, float]:
+        return 1.0, 0.0
 
     def step(self, g: np.ndarray) -> np.ndarray:
         _check_gradient(g, self._t)

@@ -17,7 +17,11 @@ and one of four aggregation rules. ``Naive``, ``IgnoreStragglers``,
 ``build_layout`` adds only each worker's stage rows over one run's
 partitioned training set (``Layout``), once per run. A round draws the
 stragglers, times itself from the layout alone (``time_round``, no
-gradient work), picks the survivors and aggregates.
+gradient work), picks the survivors and aggregates; only the partitions
+the used messages read take a gradient. A round's training loss is
+finished in the next round, from the logits that round's gradients
+compute (``run_training``), and the last iterate's by one product over
+the training matrix, so a round passes over X twice, not three times.
 Time is simulated, never measured: a worker's compute cost is
 proportional to the rows it processes, scaled so that
 ``compute_time_per_partition`` is the cost of one n-way partition. A
@@ -438,12 +442,16 @@ def run_iteration(
     straggler_rng: np.random.Generator,
     cache: DecodeCache,
     verify_decode: bool = False,
+    logits: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, tuple[int, ...], str, tuple[Event, ...]]:
     """Simulate one round at ``point``.
 
     Returns (gradient, round duration, survivors used, gradient kind,
     all message events). Raises StarvedIteration when a required
-    message can never arrive.
+    message can never arrive. ``logits``, when given, receives every
+    partition's ``X_j @ point`` (see ``learn.partition_gradients``).
+    Only the partitions the used messages read take a gradient, unless
+    ``verify_decode`` checks a decode against all of them.
     """
     strategy = layout.strategy
     finish, duration, survivors = time_round(layout, latency, policy, latency_rng, straggler_rng)
@@ -452,19 +460,21 @@ def run_iteration(
         for kind, times in zip(strategy.kinds, finish.tolist())
         for w, t in enumerate(times)
     )
-    G = learn.partition_gradients(train, point)
-    parts = []
+    used = []
     if strategy.every is not None:
-        parts += [_message(G, terms) for terms in strategy.terms[strategy.every]]
+        used += strategy.terms[strategy.every]
     if strategy.first is not None:
-        terms = strategy.terms[strategy.first]
-        messages = [_message(G, terms[w]) for w in survivors]
-        if strategy.code is not None:
-            row = decode_row(strategy.code, survivors, cache)
-            messages = [c * m for c, m in zip(row.coeffs, messages)]
-        parts += messages
+        used += [strategy.terms[strategy.first][w] for w in survivors]
+    check = verify_decode and strategy.code is not None
+    wanted = None if check else {j for terms in used for j, _ in terms}
+    G = learn.partition_gradients(train, point, logits, wanted)
+    parts = [_message(G, terms) for terms in used]
+    if strategy.code is not None:
+        row = decode_row(strategy.code, survivors, cache)
+        coded = len(parts) - len(survivors)
+        parts[coded:] = [c * m for c, m in zip(row.coeffs, parts[coded:])]
     gradient = _sequential_sum(parts)
-    if verify_decode and strategy.code is not None:
+    if check:
         _check_exact(gradient, G, survivors)
     kind = EXACT if strategy.first is None or strategy.code is not None else PARTIAL_SUM
     return gradient, duration, survivors, kind, events
@@ -537,6 +547,16 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
 
     ``data`` is the result of ``prepare_data`` for a config with the same
     data key; without it the run builds its own.
+
+    Iterate t's loss is taken from round t + 1's logits. The eval point is
+    a*beta_t + b*beta_{t-1} (``eval_weights``), so X @ beta_t is
+    (X @ point - b * X @ beta_{t-1}) / a, with X @ beta_{t-1} carried from
+    the round before; rounding in the carry shrinks by m/(1+m) <= 1/2 a
+    round. With b = 0 (``gd_decay``) the logits are used as computed. The
+    per-partition products can round differently from one product over
+    the whole matrix, so a trace loss may differ from ``learn.log_loss``
+    of its iterate: measured at d=10,000, p=100 over 100 iterations, by
+    at most 3.5e-16 relative under NAG and not at all under ``gd_decay``.
     """
     if data is None:
         data = prepare_data(config)
@@ -558,12 +578,19 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     opt = learn.make_optimizer(config.optimizer, config.p, lipschitz)
 
     cache: DecodeCache = {}
-    traces: list[IterationTrace] = []
+    rounds: list[tuple] = []
+    losses: list[float] = []
     all_events: list[tuple[Event, ...]] = []
     iterates: list[np.ndarray] = []
+    # ``logits`` gets X @ the eval point from each round's gradients;
+    # ``carried`` holds X @ beta_prev, the older of the two iterates the
+    # eval point combines (zero at first: beta_0 = 0).
+    logits = np.empty(train.rows)
+    carried = np.zeros(train.rows)
     clock = 0.0
     for t in range(1, config.iterations + 1):
         point = opt.eval_point()
+        a, b = opt.eval_weights()
         gradient, duration, survivors, kind, events = run_iteration(
             layout,
             config.latency,
@@ -574,26 +601,37 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
             straggler_rng,
             cache,
             config.verify_decode,
+            logits,
         )
+        if b:
+            carried *= b  # free to scale: it is the next round's logits buffer
+            logits -= carried
+            logits /= a
+        if t > 1:
+            losses.append(learn.logits_loss(logits, train.y))
+        logits, carried = carried, logits
         beta = opt.step(gradient)
         clock += duration
-        loss = learn.log_loss(train, beta)
         auc_val = None
         if t % config.auc_interval == 0 or t == config.iterations:
             # Scores are linear: AUC only needs the ranking, and the
             # logistic link is monotone.
             auc_val = learn.auc(data.holdout.X @ beta, data.holdout.y)
-        traces.append(
-            IterationTrace(t, clock, duration, survivors, kind, loss, auc_val)
-        )
+        rounds.append((t, clock, duration, survivors, kind, auc_val))
         if config.collect_events:
             all_events.append(events)
         if config.collect_iterates:
             iterates.append(beta.copy())
+    # No later round reads the last iterate's logits.
+    losses.append(learn.log_loss(train, opt.beta))
+    traces = tuple(
+        IterationTrace(t, clock, duration, survivors, kind, loss, auc_val)
+        for (t, clock, duration, survivors, kind, auc_val), loss in zip(rounds, losses)
+    )
     return RunResult(
         label=config.run_label,
         config=config,
-        traces=tuple(traces),
+        traces=traces,
         beta=opt.beta,
         events=tuple(all_events) if config.collect_events else None,
         iterates=tuple(iterates) if config.collect_iterates else None,

@@ -467,6 +467,26 @@ def test_compare_null_unsets_a_known_run_field(tmp_path):
     assert (tmp_path / "x_naive.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key",
+    [key for key, field in cli._RUN_SCHEMA.items()
+     if field.default is not None and key != "jitter_sigma"],
+)
+def test_compare_null_for_a_field_with_a_default_is_a_validation_error(tmp_path, capsys, key):
+    # jitter_sigma is the one such field whose null means something: no jitter.
+    config = {
+        "shared": {"d": 480, "p": 6, "iterations": 3, "seed_all": 1},
+        "runs": [{"strategy": "naive", "n": 4, key: None}],
+    }
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "x") == 3
+    err = capsys.readouterr().err
+    assert f"config field {key!r} must not be null" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.glob("x*")) == []
+
+
 def test_compare_bundle_matches_independent_runs(tmp_path):
     prefix = tmp_path / "cmp"
     assert run("compare", "--bundle", "--n", 6, "--s", 1, "--d", 480, "--p", 6,

@@ -98,6 +98,44 @@ def test_partition_gradients_equal_partial_gradient(monkeypatch, d, k, group):
         assert np.array_equal(g, learn.partial_gradient(ds, j, beta))
 
 
+@pytest.mark.parametrize("group", ["default", "three", "one_byte"])
+def test_partition_gradients_write_every_partitions_logits(monkeypatch, group):
+    # 997/7 puts partition bounds at odd rows, off any blocking a
+    # product over the whole matrix would use.
+    ds = learn.with_partitions(small_problem(5, 997, 37), 7)
+    budget = {
+        "default": learn._GROUP_BYTES,
+        "three": 3 * (997 // 7) * ds.X.itemsize * ds.dim,
+        "one_byte": 1,
+    }[group]
+    monkeypatch.setattr(learn, "_GROUP_BYTES", budget)
+    beta = make_rng(6).standard_normal(ds.dim)
+    logits = np.full(ds.rows, np.nan)
+    G = learn.partition_gradients(ds, beta, logits)
+    for lo, hi in ds.partition_bounds:
+        assert np.array_equal(logits[lo:hi], ds.X[lo:hi] @ beta)
+    for g, plain in zip(G, learn.partition_gradients(ds, beta)):
+        assert np.array_equal(g, plain)
+
+
+@pytest.mark.parametrize("group", ["default", "one_byte"])
+def test_partition_gradients_skip_unwanted_second_products(monkeypatch, group):
+    if group == "one_byte":
+        monkeypatch.setattr(learn, "_GROUP_BYTES", 1)
+    ds = learn.with_partitions(small_problem(5, 997, 37), 7)
+    beta = make_rng(6).standard_normal(ds.dim)
+    full = np.empty(ds.rows)
+    every = learn.partition_gradients(ds, beta, full)
+    logits = np.empty(ds.rows)
+    G = learn.partition_gradients(ds, beta, logits, {0, 3, 6})
+    assert np.array_equal(logits, full)
+    for j, (g, plain) in enumerate(zip(G, every)):
+        if j in (0, 3, 6):
+            assert np.array_equal(g, plain)
+        else:
+            assert g is None
+
+
 def test_partition_gradients_never_group_across_a_gap():
     ds = small_problem(4, 60, 3)
     ds = learn.Dataset(ds.X, ds.y, ((30, 40), (0, 10), (10, 20), (40, 60)))
@@ -380,6 +418,28 @@ def test_nag_first_step_is_plain_descent():
     np.testing.assert_allclose(opt.eval_point(), [0.0, 0.0], atol=1e-15)
     beta = opt.step(np.array([4.0, -8.0]))
     np.testing.assert_allclose(beta, [-1.0, 2.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("method", [learn.NAG, learn.GD_DECAY])
+def test_eval_point_is_the_eval_weights_combination(method):
+    # Oracle: eval_point() == a*beta + b*beta_prev, beta_prev recorded
+    # outside the optimizer before each step.
+    ds = small_problem(11, 300, 6)
+    config = learn.OptimizerConfig(method=method)
+    opt = learn.make_optimizer(config, ds.dim, learn.lipschitz_bound(ds.X))
+    prev = opt.beta.copy()
+    for _ in range(50):
+        a, b = opt.eval_weights()
+        point = opt.eval_point()
+        combo = a * opt.beta + b * prev
+        if method == learn.GD_DECAY:
+            assert (a, b) == (1.0, 0.0)
+            assert np.array_equal(point, combo)
+        else:
+            scale = max(1.0, float(np.max(np.abs(opt.beta))), float(np.max(np.abs(prev))))
+            assert float(np.max(np.abs(point - combo))) <= 1e-15 * scale
+        prev = opt.beta.copy()
+        opt.step(learn.full_gradient(ds, point))
 
 
 def test_nag_converges_on_quadratic():
