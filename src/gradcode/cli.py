@@ -90,7 +90,8 @@ _RUN_SCHEMA: dict[str, _Field] = {
     "c2": _Field(float, 10.0),
     "compute_time": _Field(float, 1.0),
     "comm_time": _Field(float, 0.05),
-    # The one field a config file may set to null: no jitter.
+    # Like every field whose default is None, this one may be null in a
+    # config file: no jitter.
     "jitter_sigma": _Field(float, sim.DEFAULT_JITTER_SIGMA, None, "number or 'none'",
                            _parse_jitter),
     "straggler_mode": _Field(str, "none", ("none", "fixed", "random")),
@@ -120,9 +121,9 @@ def _coerce(key: str, value):
     """Type-check one config-file value, JSON natives in, run types out."""
     if key not in _RUN_SCHEMA:
         raise ConfigError(f"unknown config field {key!r}")
-    want = _RUN_SCHEMA[key][0]
+    want, default = _RUN_SCHEMA[key][:2]
     if value is None:
-        if key == "jitter_sigma":
+        if default is None or key == "jitter_sigma":
             return None
         raise ConfigError(f"config field {key!r} must not be null")
     if want is int:
@@ -471,11 +472,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     merged_runs = []
     for entry in entries:
         merged = _merge_run(shared, overrides)
-        for key, value in entry.items():
-            # null unsets a field that is unset by default, as the bundle
-            # lineup does; any other field is type-checked as usual
-            unset = value is None and key in _RUN_SCHEMA and _RUN_SCHEMA[key].default is None
-            merged[key] = None if unset else _coerce(key, value)
+        merged.update((key, _coerce(key, value)) for key, value in entry.items())
         merged_runs.append(merged)
 
     run_configs = []

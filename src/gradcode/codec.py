@@ -43,7 +43,7 @@ from .errors import (
     SingularSystem,
     SpanFailure,
 )
-from .numerics import RESIDUAL_TOL, gaussian_mat, make_rng, solve_left, solve_right
+from .numerics import RESIDUAL_TOL, make_rng, solve_left, solve_right
 
 NAIVE = "naive"
 FRAC = "frac"
@@ -204,7 +204,7 @@ def build_frac(n: int, s: int) -> GradientCode:
     return GradientCode(FRAC, n, n, s, np.tile(block, (s + 1, 1)))
 
 
-def _cyc_rows(H: np.ndarray, n: int, s: int, tol: float) -> np.ndarray:
+def _cyc_rows(H: np.ndarray, n: int, s: int) -> np.ndarray:
     """Fill each cyclic-support row so that H @ b_i = 0 with leading 1."""
     B = np.zeros((n, n))
     scale = max(1.0, float(np.max(np.abs(H))))
@@ -212,10 +212,10 @@ def _cyc_rows(H: np.ndarray, n: int, s: int, tol: float) -> np.ndarray:
         supp = [(i + t) % n for t in range(s + 1)]
         B[i, supp[0]] = 1.0
         rest = supp[1:]
-        y, _ = solve_left(H[:, rest], -H[:, supp[0]], tol)
+        y, _ = solve_left(H[:, rest], -H[:, supp[0]])
         B[i, rest] = y
         res = float(np.max(np.abs(H @ B[i])))
-        if res > tol * scale:
+        if res > RESIDUAL_TOL * scale:
             raise SpanFailure(
                 f"cyclic row {i} leaves null-space residual {res:.3e}", (i,), res
             )
@@ -228,12 +228,12 @@ def cyc_h_matrix(n: int, s: int, h_seed: int) -> np.ndarray:
     Deterministic in ``h_seed``, so the draw a scheme file records can
     be reconstructed exactly for later property checks.
     """
-    H = gaussian_mat(make_rng(h_seed), s, n)
+    H = make_rng(h_seed).standard_normal((s, n))
     H[:, n - 1] = -np.sum(H[:, : n - 1], axis=1)
     return H
 
 
-def build_cyc(n: int, s: int, seed: int, tol: float = RESIDUAL_TOL) -> GradientCode:
+def build_cyc(n: int, s: int, seed: int) -> GradientCode:
     """Cyclic repetition code from a random Gaussian null-space basis.
 
     H is s x n standard normal with the last column overwritten so every
@@ -250,7 +250,7 @@ def build_cyc(n: int, s: int, seed: int, tol: float = RESIDUAL_TOL) -> GradientC
         h_seed = seed + attempt
         H = cyc_h_matrix(n, s, h_seed)
         try:
-            B = _cyc_rows(H, n, s, tol)
+            B = _cyc_rows(H, n, s)
         except (SingularSystem, SpanFailure) as err:
             last = err
             continue
@@ -273,25 +273,21 @@ def normalize_survivors(survivors, n: int, size: int) -> SurvivorSet:
     return idx
 
 
-def decode_row(
-    code: GradientCode,
-    survivors,
-    cache: DecodeCache | None = None,
-    tol: float = RESIDUAL_TOL,
-) -> DecodeRow:
+def decode_row(code: GradientCode, survivors, cache: DecodeCache | None = None) -> DecodeRow:
     """Coefficients x with x @ B[I, :] = all-ones for survivor set I.
 
-    Raises SpanFailure when the least-squares residual exceeds ``tol``,
-    which is how an unservable straggler pattern announces itself.
+    Raises SpanFailure when the least-squares residual exceeds
+    ``RESIDUAL_TOL``, which is how an unservable straggler pattern
+    announces itself.
     """
     I = normalize_survivors(survivors, code.n, code.survivors_needed)
     if cache is not None and I in cache:
         return cache[I]
-    x, res = solve_right(code.B[list(I), :], np.ones(code.k), tol)
-    if res > tol:
+    x, res = solve_right(code.B[list(I), :], np.ones(code.k))
+    if res > RESIDUAL_TOL:
         raise SpanFailure(
             f"survivors {I} cannot reconstruct the full gradient "
-            f"(residual {res:.3e} > tol {tol:.3e})",
+            f"(residual {res:.3e} > tol {RESIDUAL_TOL:.3e})",
             I,
             res,
         )
@@ -301,7 +297,7 @@ def decode_row(
     return row
 
 
-def _verify_matrix(B: np.ndarray, n: int, s: int, tol: float, budget: int) -> BspanReport:
+def _verify_matrix(B: np.ndarray, n: int, s: int, budget: int) -> BspanReport:
     total = math.comb(n, s)
     if total > budget:
         raise BudgetExceeded(
@@ -311,27 +307,20 @@ def _verify_matrix(B: np.ndarray, n: int, s: int, tol: float, budget: int) -> Bs
     failures: list[SurvivorSet] = []
     max_res = 0.0
     for I in combinations(range(n), n - s):
-        x, res = solve_right(B[list(I), :], ones, tol)
+        x, res = solve_right(B[list(I), :], ones)
         max_res = max(max_res, res)
-        if res > tol:
+        if res > RESIDUAL_TOL:
             failures.append(I)
     return BspanReport(not failures, total, tuple(failures), max_res)
 
 
-def verify_bspan(
-    code: GradientCode,
-    tol: float = RESIDUAL_TOL,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> BspanReport:
+def verify_bspan(code: GradientCode, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> BspanReport:
     """Exhaustively check every (n - s)-subset of rows for decodability."""
-    return _verify_matrix(code.B, code.n, code.s, tol, budget)
+    return _verify_matrix(code.B, code.n, code.s, budget)
 
 
 def verify_bspan_matrix(
-    B: np.ndarray,
-    s: int,
-    tol: float = RESIDUAL_TOL,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    B: np.ndarray, s: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> BspanReport:
     """Like :func:`verify_bspan` but for a raw claimed matrix.
 
@@ -347,7 +336,7 @@ def verify_bspan_matrix(
         raise DimensionMismatch(f"need 0 <= s < n, got s={s}, n={n}")
     if not np.all(np.isfinite(B)):
         raise NonFinite("B contains non-finite entries")
-    return _verify_matrix(B, n, s, tol, budget)
+    return _verify_matrix(B, n, s, budget)
 
 
 def density_check(code: GradientCode) -> DensityReport:
@@ -362,11 +351,7 @@ def density_check(code: GradientCode) -> DensityReport:
     )
 
 
-def mds_check(
-    H: np.ndarray,
-    tol: float = RESIDUAL_TOL,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> MdsReport:
+def mds_check(H: np.ndarray, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> MdsReport:
     """Every s-column submatrix of H must be invertible.
 
     This is what makes every cyclic support realizable: row i's trailing
@@ -387,7 +372,7 @@ def mds_check(
         raise BudgetExceeded(
             f"{total} column subsets exceed the enumeration budget {budget}"
         )
-    threshold = tol * max(1.0, float(np.max(np.abs(H))))
+    threshold = RESIDUAL_TOL * max(1.0, float(np.max(np.abs(H))))
     failures: list[tuple[int, ...]] = []
     min_singular = math.inf
     for cols in combinations(range(n), s):

@@ -108,13 +108,18 @@ def gen_synthetic(
     return Dataset(X, y, ((0, d),)), beta_star
 
 
+def holdout_rows(rows: int, frac: float) -> int:
+    """How many of ``rows`` rows ``holdout_split`` holds out at ``frac``."""
+    return int(round(frac * rows))
+
+
 def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Shuffle rows in place and carve off the first ``frac`` as a holdout set.
 
     ``ds``'s rows (features and labels together) are permuted in place,
     and the returned ``(train, holdout)`` are views of them: the holdout
-    is the first ``round(frac * rows)`` shuffled rows, the training set
-    the rest. So the data is held once, not twice; ``ds`` stays a
+    is the first ``holdout_rows(rows, frac)`` shuffled rows, the training
+    set the rest. So the data is held once, not twice; ``ds`` stays a
     consistent shuffled dataset but shares its memory with both splits.
     The training rows keep their shuffled order, so contiguous
     partitions of the training set are random subsamples of the data.
@@ -122,7 +127,7 @@ def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[D
     if not 0.0 < frac < 1.0:
         raise DimensionMismatch(f"holdout fraction must be in (0, 1), got {frac}")
     perm = rng.permutation(ds.rows)
-    n_hold = int(round(frac * ds.rows))
+    n_hold = holdout_rows(ds.rows, frac)
     if n_hold < 1 or ds.rows - n_hold < 1:
         raise DimensionMismatch(f"holdout fraction {frac} leaves an empty split at d={ds.rows}")
     _permute_rows(ds.X, perm)
@@ -326,6 +331,17 @@ class OptimizerConfig:
     c1: float | None = None
     c2: float = DEFAULT_GD_OFFSET
 
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(
+                f"unknown optimizer method {self.method!r}, expected one of {METHODS}"
+            )
+
+    @property
+    def needs_lipschitz(self) -> bool:
+        """Whether the method's rate constant is left to default to 1/L."""
+        return (self.eta if self.method == NAG else self.c1) is None
+
 
 class NesterovAG:
     """Accelerated gradient with momentum (t-1)/(t+2), t counted from 1.
@@ -414,10 +430,8 @@ def make_optimizer(config: OptimizerConfig, p: int, lipschitz: float | None = No
     if config.method == NAG:
         eta = config.eta if config.eta is not None else 1.0 / need_l("eta")
         return NesterovAG(p, eta)
-    if config.method == GD_DECAY:
-        if config.c1 is not None:
-            c1 = config.c1
-        else:
-            c1 = DEFAULT_GD_RATE_SCALE * (1.0 + config.c2) / need_l("c1")
-        return DecayingGD(p, c1, config.c2)
-    raise ConfigError(f"unknown optimizer method {config.method!r}, expected one of {METHODS}")
+    if config.c1 is not None:
+        c1 = config.c1
+    else:
+        c1 = DEFAULT_GD_RATE_SCALE * (1.0 + config.c2) / need_l("c1")
+    return DecayingGD(p, c1, config.c2)

@@ -7,11 +7,12 @@ Conventions used throughout the package:
   created through :func:`make_rng` so the bit stream is a pure function
   of the integer seed (normal variates use numpy's ziggurat sampler);
 * linear systems are solved by SVD-based least squares and judged by
-  the infinity norm of the residual against an explicit tolerance,
-  never by matching floats exactly.
+  the infinity norm of the residual against a tolerance, never by
+  matching floats exactly.
 
-``RESIDUAL_TOL`` (1e-8) is the default residual acceptance threshold
-for decode and verification steps; every solver takes an override.
+``RESIDUAL_TOL`` (1e-8) is the one acceptance threshold of every square
+solve, decode, construction and verification step; the cyclic
+construction and the MDS check scale it by their matrix's largest entry.
 """
 
 from __future__ import annotations
@@ -32,14 +33,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def gaussian_mat(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Draw a rows-by-cols matrix of independent standard normals."""
-    if rows < 1 or cols < 1:
-        raise DimensionMismatch(f"matrix shape must be positive, got {rows}x{cols}")
-    return rng.standard_normal((rows, cols))
-
-
-def _check_system(M: np.ndarray, target: np.ndarray, tol: float, left: bool) -> None:
+def _check_system(M: np.ndarray, target: np.ndarray, left: bool) -> None:
     if M.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={M.ndim}")
     if M.shape[0] < 1 or M.shape[1] < 1:
@@ -51,8 +45,6 @@ def _check_system(M: np.ndarray, target: np.ndarray, tol: float, left: bool) -> 
         raise DimensionMismatch(
             f"target length {target.shape[0]} does not match system size {target_len}"
         )
-    if not tol > 0:
-        raise DimensionMismatch(f"tolerance must be positive, got {tol}")
     if not np.all(np.isfinite(M)):
         raise NonFinite("matrix contains non-finite entries")
     if not np.all(np.isfinite(target)):
@@ -65,40 +57,36 @@ def residual_inf(M: np.ndarray, x: np.ndarray, target: np.ndarray, left: bool) -
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 
-def solve_right(
-    M: np.ndarray, target: np.ndarray, tol: float = RESIDUAL_TOL
-) -> tuple[np.ndarray, float]:
+def solve_right(M: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve ``x @ M = target`` for a row vector ``x`` in least squares.
 
     Returns ``(x, residual)`` where ``residual`` is the infinity norm of
     ``x @ M - target``. The residual is reported, not judged: callers
-    decide whether it exceeds their tolerance (the codec raises
-    SpanFailure, for example). ``tol`` is validated here so call sites
-    share one precondition check.
+    decide whether it exceeds ``RESIDUAL_TOL`` (the codec raises
+    SpanFailure, for example).
     """
     M = np.asarray(M, dtype=float)
     target = np.asarray(target, dtype=float)
-    _check_system(M, target, tol, left=False)
+    _check_system(M, target, left=False)
     x, *_ = np.linalg.lstsq(M.T, target, rcond=None)
     return x, residual_inf(M, x, target, left=False)
 
 
-def solve_left(
-    M: np.ndarray, target: np.ndarray, tol: float = RESIDUAL_TOL
-) -> tuple[np.ndarray, float]:
+def solve_left(M: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve ``M @ y = target`` in least squares, returning ``(y, residual)``.
 
-    For a square system a residual above ``tol`` means the matrix is
-    singular (or numerically so) and SingularSystem is raised;
+    For a square system a residual above ``RESIDUAL_TOL`` means the
+    matrix is singular (or numerically so) and SingularSystem is raised;
     rectangular systems just report their least-squares residual.
     """
     M = np.asarray(M, dtype=float)
     target = np.asarray(target, dtype=float)
-    _check_system(M, target, tol, left=True)
+    _check_system(M, target, left=True)
     y, *_ = np.linalg.lstsq(M, target, rcond=None)
     res = residual_inf(M, y, target, left=True)
-    if M.shape[0] == M.shape[1] and res > tol:
+    if M.shape[0] == M.shape[1] and res > RESIDUAL_TOL:
         raise SingularSystem(
-            f"square {M.shape[0]}x{M.shape[1]} system unsolved, residual {res:.3e} > tol {tol:.3e}"
+            f"square {M.shape[0]}x{M.shape[1]} system unsolved, "
+            f"residual {res:.3e} > tol {RESIDUAL_TOL:.3e}"
         )
     return y, res

@@ -267,8 +267,6 @@ class TrainingConfig:
     holdout_frac: float = 0.2
     auc_interval: int = 10
     verify_decode: bool = False
-    collect_events: bool = False
-    collect_iterates: bool = False
     label: str | None = None
 
     def __post_init__(self):
@@ -278,9 +276,12 @@ class TrainingConfig:
             raise ConfigError(f"auc interval must be >= 1, got {self.auc_interval}")
         if not 0.0 < self.holdout_frac < 1.0:
             raise ConfigError(f"holdout fraction must be in (0, 1), got {self.holdout_frac}")
-        if self.d < self.strategy.partition_count:
+        # The run partitions the training split, not all d rows.
+        train_rows = self.d - learn.holdout_rows(self.d, self.holdout_frac)
+        if train_rows < self.strategy.partition_count:
             raise ConfigError(
-                f"{self.d} rows cannot fill {self.strategy.partition_count} partitions"
+                f"{train_rows} training rows (d={self.d} less the holdout) "
+                f"cannot fill {self.strategy.partition_count} partitions"
             )
         validate_policy(self.policy, self.strategy)
 
@@ -313,8 +314,6 @@ class RunResult:
     config: TrainingConfig
     traces: tuple[IterationTrace, ...]
     beta: np.ndarray
-    events: tuple[tuple[Event, ...], ...] | None = None
-    iterates: tuple[np.ndarray, ...] | None = None
 
     @property
     def total_time(self) -> float:
@@ -570,18 +569,12 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     train = learn.with_partitions(data.train, config.strategy.partition_count)
     layout = build_layout(config.strategy, train)
 
-    if config.optimizer.method == learn.GD_DECAY:
-        needs_scale = config.optimizer.c1 is None
-    else:
-        needs_scale = config.optimizer.eta is None
-    lipschitz = data.lipschitz if needs_scale else None
+    lipschitz = data.lipschitz if config.optimizer.needs_lipschitz else None
     opt = learn.make_optimizer(config.optimizer, config.p, lipschitz)
 
     cache: DecodeCache = {}
     rounds: list[tuple] = []
     losses: list[float] = []
-    all_events: list[tuple[Event, ...]] = []
-    iterates: list[np.ndarray] = []
     # ``logits`` gets X @ the eval point from each round's gradients;
     # ``carried`` holds X @ beta_prev, the older of the two iterates the
     # eval point combines (zero at first: beta_0 = 0).
@@ -591,7 +584,7 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     for t in range(1, config.iterations + 1):
         point = opt.eval_point()
         a, b = opt.eval_weights()
-        gradient, duration, survivors, kind, events = run_iteration(
+        gradient, duration, survivors, kind, _ = run_iteration(
             layout,
             config.latency,
             config.policy,
@@ -618,24 +611,13 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
             # logistic link is monotone.
             auc_val = learn.auc(data.holdout.X @ beta, data.holdout.y)
         rounds.append((t, clock, duration, survivors, kind, auc_val))
-        if config.collect_events:
-            all_events.append(events)
-        if config.collect_iterates:
-            iterates.append(beta.copy())
     # No later round reads the last iterate's logits.
     losses.append(learn.log_loss(train, opt.beta))
     traces = tuple(
         IterationTrace(t, clock, duration, survivors, kind, loss, auc_val)
         for (t, clock, duration, survivors, kind, auc_val), loss in zip(rounds, losses)
     )
-    return RunResult(
-        label=config.run_label,
-        config=config,
-        traces=traces,
-        beta=opt.beta,
-        events=tuple(all_events) if config.collect_events else None,
-        iterates=tuple(iterates) if config.collect_iterates else None,
-    )
+    return RunResult(label=config.run_label, config=config, traces=traces, beta=opt.beta)
 
 
 # ---------------------------------------------------------------------------

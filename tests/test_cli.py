@@ -487,6 +487,45 @@ def test_compare_null_for_a_field_with_a_default_is_a_validation_error(tmp_path,
     assert list(tmp_path.glob("x*")) == []
 
 
+@pytest.mark.parametrize("place", ["simulate", "shared", "run"])
+@pytest.mark.parametrize("key, code", [("eta", 0), ("d", 3)])
+def test_null_follows_one_rule_in_every_config_place(tmp_path, capsys, place, key, code):
+    # eta's default is None, so null leaves it unset; d's is not.
+    shared = {"d": 480, "p": 6, "iterations": 3, "seed_all": 1}
+    entry = {"strategy": "naive", "n": 4}
+    (entry if place == "run" else shared)[key] = None
+    cfg_path = tmp_path / "cfg.json"
+    if place == "simulate":
+        cfg_path.write_text(json.dumps({**shared, **entry}))
+        argv = ("simulate", "--config", cfg_path, "--out", tmp_path / "x.csv")
+    else:
+        cfg_path.write_text(json.dumps({"shared": shared, "runs": [entry]}))
+        argv = ("compare", "--config", cfg_path, "--out-prefix", tmp_path / "x")
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"config field {key!r} must not be null" in err
+        assert list(tmp_path.glob("x*")) == []
+    else:
+        assert err == ""
+
+
+def test_compare_rejects_more_partitions_than_training_rows_before_any_run(tmp_path, capsys):
+    # d=60 trains on 48 rows: the second run cannot be partitioned 50 ways.
+    config = {
+        "shared": {"d": 60, "p": 3, "iterations": 2, "seed_all": 1},
+        "runs": [{"strategy": "naive", "n": 4, "label": "a"},
+                 {"strategy": "naive", "n": 50, "label": "b"}],
+    }
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "x") == 3
+    out, err = capsys.readouterr()
+    assert "run " not in out
+    assert "48 training rows" in err
+    assert list(tmp_path.glob("x*")) == []
+
+
 def test_compare_bundle_matches_independent_runs(tmp_path):
     prefix = tmp_path / "cmp"
     assert run("compare", "--bundle", "--n", 6, "--s", 1, "--d", 480, "--p", 6,

@@ -209,6 +209,9 @@ def test_verify_budget():
     code = codec.build_frac(12, 2)
     with pytest.raises(BudgetExceeded):
         codec.verify_bspan(code, budget=10)
+    # The budget is keyword-only, so no positional number is taken for one.
+    with pytest.raises(TypeError):
+        codec.verify_bspan(code, 10)
 
 
 @pytest.mark.parametrize(

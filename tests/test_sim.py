@@ -110,6 +110,8 @@ def test_shared_data_computes_lipschitz_once_and_only_on_demand(monkeypatch):
     explicit = small_config(sim.Naive(4), optimizer=learn.OptimizerConfig(eta=1e-3))
     data = sim.prepare_data(explicit)
     sim.run_training(explicit, data)
+    gd = learn.OptimizerConfig(method=learn.GD_DECAY, c1=1e-3)
+    sim.run_training(small_config(sim.Naive(4), optimizer=gd), data)
     assert calls == []
     for strategy in (sim.Naive(4), sim.IgnoreStragglers(4, 1)):
         sim.run_training(small_config(strategy), data)
@@ -145,30 +147,32 @@ def brute_force_duration(strategy, events):
         sim.PartialCoded(partial.plan_partial(4, 1, 1.5, kind=codec.FRAC)),
     ],
 )
-def test_durations_match_event_brute_force(strategy):
-    cfg = small_config(strategy, collect_events=True, d=520)
+def test_durations_match_event_brute_force(strategy, recorded):
+    cfg = small_config(strategy, d=520)
     res = sim.run_training(cfg)
-    assert res.events is not None and len(res.events) == cfg.iterations
+    [run] = recorded
+    assert len(run.events) == cfg.iterations
     clock = 0.0
-    for trace, events in zip(res.traces, res.events):
+    for trace, events in zip(res.traces, run.events):
         expected = brute_force_duration(strategy, list(events))
         assert trace.duration == expected
         clock += trace.duration
         assert trace.sim_time_s == pytest.approx(clock, rel=1e-12)
 
 
-def test_event_counts_and_kinds():
+def test_event_counts_and_kinds(recorded):
     cfg = small_config(
         sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.FRAC)),
-        collect_events=True,
         d=528,
     )
-    res = sim.run_training(cfg)
-    for events in res.events:
+    sim.run_training(cfg)
+    sim.run_training(small_config(sim.Naive(4)))
+    partial_run, naive_run = recorded
+    assert len(partial_run.events) == len(naive_run.events) == cfg.iterations
+    for events in partial_run.events:
         kinds = [k for _, _, k in events]
         assert kinds.count("naive") == 4 and kinds.count("coded") == 4
-    cfg2 = small_config(sim.Naive(4), collect_events=True)
-    for events in sim.run_training(cfg2).events:
+    for events in naive_run.events:
         assert all(k == "naive" for _, _, k in events)
 
 
@@ -560,6 +564,15 @@ def test_config_validation():
         sim.LatencyModel(jitter_sigma=-1.0)
 
 
+def test_partitions_must_fit_the_training_split():
+    # d=60 holds out round(0.2 * 60) = 12 rows and trains on 48.
+    for k in (49, 50):
+        with pytest.raises(ConfigError, match="48 training rows"):
+            small_config(sim.Naive(k), d=60)
+    res = sim.run_training(small_config(sim.Naive(48), d=60, iterations=2))
+    assert len(res.traces) == 2
+
+
 # ---------------------------------------------------------------------------
 # Determinism and seed separation
 
@@ -703,27 +716,28 @@ def test_label_override():
     assert sim.run_training(cfg).label == "baseline"
 
 
-def test_collect_iterates_matches_final_beta():
-    cfg = small_config(sim.Naive(4), iterations=10, collect_iterates=True)
+def test_collect_iterates_matches_final_beta(recorded):
+    cfg = small_config(sim.Naive(4), iterations=10)
     res = sim.run_training(cfg)
-    assert len(res.iterates) == 10
-    assert np.array_equal(res.iterates[-1], res.beta)
+    [run] = recorded
+    assert len(run.iterates) == 10
+    assert np.array_equal(run.iterates[-1], res.beta)
     reference = single_node_betas(cfg)
-    for ours, theirs in zip(res.iterates, reference):
+    for ours, theirs in zip(run.iterates, reference):
         assert float(np.max(np.abs(ours - theirs))) < 1e-9
-    assert sim.run_training(small_config(sim.Naive(4))).iterates is None
 
 
 @pytest.mark.parametrize("method", [learn.NAG, learn.GD_DECAY])
-def test_trace_loss_is_log_loss_of_each_iterate(method):
-    cfg = small_config(sim.Coded(codec.build_frac(4, 1)), iterations=12, collect_iterates=True,
+def test_trace_loss_is_log_loss_of_each_iterate(method, recorded):
+    cfg = small_config(sim.Coded(codec.build_frac(4, 1)), iterations=12,
                        optimizer=learn.OptimizerConfig(method=method))
     # The same arrays the run trains on: a rebuilt copy may be aligned
     # differently, and the product X @ beta with it.
     data = sim.prepare_data(cfg)
     res = sim.run_training(cfg, data)
-    assert len(res.traces) == len(res.iterates) == cfg.iterations
-    for trace, beta in zip(res.traces, res.iterates):
+    [run] = recorded
+    assert len(res.traces) == len(run.iterates) == cfg.iterations
+    for trace, beta in zip(res.traces, run.iterates):
         want = learn.log_loss(data.train, beta)
         if method == learn.GD_DECAY:
             assert trace.loss == want
@@ -737,16 +751,17 @@ def test_trace_loss_is_log_loss_of_each_iterate(method):
     (512, 6, sim.Coded(codec.build_frac(4, 1))),
     (10000, 100, sim.IgnoreStragglers(24, 3)),
 ])
-def test_carried_loss_matches_log_loss_of_every_iterate(method, d, p, strategy):
+def test_carried_loss_matches_log_loss_of_every_iterate(method, d, p, strategy, recorded):
     # Oracle: a whole-matrix log_loss of each recorded iterate. 24 ways
     # over 8000 rows puts partition bounds off any 4-row blocking.
     policy = sim.StragglerPolicy(mode="random", count=strategy.s, kind="delay", extra=5.0)
-    cfg = small_config(strategy, d=d, p=p, iterations=40, policy=policy, collect_iterates=True,
+    cfg = small_config(strategy, d=d, p=p, iterations=40, policy=policy,
                        optimizer=learn.OptimizerConfig(method=method))
     data = sim.prepare_data(cfg)
     res = sim.run_training(cfg, data)
-    assert len(res.traces) == len(res.iterates) == 40
-    for trace, beta in zip(res.traces, res.iterates):
+    [run] = recorded
+    assert len(res.traces) == len(run.iterates) == 40
+    for trace, beta in zip(res.traces, run.iterates):
         want = learn.log_loss(data.train, beta)
         if method == learn.GD_DECAY:
             assert trace.loss == want
