@@ -198,19 +198,24 @@ def _build_strategy(merged: dict) -> sim.Strategy:
         return sim.Naive(_need(merged, "n", why))
     if name == "ignore":
         return sim.IgnoreStragglers(_need(merged, "n", why), _need(merged, "s", why))
-    if merged["scheme_file"] is not None:
-        loaded = _load_scheme_or_plan(merged["scheme_file"])
-        if isinstance(loaded, partial.TwoStagePlan):
-            if name == "coded":
+    path = merged["scheme_file"]
+    if path is not None:
+        loaded = _load_scheme_or_plan(path)
+        is_plan = isinstance(loaded, partial.TwoStagePlan)
+        if is_plan and name == "coded":
+            raise ConfigError(f"{path} holds a two-stage plan; use --strategy partial")
+        if not is_plan and name == "partial":
+            raise ConfigError(f"{path} holds a plain scheme; the partial strategy needs a plan file")
+        code = loaded.code if is_plan else loaded
+        held = {"n": code.n, "s": code.s, "kind": code.kind}
+        if is_plan:
+            held["alpha"] = loaded.alpha
+        for key, value in held.items():
+            if merged[key] not in (None, value):
                 raise ConfigError(
-                    f"{merged['scheme_file']} holds a two-stage plan; use --strategy partial"
+                    f"{key}={merged[key]!r} contradicts {path}, which holds {key}={value!r}"
                 )
-            return sim.PartialCoded(loaded)
-        if name == "partial":
-            raise ConfigError(
-                f"{merged['scheme_file']} holds a plain scheme; the partial strategy needs a plan file"
-            )
-        return sim.Coded(loaded)
+        return sim.PartialCoded(loaded) if is_plan else sim.Coded(loaded)
     kind = _need(merged, "kind", "to build a scheme inline (or give --scheme-file)")
     if kind not in (codec.FRAC, codec.CYC):
         raise ConfigError(f"coded and partial strategies need kind frac or cyc, got {kind!r}")

@@ -297,46 +297,23 @@ def decode_row(code: GradientCode, survivors, cache: DecodeCache | None = None) 
     return row
 
 
-def _verify_matrix(B: np.ndarray, n: int, s: int, budget: int) -> BspanReport:
+def verify_bspan(code: GradientCode, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> BspanReport:
+    """Exhaustively check every (n - s)-subset of rows for decodability."""
+    n, s = code.n, code.s
     total = math.comb(n, s)
     if total > budget:
         raise BudgetExceeded(
             f"checking all C({n},{s}) = {total} survivor sets exceeds budget {budget}"
         )
-    ones = np.ones(B.shape[1])
+    ones = np.ones(code.k)
     failures: list[SurvivorSet] = []
     max_res = 0.0
     for I in combinations(range(n), n - s):
-        x, res = solve_right(B[list(I), :], ones)
+        x, res = solve_right(code.B[list(I), :], ones)
         max_res = max(max_res, res)
         if res > RESIDUAL_TOL:
             failures.append(I)
     return BspanReport(not failures, total, tuple(failures), max_res)
-
-
-def verify_bspan(code: GradientCode, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> BspanReport:
-    """Exhaustively check every (n - s)-subset of rows for decodability."""
-    return _verify_matrix(code.B, code.n, code.s, budget)
-
-
-def verify_bspan_matrix(
-    B: np.ndarray, s: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> BspanReport:
-    """Like :func:`verify_bspan` but for a raw claimed matrix.
-
-    Lets a matrix that could never be constructed as a valid scheme
-    (wrong densities, arbitrary supports) still be tested against the
-    claimed straggler count s.
-    """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={B.ndim}")
-    n = B.shape[0]
-    if not 0 <= s < n:
-        raise DimensionMismatch(f"need 0 <= s < n, got s={s}, n={n}")
-    if not np.all(np.isfinite(B)):
-        raise NonFinite("B contains non-finite entries")
-    return _verify_matrix(B, n, s, budget)
 
 
 def density_check(code: GradientCode) -> DensityReport:

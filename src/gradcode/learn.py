@@ -21,7 +21,9 @@ first step of either method is a plain gradient step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -322,8 +324,11 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
 class OptimizerConfig:
     """Which update rule to run and its constants.
 
-    ``eta`` (accelerated) and ``c1`` (decaying) may be None, meaning
-    scale them from the smoothness constant handed to make_optimizer.
+    ``eta`` (accelerated) and ``c1`` (decaying) must each be finite and
+    > 0, or None, meaning scale them from the smoothness constant handed
+    to make_optimizer; ``c2`` must be finite and >= 0. Every constant is
+    checked whatever the method, so a bad one is rejected before any run
+    starts.
     """
 
     method: str = NAG
@@ -336,6 +341,12 @@ class OptimizerConfig:
             raise ConfigError(
                 f"unknown optimizer method {self.method!r}, expected one of {METHODS}"
             )
+        for name in ("eta", "c1"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0 (or unset), got {value}")
+        if not (math.isfinite(self.c2) and self.c2 >= 0):
+            raise ConfigError(f"c2 must be finite and >= 0, got {self.c2}")
 
     @property
     def needs_lipschitz(self) -> bool:
@@ -343,95 +354,61 @@ class OptimizerConfig:
         return (self.eta if self.method == NAG else self.c1) is None
 
 
-class NesterovAG:
-    """Accelerated gradient with momentum (t-1)/(t+2), t counted from 1.
+Schedule = Callable[[int], float]
 
-    The caller evaluates the gradient at ``eval_point()`` (the lookahead
-    position), then calls ``step``. The first step is plain descent.
+
+class Optimizer:
+    """Momentum descent with rate r(t) and momentum m(t), t counted from 1.
+
+    The caller evaluates the gradient at ``eval_point()``, the lookahead
+    beta + m(t)*v, then calls ``step``: v = m(t)*v - r(t)*g, beta += v.
     """
 
-    def __init__(self, p: int, eta: float):
-        if not eta > 0:
-            raise ConfigError(f"step size must be positive, got {eta}")
-        self.eta = eta
+    def __init__(self, p: int, rate: Schedule, momentum: Schedule):
+        self.rate = rate
+        self.momentum = momentum
         self.beta = np.zeros(p)
         self._velocity = np.zeros(p)
         self._t = 1
 
-    def _momentum(self) -> float:
-        return (self._t - 1) / (self._t + 2)
-
     def eval_point(self) -> np.ndarray:
-        return self.beta + self._momentum() * self._velocity
+        return self.beta + self.momentum(self._t) * self._velocity
 
     def eval_weights(self) -> tuple[float, float]:
         """(a, b) with ``eval_point() == a*beta + b*beta_prev`` in exact
         arithmetic, beta_prev the iterate before ``beta``."""
-        m = self._momentum()
+        m = self.momentum(self._t)
         return 1.0 + m, -m
 
     def step(self, g: np.ndarray) -> np.ndarray:
-        _check_gradient(g, self._t)
+        t = self._t
+        if not np.all(np.isfinite(g)):
+            raise NonFinite(f"gradient non-finite at iteration {t}")
         # Overflow is reported through the NonFinite check, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._velocity = self._momentum() * self._velocity - self.eta * g
+            self._velocity = self.momentum(t) * self._velocity - self.rate(t) * g
             self.beta = self.beta + self._velocity
-        _check_iterate(self.beta, self._t)
+        if not np.all(np.isfinite(self.beta)):
+            raise NonFinite(f"iterate diverged to non-finite values at iteration {t}")
         self._t += 1
         return self.beta
-
-
-class DecayingGD:
-    """Plain descent with rate c1/(t + c2), t counted from 1."""
-
-    def __init__(self, p: int, c1: float, c2: float):
-        if not c1 > 0 or not c2 >= 0:
-            raise ConfigError(f"need c1 > 0 and c2 >= 0, got c1={c1}, c2={c2}")
-        self.c1 = c1
-        self.c2 = c2
-        self.beta = np.zeros(p)
-        self._t = 1
-
-    def eval_point(self) -> np.ndarray:
-        return self.beta
-
-    def eval_weights(self) -> tuple[float, float]:
-        return 1.0, 0.0
-
-    def step(self, g: np.ndarray) -> np.ndarray:
-        _check_gradient(g, self._t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.beta = self.beta - (self.c1 / (self._t + self.c2)) * g
-        _check_iterate(self.beta, self._t)
-        self._t += 1
-        return self.beta
-
-
-def _check_gradient(g: np.ndarray, t: int) -> None:
-    if not np.all(np.isfinite(g)):
-        raise NonFinite(f"gradient non-finite at iteration {t}")
-
-
-def _check_iterate(beta: np.ndarray, t: int) -> None:
-    if not np.all(np.isfinite(beta)):
-        raise NonFinite(f"iterate diverged to non-finite values at iteration {t}")
-
-
-Optimizer = NesterovAG | DecayingGD
 
 
 def make_optimizer(config: OptimizerConfig, p: int, lipschitz: float | None = None) -> Optimizer:
-    """Instantiate the configured optimizer, scaling defaults by 1/L."""
+    """The configured method's schedules, with defaults scaled by 1/L.
+
+    NAG: r = eta, m = (t-1)/(t+2). ``gd_decay``: r = c1/(t + c2), m = 0,
+    and beta + (0*v - r*g) is beta - r*g exactly, 0*v being a signed zero.
+    """
     def need_l(what: str) -> float:
-        if lipschitz is None or not lipschitz > 0:
+        if lipschitz is None or not 0 < lipschitz < math.inf:
             raise ConfigError(f"{what} defaults to a 1/L scale but no smoothness bound was given")
         return lipschitz
 
     if config.method == NAG:
         eta = config.eta if config.eta is not None else 1.0 / need_l("eta")
-        return NesterovAG(p, eta)
-    if config.c1 is not None:
-        c1 = config.c1
-    else:
-        c1 = DEFAULT_GD_RATE_SCALE * (1.0 + config.c2) / need_l("c1")
-    return DecayingGD(p, c1, config.c2)
+        return Optimizer(p, lambda t: eta, lambda t: (t - 1) / (t + 2))
+    c1, c2 = config.c1, config.c2
+    if c1 is None:
+        c1 = DEFAULT_GD_RATE_SCALE * (1.0 + c2) / need_l("c1")
+    return Optimizer(p, lambda t: c1 / (t + c2), lambda t: 0.0)

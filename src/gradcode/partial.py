@@ -89,8 +89,6 @@ class TwoStagePlan:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        if not 1 <= self.s < self.n:
-            raise DimensionMismatch(f"need 1 <= s < n, got s={self.s}, n={self.n}")
         if self.code.kind not in (FRAC, CYC):
             raise DimensionMismatch(f"stage two needs a coded scheme, got {self.code.kind!r}")
 

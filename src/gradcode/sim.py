@@ -143,10 +143,6 @@ class StragglerPolicy:
             if not math.isfinite(self.alpha) or self.alpha <= 1.0:
                 raise InvalidAlpha(f"slowdown factor must be finite and > 1, got {self.alpha}")
 
-    @property
-    def active(self) -> bool:
-        return self.mode != "none"
-
 
 NO_STRAGGLERS = StragglerPolicy()
 

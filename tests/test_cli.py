@@ -343,6 +343,60 @@ def test_simulate_strategy_file_kind_mismatch(tmp_path, capsys):
     assert run("simulate", "--strategy", "partial", "--scheme-file", scheme_path, *common) == 3
 
 
+def scheme_files(tmp_path):
+    """A frac n=4 s=1 alpha=2 plan file and a cyc n=6 s=1 scheme file."""
+    plan_path, cyc_path = tmp_path / "plan4.json", tmp_path / "cyc6.json"
+    partial.export_plan(partial.plan_partial(4, 1, 2.0), plan_path)
+    codec.export_code(codec.build_cyc(6, 1, 5), cyc_path)
+    return {
+        "partial": (plan_path, {"n": 4, "s": 1, "kind": "frac", "alpha": 2.0}),
+        "coded": (cyc_path, {"n": 6, "s": 1, "kind": "cyc"}),
+    }
+
+
+FILE_CONFLICTS = [
+    ("partial", "n", 8), ("partial", "s", 2), ("partial", "kind", "cyc"),
+    ("partial", "alpha", 3.0),
+    ("coded", "n", 8), ("coded", "s", 2), ("coded", "kind", "frac"),
+]
+
+
+def run_entry(tmp_path, place, entry):
+    """Run one strategy as simulate flags or as a compare run entry."""
+    shared = {"d": 480, "p": 6, "iterations": 2, "seed_all": 3}
+    if place == "simulate":
+        argv = ["simulate", "--out", tmp_path / "x.csv"]
+        for k, v in {**shared, **entry}.items():
+            argv += ["--" + k.replace("_", "-"), v]
+    else:
+        cfg_path = tmp_path / "cmp.json"
+        cfg_path.write_text(json.dumps({"shared": shared, "runs": [entry]}))
+        argv = ["compare", "--config", cfg_path, "--out-prefix", tmp_path / "x"]
+    return run(*argv)
+
+
+@pytest.mark.parametrize("strategy, key, value", FILE_CONFLICTS)
+@pytest.mark.parametrize("place", ["simulate", "run"])
+def test_setting_that_contradicts_the_scheme_file_is_a_validation_error(
+    tmp_path, capsys, strategy, key, value, place
+):
+    path, held = scheme_files(tmp_path)[strategy]
+    entry = {"strategy": strategy, "scheme_file": str(path), **held, key: value}
+    assert run_entry(tmp_path, place, entry) == 3
+    out, err = capsys.readouterr()
+    assert f"{key}={value!r} contradicts {path}, which holds {key}={held[key]!r}" in err
+    assert "run " not in out
+    assert list(tmp_path.glob("x*")) == []
+
+
+@pytest.mark.parametrize("strategy", ["partial", "coded"])
+@pytest.mark.parametrize("place", ["simulate", "run"])
+def test_settings_that_match_the_scheme_file_are_accepted(tmp_path, strategy, place):
+    path, held = scheme_files(tmp_path)[strategy]
+    entry = {"strategy": strategy, "scheme_file": str(path), **held}
+    assert run_entry(tmp_path, place, entry) == 0
+
+
 @pytest.mark.parametrize("strategy", [["coded"], ["partial", "--alpha", 2.0]])
 def test_naive_kind_for_a_coded_strategy_is_a_validation_error(tmp_path, capsys, strategy):
     assert run("simulate", "--strategy", *strategy, "--kind", "naive", "--n", 4, "--s", 1,
@@ -523,6 +577,42 @@ def test_compare_rejects_more_partitions_than_training_rows_before_any_run(tmp_p
     out, err = capsys.readouterr()
     assert "run " not in out
     assert "48 training rows" in err
+    assert list(tmp_path.glob("x*")) == []
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [({"eta": -1.0}, "eta"), ({"optimizer": "gd_decay", "c2": -20.0}, "c2")],
+)
+def test_bad_optimizer_constant_fails_a_compare_before_any_run(tmp_path, capsys, extra, key):
+    config = {
+        "shared": {"d": 600, "p": 5, "iterations": 3, "seed_all": 1},
+        "runs": [{"strategy": "naive", "n": 4},
+                 {"strategy": "naive", "n": 4, "label": "bad", **extra}],
+    }
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "x") == 3
+    out, err = capsys.readouterr()
+    assert "run " not in out
+    assert f"validation error: {key} must be finite" in err
+    assert list(tmp_path.glob("x*")) == []
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"runs": [{"strategy": "naive", "n": 4}], "extra": 1}, "unknown compare config fields"),
+        ({"shared": [], "runs": [{"strategy": "naive", "n": 4}]}, "'shared' must be a JSON object"),
+        ({"shared": {}, "runs": []}, "'runs' must be a non-empty JSON array"),
+        ({"runs": [{"strategy": "naive", "n": 4}, 3]}, "every entry in 'runs' must be"),
+    ],
+)
+def test_compare_config_shape_errors(tmp_path, capsys, raw, message):
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "x") == 3
+    assert message in capsys.readouterr().err
     assert list(tmp_path.glob("x*")) == []
 
 

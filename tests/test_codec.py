@@ -185,21 +185,14 @@ def test_verify_bspan_matches_rank_oracle(make, args):
     assert brute_force_bspan(code.B, code.s) == []
 
 
-def test_verify_bspan_flags_identity_claiming_tolerance():
-    report = codec.verify_bspan_matrix(np.eye(3), s=1)
-    assert not report.ok
-    # Losing any one worker loses its partition for good.
-    assert set(report.failures) == {(0, 1), (0, 2), (1, 2)}
-    assert brute_force_bspan(np.eye(3), 1) == sorted(report.failures)
-
-
 def test_column_deficient_matrix_fails_exactly_where_oracle_says():
     B = np.array(B_COLUMN_DEFICIENT)
-    report = codec.verify_bspan_matrix(B, s=1)
+    code = codec.GradientCode(codec.FRAC, 4, 4, 1, B)
+    report = codec.verify_bspan(code)
     assert not report.ok
+    assert report.checked == 4
     assert report.failures == ((0, 1, 2),)
     assert brute_force_bspan(B, 1) == [(0, 1, 2)]
-    code = codec.GradientCode(codec.FRAC, 4, 4, 1, B)
     with pytest.raises(SpanFailure) as exc:
         codec.decode_row(code, (0, 1, 2))
     assert exc.value.survivors == (0, 1, 2)

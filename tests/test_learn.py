@@ -405,8 +405,13 @@ def test_auc_rejects_nan_scores():
         learn.auc([0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0])
 
 
+def optimizer(p: int, **constants) -> learn.Optimizer:
+    """An optimizer with explicit constants, so no smoothness bound."""
+    return learn.make_optimizer(learn.OptimizerConfig(**constants), p)
+
+
 def test_decaying_gd_frozen_first_step():
-    opt = learn.DecayingGD(2, c1=1.0, c2=1.0)
+    opt = optimizer(2, method=learn.GD_DECAY, c1=1.0, c2=1.0)
     beta = opt.step(np.array([2.0, -2.0]))
     np.testing.assert_allclose(beta, [-1.0, 1.0], atol=1e-15)
     # Zero gradient leaves the model alone.
@@ -414,7 +419,7 @@ def test_decaying_gd_frozen_first_step():
 
 
 def test_nag_first_step_is_plain_descent():
-    opt = learn.NesterovAG(2, eta=0.25)
+    opt = optimizer(2, eta=0.25)
     np.testing.assert_allclose(opt.eval_point(), [0.0, 0.0], atol=1e-15)
     beta = opt.step(np.array([4.0, -8.0]))
     np.testing.assert_allclose(beta, [-1.0, 2.0], atol=1e-15)
@@ -447,7 +452,7 @@ def test_nag_converges_on_quadratic():
     Q = np.diag([5.0, 10.0])
     c = np.array([1.0, 2.0])
     target = np.linalg.solve(Q, c)
-    opt = learn.NesterovAG(2, eta=1.0 / 10.0)
+    opt = optimizer(2, eta=1.0 / 10.0)
     iterations = 0
     for _ in range(500):
         iterations += 1
@@ -465,7 +470,7 @@ def test_nag_loss_monotone_after_burn_in():
     # and sizes; a bad step size inflates the loss by whole multiples.
     ds, _ = learn.gen_synthetic(make_rng(21), 400, 8)
     L = learn.lipschitz_bound(ds.X)
-    opt = learn.NesterovAG(ds.dim, eta=1.0 / L)
+    opt = learn.make_optimizer(learn.OptimizerConfig(), ds.dim, L)  # eta = 1/L
     losses = []
     for _ in range(60):
         beta = opt.step(learn.full_gradient(ds, opt.eval_point()))
@@ -482,7 +487,7 @@ def test_lipschitz_bound_is_max_eigenvalue_over_four():
     assert learn.lipschitz_bound(X) == pytest.approx(direct)
     # 1/L steps never overshoot on the summed logistic loss.
     ds = learn.Dataset(X, (make_rng(2).random(50) < 0.5).astype(float), ((0, 50),))
-    opt = learn.DecayingGD(4, c1=1.0 / learn.lipschitz_bound(X), c2=0.0)
+    opt = optimizer(4, method=learn.GD_DECAY, c1=1.0 / learn.lipschitz_bound(X), c2=0.0)
     prev = learn.log_loss(ds, opt.beta)
     for _ in range(20):
         beta = opt.step(learn.full_gradient(ds, opt.beta))
@@ -492,11 +497,11 @@ def test_lipschitz_bound_is_max_eigenvalue_over_four():
 
 
 def test_divergence_detection():
-    opt = learn.NesterovAG(2, eta=1.0)
+    opt = optimizer(2, eta=1.0)
     with pytest.raises(NonFinite, match="iteration 1"):
         opt.step(np.array([np.nan, 0.0]))
     # Finite gradient, but the step itself overflows the iterate.
-    huge = learn.DecayingGD(1, c1=1e308, c2=0.0)
+    huge = optimizer(1, method=learn.GD_DECAY, c1=1e308, c2=0.0)
     with pytest.raises(NonFinite, match="diverged"):
         huge.step(np.array([1e10]))
 
@@ -504,18 +509,61 @@ def test_divergence_detection():
 def test_make_optimizer_defaults_and_validation():
     cfg = learn.OptimizerConfig(method=learn.NAG)
     opt = learn.make_optimizer(cfg, 3, lipschitz=4.0)
-    assert isinstance(opt, learn.NesterovAG)
-    assert opt.eta == pytest.approx(0.25)
+    assert opt.rate(1) == opt.rate(50) == pytest.approx(0.25)
+    assert [opt.momentum(t) for t in (1, 2, 4)] == [0.0, 0.25, 0.5]
     with pytest.raises(ConfigError):
         learn.make_optimizer(cfg, 3)  # no smoothness bound to scale by
     gd = learn.make_optimizer(learn.OptimizerConfig(method=learn.GD_DECAY), 3, lipschitz=2.0)
-    assert isinstance(gd, learn.DecayingGD)
-    assert gd.c1 == pytest.approx(learn.DEFAULT_GD_RATE_SCALE * 11.0 / 2.0)
+    c1 = learn.DEFAULT_GD_RATE_SCALE * 11.0 / 2.0
+    assert gd.rate(1) == pytest.approx(c1 / 11.0)
+    assert gd.rate(5) == pytest.approx(c1 / 15.0)
+    assert [gd.momentum(t) for t in (1, 2, 50)] == [0.0, 0.0, 0.0]
     explicit = learn.make_optimizer(learn.OptimizerConfig(method=learn.NAG, eta=0.5), 3)
-    assert explicit.eta == 0.5
+    assert explicit.rate(1) == 0.5
     with pytest.raises(ConfigError, match="unknown optimizer method"):
         learn.OptimizerConfig(method="adam")  # caught before any run builds its data
-    with pytest.raises(ConfigError):
-        learn.NesterovAG(2, eta=-1.0)
-    with pytest.raises(ConfigError):
-        learn.DecayingGD(2, c1=0.0, c2=1.0)
+    with pytest.raises(ConfigError, match="eta"):
+        learn.OptimizerConfig(method=learn.NAG, eta=-1.0)
+    with pytest.raises(ConfigError, match="c1"):
+        learn.OptimizerConfig(method=learn.GD_DECAY, c1=0.0, c2=1.0)
+    for method in learn.METHODS:  # the edges of each range are accepted
+        learn.OptimizerConfig(method=method, eta=None, c1=None, c2=0.0)
+        learn.OptimizerConfig(method=method, eta=1e-300, c1=1e300, c2=1e300)
+
+
+@pytest.mark.parametrize("method", learn.METHODS)
+@pytest.mark.parametrize(
+    "key, value",
+    [("eta", 0.0), ("eta", -1.0), ("eta", np.inf), ("eta", np.nan),
+     ("c1", 0.0), ("c1", -1.0), ("c1", np.inf), ("c1", np.nan),
+     ("c2", -20.0), ("c2", np.inf), ("c2", np.nan)],
+)
+def test_optimizer_constants_are_checked_whatever_the_method(method, key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        learn.OptimizerConfig(method=method, **{key: value})
+
+
+@pytest.mark.parametrize("method", learn.METHODS)
+def test_momentum_update_reproduces_each_methods_own_rule(method):
+    # Oracle: each method's update written out directly, without the shared
+    # momentum form. gd_decay's beta - r*g is matched bit for bit by
+    # beta + (0*v - r*g); NAG's formula is the one the optimizer runs.
+    ds = small_problem(5, 300, 6)
+    L = learn.lipschitz_bound(ds.X)
+    opt = learn.make_optimizer(learn.OptimizerConfig(method=method), ds.dim, L)
+    beta, v = np.zeros(ds.dim), np.zeros(ds.dim)
+    c2 = learn.DEFAULT_GD_OFFSET
+    c1 = learn.DEFAULT_GD_RATE_SCALE * (1.0 + c2) / L
+    for t in range(1, 41):
+        m = (t - 1) / (t + 2)
+        point = beta + m * v if method == learn.NAG else beta
+        assert np.array_equal(opt.eval_point(), point)
+        g = learn.full_gradient(ds, point)
+        if method == learn.NAG:
+            v = m * v - (1.0 / L) * g
+            beta = beta + v
+        else:
+            beta = beta - (c1 / (t + c2)) * g
+        assert np.array_equal(opt.step(g), beta)
+    m = 40 / 43 if method == learn.NAG else 0.0
+    assert opt.eval_weights() == (1.0 + m, -m)

@@ -131,6 +131,12 @@ def test_stage_two_kind_handling():
         partial.plan_partial(4, 0, 2.0)
 
 
+def test_naive_stage_two_code_gets_the_kind_message():
+    # A naive code has s = 0; the plan names its kind, not its s.
+    with pytest.raises(DimensionMismatch, match="stage two needs a coded scheme, got 'naive'"):
+        partial.TwoStagePlan(2.0, codec.build_naive(4))
+
+
 def test_plan_export_import_round_trip(tmp_path):
     for plan in (
         partial.plan_partial(6, 2, 1.5),
