@@ -115,6 +115,17 @@ _RUN_SCHEMA: dict[str, _Field] = {
 # entries only, never from flags.
 _PER_RUN_KEYS = ("strategy", "scheme_file", "kind", "alpha", "label")
 _RUN_DEFAULTS = {key: field.default for key, field in _RUN_SCHEMA.items()}
+# Settings a run reads only under some strategies or optimizers: key ->
+# (the setting that decides, the values under which the key is read).
+_READ_ONLY_UNDER = {
+    "alpha": ("strategy", ("partial",)),
+    "s": ("strategy", ("ignore", "coded", "partial")),
+    "kind": ("strategy", ("coded", "partial")),
+    "scheme_file": ("strategy", ("coded", "partial")),
+    "eta": ("optimizer", (learn.NAG,)),
+    "c1": ("optimizer", (learn.GD_DECAY,)),
+    "c2": ("optimizer", (learn.GD_DECAY,)),
+}
 
 
 def _coerce(key: str, value):
@@ -231,11 +242,22 @@ def _build_strategy(merged: dict) -> sim.Strategy:
     return sim.Coded(codec.build_cyc(n, s, merged["seed_scheme"]))
 
 
-def _training_config(merged: dict) -> sim.TrainingConfig:
+def _check_read(merged: dict, given: set[str]) -> None:
+    """Raise ConfigError for a key in ``given`` that the run never reads."""
+    for key, (by, readers) in _READ_ONLY_UNDER.items():
+        chosen = merged[by]
+        if key in given and merged[key] is not None and chosen not in (None, *readers):
+            raise ConfigError(f"the {chosen} {by} does not read {key}, given {merged[key]!r}")
+
+
+def _training_config(merged: dict, given: set[str]) -> sim.TrainingConfig:
+    """The run ``merged`` describes; ``given`` names the settings set
+    for this run alone, each of which the run must read."""
     for key, field in _RUN_SCHEMA.items():
         if field.choices and merged[key] not in (None, *field.choices):
             raise ConfigError(f"config field {key!r} must be one of {field.choices}, "
                               f"got {merged[key]!r}")
+    _check_read(merged, given)
     _resolve_seeds(merged)
     strategy = _build_strategy(merged)
     optimizer = learn.OptimizerConfig(
@@ -427,8 +449,9 @@ def _summary_line(result: sim.RunResult) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = codec.read_json_object(args.config) if args.config else {}
-    merged = _merge_run(config, _flag_overrides(args))
-    run_config = _training_config(merged)
+    overrides = _flag_overrides(args)
+    merged = _merge_run(config, overrides)
+    run_config = _training_config(merged, {*config, *overrides})
     result = sim.run_training(run_config)
     sim.write_run_csv(result, args.out)
     echo_path = str(args.out) + ".config.json"
@@ -482,8 +505,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     run_configs = []
     seen_labels = set()
-    for merged in merged_runs:
-        run_config = _training_config(merged)
+    # Flags and shared values apply to the runs that read them; a run
+    # entry's own settings must be read by that run.
+    for merged, entry in zip(merged_runs, entries):
+        run_config = _training_config(merged, set(entry))
         if run_config.run_label in seen_labels:
             raise ConfigError(
                 f"duplicate run label {run_config.run_label!r}; set distinct --label values"

@@ -178,8 +178,16 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, exact at extreme arguments."""
     z = np.asarray(z, dtype=float)
     # exp(-|z|) never overflows; 1/(1 + e^-z) for z >= 0, e^z/(1 + e^z) below.
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+    # The numerator max(e^-|z|, z >= 0) is 1 or e^z, and NaN at NaN: the
+    # values of np.where(z >= 0, 1.0, e^-|z|), which took 3.3 ms to
+    # np.maximum's 0.73 ms over 443,520 values (2-core host, numpy 2.4.6).
+    ez = np.abs(z, out=np.empty(z.shape))  # an array even when z is 0-d
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    num = np.maximum(ez, z >= 0)
+    ez += 1.0
+    num /= ez
+    return num
 
 
 def log_loss(ds: Dataset, beta: np.ndarray) -> float:
@@ -225,9 +233,14 @@ def partial_gradient(ds: Dataset, j: int, beta: np.ndarray) -> np.ndarray:
 
 # Most bytes of rows in one partition group of partition_gradients. The
 # logistic map runs once per group instead of once per partition; a group
-# this small is still in the last-level cache when its partitions' second
-# products read it. A group always holds at least one partition.
-_GROUP_BYTES = 8 << 20
+# this small is still in a core's 2 MiB L2 cache when its partitions'
+# second products read it. On a 2-core host (numpy 2.4.6, OpenBLAS), the
+# pass over 24 partitions of 333 x 100 rows took 532 us at 1 MiB against
+# 614 us at 8 MiB and 551 us at 2 MiB, fastest of 400 alternating calls
+# (medians 703, 768 and 757 us); a 29.6 MB paper-scale partition is its
+# own group under any of them. A group always holds at least one
+# partition.
+_GROUP_BYTES = 1 << 20
 
 
 def partition_gradients(
@@ -235,25 +248,30 @@ def partition_gradients(
     beta: np.ndarray,
     logits: np.ndarray | None = None,
     wanted: set[int] | None = None,
-) -> list[np.ndarray | None]:
-    """Every partition's gradient, each equal to ``partial_gradient(ds, j, beta)``.
+) -> np.ndarray:
+    """Every partition's gradient: row j equals ``partial_gradient(ds, j, beta)``.
 
     Consecutive partitions are grouped up to ``_GROUP_BYTES`` of rows. A
     group's logits come from one product per partition, written into one
     buffer, and the logistic map and the label subtraction run once over
-    the buffer; then each partition takes its own ``X_j.T @ r_j``. Each
-    value is computed by the same operations as in ``partial_gradient``,
-    so the results are bit-identical.
+    the buffer; then each partition writes its own ``X_j.T @ r_j`` into
+    its row of the ``(partitions, dim)`` result. Each value is computed
+    by the same operations as in ``partial_gradient``, so the results
+    are bit-identical.
 
     ``logits``, when given, is a buffer of ``ds.rows`` entries that the
     groups' logits are written into, so it ends up holding every
     partition's ``X_j @ beta``. With ``wanted`` given, only those
-    partitions take the second product; the others' entries are None,
-    though their logits are still computed.
+    partitions take the second product; the other rows are NaN, so a
+    gradient that reads one is non-finite, though their logits are
+    still computed.
     """
     bounds = ds.partition_bounds
     row_bytes = ds.X.itemsize * ds.dim
-    out = []
+    if wanted is None:
+        G = np.empty((len(bounds), ds.dim))
+    else:
+        G = np.full((len(bounds), ds.dim), np.nan)
     first = 0
     while first < len(bounds):
         lo, hi = bounds[first]
@@ -268,13 +286,13 @@ def partition_gradients(
         z = np.empty(hi - lo) if logits is None else logits[lo:hi]
         for a, b in bounds[first:last]:
             np.matmul(ds.X[a:b], beta, out=z[a - lo : b - lo])
-        r = sigmoid(z) - ds.y[lo:hi]
-        out += [
-            ds.X[a:b].T @ r[a - lo : b - lo] if wanted is None or j in wanted else None
-            for j, (a, b) in enumerate(bounds[first:last], first)
-        ]
+        r = sigmoid(z)
+        r -= ds.y[lo:hi]
+        for j, (a, b) in enumerate(bounds[first:last], first):
+            if wanted is None or j in wanted:
+                np.matmul(ds.X[a:b].T, r[a - lo : b - lo], out=G[j])
         first = last
-    return out
+    return G
 
 
 def full_gradient(ds: Dataset, beta: np.ndarray) -> np.ndarray:
@@ -309,14 +327,13 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise NonFinite("AUC scores contain NaN")
     order = np.argsort(scores)
     s = scores[order]
-    first_of_group = np.r_[True, s[1:] != s[:-1]]
-    group = np.cumsum(first_of_group) - 1
-    counts = np.bincount(group)
-    ends = np.cumsum(counts)
-    avg_rank = ends - (counts - 1) / 2.0  # mean of 1-based ranks in each tie group
-    ranks = np.empty(s.size)
-    ranks[order] = avg_rank[group]
-    pos_rank_sum = float(ranks[pos].sum())
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    avg_rank = (starts + ends + 1) / 2.0  # mean of 1-based ranks in each tie group
+    group_pos = np.add.reduceat(pos[order], starts, dtype=np.int64)
+    # Half-integer ranks times integer counts, summed below 2^53: exact in
+    # any order, so the AUC equals that of a per-row rank sum.
+    pos_rank_sum = float(np.sum(avg_rank * group_pos))
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -1,10 +1,12 @@
 """Deterministic simulator for synchronous distributed gradient descent.
 
 Each training iteration is one synchronous round. A strategy is one
-``Strategy`` value, its message layout: the partition terms of each
-message a worker sends (a naive stage, a coded stage, or both in turn)
-and one of four aggregation rules. ``Naive``, ``IgnoreStragglers``,
-``Coded`` and ``PartialCoded`` build the four of them:
+``Strategy`` value, its message layout: per stage (a naive stage, a
+coded stage, or both in turn), an index array of the partitions each
+worker's message sums and a coefficient array of their weights, summed
+left to right; and one of four aggregation rules. ``Naive``,
+``IgnoreStragglers``, ``Coded`` and ``PartialCoded`` build the four of
+them:
 
 * every naive message (naive); the update is the exact gradient;
 * the first n - s naive messages, summed (ignore-stragglers): a biased,
@@ -17,8 +19,9 @@ and one of four aggregation rules. ``Naive``, ``IgnoreStragglers``,
 ``build_layout`` adds only each worker's stage rows over one run's
 partitioned training set (``Layout``), once per run. A round draws the
 stragglers, times itself from the layout alone (``time_round``, no
-gradient work), picks the survivors and aggregates; only the partitions
-the used messages read take a gradient. A round's training loss is
+gradient work), picks the survivors and aggregates in a few array
+operations, with no loop over messages; only the partitions the used
+messages read take a gradient. A round's training loss is
 finished in the next round, from the logits that round's gradients
 compute (``run_training``), and the last iterate's by one product over
 the training matrix, so a round passes over X twice, not three times.
@@ -151,20 +154,20 @@ NO_STRAGGLERS = StragglerPolicy()
 # Strategies
 
 
-Terms = tuple[tuple[int, float | None], ...]  # (partition, coefficient or None)
-
-
 @dataclass(frozen=True, eq=False)
 class Strategy:
     """What each worker sends in a round, and the aggregation rule.
 
     Each of the n workers runs the stages in order and sends a message
-    of kind ``kinds[k]`` once stage k's compute is done; ``terms[k][w]``
-    are the partition terms worker w's stage-k message sums. The rule
-    needs every message of stage ``every`` and the first n - s of stage
-    ``first``, decoded with ``code`` when there is one and summed
-    otherwise; either stage may be None. Build one with ``Naive``,
-    ``IgnoreStragglers``, ``Coded`` or ``PartialCoded``.
+    of kind ``kinds[k]`` once stage k's compute is done. Stage k is two
+    read-only ``(n, t)`` arrays: worker w's stage-k message is the sum,
+    left to right, of ``coef[k][w, i] * g[index[k][w, i]]`` over its t
+    partition gradients g (a plain term has coefficient 1.0, and
+    ``1.0 * g == g`` exactly). The rule needs every message of stage
+    ``every`` and the first n - s of stage ``first``, decoded with
+    ``code`` when there is one and summed otherwise; either stage may be
+    None. Build one with ``Naive``, ``IgnoreStragglers``, ``Coded`` or
+    ``PartialCoded``.
     """
 
     label: str
@@ -172,53 +175,63 @@ class Strategy:
     s: int
     partition_count: int
     kinds: tuple[str, ...]
-    terms: tuple[tuple[Terms, ...], ...]
+    index: tuple[np.ndarray, ...]
+    coef: tuple[np.ndarray, ...]
     every: int | None
     first: int | None
     code: GradientCode | None = None
 
+    def __post_init__(self):
+        for arrays in (self.index, self.coef):
+            for a in arrays:
+                a.setflags(write=False)
 
-def _plain_terms(assignment) -> tuple[Terms, ...]:
-    return tuple(tuple((j, None) for j in supp) for supp in assignment)
+
+def _plain_stage(index) -> tuple[np.ndarray, np.ndarray]:
+    index = np.array(index, dtype=np.intp)
+    return index, np.ones(index.shape)
 
 
-def _coded_terms(code: GradientCode, offset: int = 0) -> tuple[Terms, ...]:
-    return tuple(
-        tuple((offset + j, code.B[w, j]) for j in codec.assignment(code, w))
-        for w in range(code.n)
-    )
+def _coded_stage(code: GradientCode, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    # A code row has s + 1 non-zeros (one for a naive code), so the
+    # supports stack into one (n, t) array, in increasing partition order.
+    support = np.array([codec.assignment(code, w) for w in range(code.n)], dtype=np.intp)
+    return offset + support, np.take_along_axis(code.B, support, axis=1)
 
 
 def Naive(n: int) -> Strategy:
     """Uncoded: one partition per worker, every message required."""
     if n < 1:
         raise ConfigError(f"need at least one worker, got n={n}")
-    terms = _plain_terms((w,) for w in range(n))
-    return Strategy("naive", n, 0, n, (MSG_NAIVE,), (terms,), every=0, first=None)
+    index, coef = _plain_stage(np.arange(n)[:, None])
+    return Strategy("naive", n, 0, n, (MSG_NAIVE,), (index,), (coef,), every=0, first=None)
 
 
 def IgnoreStragglers(n: int, s: int) -> Strategy:
     """Uncoded, but the aggregator stops waiting after n - s messages."""
     if not 1 <= s < n:
         raise ConfigError(f"need 1 <= s < n, got s={s}, n={n}")
-    terms = _plain_terms((w,) for w in range(n))
-    return Strategy(f"ignore_s{s}", n, s, n, (MSG_NAIVE,), (terms,), every=None, first=0)
+    index, coef = _plain_stage(np.arange(n)[:, None])
+    return Strategy(
+        f"ignore_s{s}", n, s, n, (MSG_NAIVE,), (index,), (coef,), every=None, first=0
+    )
 
 
 def Coded(code: GradientCode) -> Strategy:
     """A gradient code: any n - s messages reproduce the exact gradient."""
+    index, coef = _coded_stage(code)
     return Strategy(
         f"{code.kind}_n{code.n}_s{code.s}", code.n, code.s, code.k,
-        (MSG_CODED,), (_coded_terms(code),), every=None, first=0, code=code,
+        (MSG_CODED,), (index,), (coef,), every=None, first=0, code=code,
     )
 
 
 def PartialCoded(plan: TwoStagePlan) -> Strategy:
     """Two-stage plan: all naive sums plus any n - s coded messages."""
-    terms = (_plain_terms(plan.naive_assignment), _coded_terms(plan.code, plan.coded_offset))
+    stages = (_plain_stage(plan.naive_assignment), _coded_stage(plan.code, plan.coded_offset))
     return Strategy(
         f"partial_{plan.code.kind}_a{plan.alpha:g}", plan.n, plan.s, plan.total_partitions,
-        (MSG_NAIVE, MSG_CODED), terms, every=0, first=1, code=plan.code,
+        (MSG_NAIVE, MSG_CODED), *zip(*stages), every=0, first=1, code=plan.code,
     )
 
 
@@ -340,10 +353,8 @@ class Layout:
 
 def build_layout(strategy: Strategy, train: learn.Dataset) -> Layout:
     """The per-worker stage rows of ``strategy`` over ``train``'s partitions."""
-    sizes = [hi - lo for lo, hi in train.partition_bounds]
-    rows = np.array(
-        [[float(sum(sizes[j] for j, _ in msg)) for msg in stage] for stage in strategy.terms]
-    )
+    sizes = np.array([hi - lo for lo, hi in train.partition_bounds])
+    rows = np.array([sizes[index].sum(axis=1) for index in strategy.index], dtype=float)
     return Layout(strategy, train.rows, rows)
 
 
@@ -351,17 +362,22 @@ def build_layout(strategy: Strategy, train: learn.Dataset) -> Layout:
 # One synchronous round
 
 
-def _sequential_sum(parts: list[np.ndarray]) -> np.ndarray:
-    # Fixed left-to-right order so reruns and test oracles match bit for bit.
-    total = parts[0].copy()
-    for part in parts[1:]:
-        total += part
-    return total
+def _sequential_sum(parts: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of a C-ordered array, left to right,
+    so reruns and test oracles match bit for bit."""
+    # np.add.reduce adds whole rows in order when the summed axis is not
+    # the fast one in memory, and sums pairwise along the fast one, which
+    # a row of one entry makes it. np.add.accumulate is sequential for
+    # any shape, but summing a (4, 21, 100) array took it 60 us to
+    # reduce's 5 us.
+    if parts[0].size == 1:
+        return np.add.accumulate(parts, axis=0)[-1]
+    return np.add.reduce(parts, axis=0)
 
 
-def _message(G: list[np.ndarray], terms: tuple) -> np.ndarray:
-    parts = [G[j] if c is None else c * G[j] for j, c in terms]
-    return parts[0] if len(parts) == 1 else _sequential_sum(parts)
+def _messages(G: np.ndarray, index: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Row i is the message whose terms are ``index[i]`` and ``coef[i]``."""
+    return _sequential_sum(G[index.T] * coef.T[..., None])
 
 
 def time_round(
@@ -457,25 +473,25 @@ def run_iteration(
     )
     used = []
     if strategy.every is not None:
-        used += strategy.terms[strategy.every]
+        used.append((strategy.index[strategy.every], strategy.coef[strategy.every]))
     if strategy.first is not None:
-        used += [strategy.terms[strategy.first][w] for w in survivors]
+        rows = list(survivors)
+        used.append((strategy.index[strategy.first][rows], strategy.coef[strategy.first][rows]))
     check = verify_decode and strategy.code is not None
-    wanted = None if check else {j for terms in used for j, _ in terms}
+    wanted = None if check else set(np.concatenate([i.ravel() for i, _ in used]).tolist())
     G = learn.partition_gradients(train, point, logits, wanted)
-    parts = [_message(G, terms) for terms in used]
+    parts = [_messages(G, index, coef) for index, coef in used]
     if strategy.code is not None:
-        row = decode_row(strategy.code, survivors, cache)
-        coded = len(parts) - len(survivors)
-        parts[coded:] = [c * m for c, m in zip(row.coeffs, parts[coded:])]
-    gradient = _sequential_sum(parts)
+        # The coded messages are the last stage used, one per survivor.
+        parts[-1] *= decode_row(strategy.code, survivors, cache).coeffs[:, None]
+    gradient = _sequential_sum(np.concatenate(parts))
     if check:
         _check_exact(gradient, G, survivors)
     kind = EXACT if strategy.first is None or strategy.code is not None else PARTIAL_SUM
     return gradient, duration, survivors, kind, events
 
 
-def _check_exact(gradient: np.ndarray, G: list[np.ndarray], survivors: tuple[int, ...]) -> None:
+def _check_exact(gradient: np.ndarray, G: np.ndarray, survivors: tuple[int, ...]) -> None:
     total = _sequential_sum(G)
     scale = max(1.0, float(np.max(np.abs(total))))
     err = float(np.max(np.abs(gradient - total))) / scale

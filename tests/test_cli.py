@@ -397,6 +397,58 @@ def test_settings_that_match_the_scheme_file_are_accepted(tmp_path, strategy, pl
     assert run_entry(tmp_path, place, entry) == 0
 
 
+# (run settings, the one setting the run never reads); "FILE" stands for
+# a scheme file the run would otherwise be valid with.
+UNREAD = [
+    ({"strategy": "coded", "kind": "frac", "n": 4, "s": 1, "alpha": 3.0}, "alpha"),
+    ({"strategy": "ignore", "n": 4, "s": 1, "alpha": 3.0}, "alpha"),
+    ({"strategy": "naive", "n": 4, "s": 2}, "s"),
+    ({"strategy": "naive", "n": 4, "kind": "cyc"}, "kind"),
+    ({"strategy": "naive", "n": 4, "scheme_file": "FILE"}, "scheme_file"),
+    ({"strategy": "ignore", "n": 4, "s": 1, "kind": "cyc"}, "kind"),
+    ({"strategy": "ignore", "n": 4, "s": 1, "scheme_file": "FILE"}, "scheme_file"),
+    ({"strategy": "naive", "n": 4, "optimizer": "gd_decay", "eta": 0.01}, "eta"),
+    ({"strategy": "naive", "n": 4, "c1": 0.5}, "c1"),
+    ({"strategy": "naive", "n": 4, "c2": 5.0}, "c2"),
+]
+
+
+@pytest.mark.parametrize("entry, key", UNREAD, ids=[f"{e['strategy']}-{k}" for e, k in UNREAD])
+@pytest.mark.parametrize("place", ["simulate", "config", "run"])
+def test_a_setting_the_run_never_reads_is_a_validation_error(
+    tmp_path, capsys, entry, key, place
+):
+    path, _ = scheme_files(tmp_path)["coded"]
+    entry = {k: str(path) if v == "FILE" else v for k, v in entry.items()}
+    if place == "config":
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"d": 480, "p": 6, "iterations": 2, "seed_all": 3,
+                                        **entry}))
+        code = run("simulate", "--config", cfg_path, "--out", tmp_path / "x.csv")
+    else:
+        code = run_entry(tmp_path, place, entry)
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert f"does not read {key}, given" in err
+    assert "run " not in out
+    assert list(tmp_path.glob("x*")) == []
+
+
+def test_compare_flags_and_shared_values_apply_to_the_runs_that_read_them(tmp_path):
+    config = {
+        "shared": {"d": 480, "p": 6, "iterations": 2, "seed_all": 3, "alpha": 2.0, "c1": 0.5},
+        "runs": [{"strategy": "naive", "n": 4},
+                 {"strategy": "partial", "kind": "frac", "n": 4, "s": 1, "label": "two"}],
+    }
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--s", 1, "--eta", 0.01, "--c2", 5.0,
+               "--out-prefix", tmp_path / "x") == 0
+    assert run("compare", "--bundle", "--n", 4, "--s", 1, "--d", 480, "--p", 6,
+               "--iterations", 2, "--seed-all", 3, "--c1", 0.5,
+               "--out-prefix", tmp_path / "b") == 0
+
+
 @pytest.mark.parametrize("strategy", [["coded"], ["partial", "--alpha", 2.0]])
 def test_naive_kind_for_a_coded_strategy_is_a_validation_error(tmp_path, capsys, strategy):
     assert run("simulate", "--strategy", *strategy, "--kind", "naive", "--n", 4, "--s", 1,

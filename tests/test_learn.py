@@ -88,7 +88,10 @@ def test_partition_gradients_equal_partial_gradient(monkeypatch, d, k, group):
     groups = len(calls)
     assert sum(calls) == d
     if group == "default":
-        assert groups == 1  # every dataset here fits in one group
+        # 1 MiB holds 3542 rows of 37 floats, so 8000 rows of 66-row
+        # partitions make groups of 53, 53 and 14 partitions; every
+        # smaller dataset here fits in one group.
+        assert groups == (3 if d == 8000 else 1)
     elif group == "one_each":
         assert groups == k
     elif k > 3:
@@ -133,7 +136,15 @@ def test_partition_gradients_skip_unwanted_second_products(monkeypatch, group):
         if j in (0, 3, 6):
             assert np.array_equal(g, plain)
         else:
-            assert g is None
+            assert np.isnan(g).all()
+
+
+def test_a_gradient_that_reads_an_unwanted_row_fails_the_optimizer():
+    ds = learn.with_partitions(small_problem(5, 997, 37), 7)
+    G = learn.partition_gradients(ds, make_rng(6).standard_normal(ds.dim), None, {0, 3})
+    learn.make_optimizer(learn.OptimizerConfig(eta=0.1), ds.dim).step(G[0] + G[3])
+    with pytest.raises(NonFinite):
+        learn.make_optimizer(learn.OptimizerConfig(eta=0.1), ds.dim).step(G[0] + G[1])
 
 
 def test_partition_gradients_never_group_across_a_gap():
@@ -185,6 +196,13 @@ def test_sigmoid_bit_identical_to_two_branch_formula():
     for z in cases:
         # equal_nan: both give NaN at NaN, whatever its sign bit.
         assert np.array_equal(learn.sigmoid(z), _two_branch_sigmoid(z), equal_nan=True)
+
+
+@pytest.mark.parametrize("z", [0.5, -0.0, -np.inf, -800.0])
+def test_sigmoid_of_a_scalar_is_a_scalar(z):
+    value = learn.sigmoid(z)
+    assert np.ndim(value) == 0
+    assert value == _two_branch_sigmoid(np.array([z]))[0]
 
 
 def _logaddexp_loss(ds, beta):
@@ -397,6 +415,26 @@ def test_auc_bit_identical_to_stable_sort(seed):
         scores[rng.random(n) < 0.2] = -0.0
     labels = rng.random(n) < 0.4
     labels[0], labels[-1] = True, False
+    assert learn.auc(scores, labels) == mergesort_auc(scores, labels)
+
+
+@pytest.mark.parametrize("scores, labels", [
+    ([0.3] * 7, [0, 1, 0, 1, 1, 0, 0]),  # one tie group
+    ([0.0, -0.0, 0.0, -0.0, 1.0], [1, 0, 0, 1, 1]),  # signed zeros tie
+    ([np.inf, -np.inf, np.inf, 0.0, -np.inf], [1, 0, 0, 1, 0]),
+    ([5.0, 1.0, 3.0, 2.0], [0, 0, 0, 1]),  # one positive
+    ([5.0, 1.0, 3.0, 2.0], [1, 1, 0, 1]),  # one negative
+])
+def test_auc_group_sums_match_the_rank_scatter_on_edge_scores(scores, labels):
+    assert learn.auc(scores, labels) == mergesort_auc(scores, labels)
+
+
+def test_auc_group_sums_match_the_rank_scatter_at_holdout_size():
+    # 110,880 scores, a paper-scale holdout: rank sums near 3e9.
+    rng = make_rng(211)
+    scores = rng.standard_normal(110_880)
+    scores[::7] = np.round(scores[::7], 2)
+    labels = rng.random(scores.size) < 0.5
     assert learn.auc(scores, labels) == mergesort_auc(scores, labels)
 
 

@@ -258,6 +258,101 @@ def test_partial_two_stage_replay_bit_exact():
     assert np.array_equal(beta, res.beta)
 
 
+# The aggregation of the term-tuple layout, kept as the oracle for the
+# array one: a message is a tuple of (partition, coefficient) terms, None
+# for a plain term, summed left to right, and so is the gradient.
+
+
+def _reference_message(G, terms):
+    parts = [G[j] if c is None else c * G[j] for j, c in terms]
+    return parts[0] if len(parts) == 1 else seq_sum(parts)
+
+
+def _coded_terms(code, offset=0):
+    return [
+        tuple((offset + j, code.B[w, j]) for j in codec.assignment(code, w))
+        for w in range(code.n)
+    ]
+
+
+def _reference_layout(name):
+    """A 12-worker strategy and its message terms, stage by stage."""
+    plain = [((w, None),) for w in range(12)]
+    if name == "naive":
+        return sim.Naive(12), [plain]
+    if name == "ignore":
+        return sim.IgnoreStragglers(12, 2), [plain]
+    if name in ("frac", "cyc"):
+        code = codec.build_frac(12, 2) if name == "frac" else codec.build_cyc(12, 2, seed=5)
+        return sim.Coded(code), [_coded_terms(code)]
+    kind = name.split("_")[1]
+    plan = partial.plan_partial(12, 2, 2.0, kind=kind, seed=6)
+    naive = [tuple((j, None) for j in supp) for supp in plan.naive_assignment]
+    return sim.PartialCoded(plan), [naive, _coded_terms(plan.code, plan.coded_offset)]
+
+
+def _reference_gradient(strategy, stages, G, survivors):
+    used = []
+    if strategy.every is not None:
+        used += stages[strategy.every]
+    if strategy.first is not None:
+        used += [stages[strategy.first][w] for w in survivors]
+    parts = [_reference_message(G, terms) for terms in used]
+    if strategy.code is not None:
+        row = codec.decode_row(strategy.code, survivors)
+        coded = len(parts) - len(survivors)
+        parts[coded:] = [c * m for c, m in zip(row.coeffs, parts[coded:])]
+    return seq_sum(parts)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("p", [1, 100])
+@pytest.mark.parametrize(
+    "name", ["naive", "ignore", "frac", "cyc", "partial_frac", "partial_cyc"]
+)
+def test_array_aggregation_matches_the_term_loop(name, p, verify):
+    # 10 to 16 messages a round: more than numpy's pairwise summation
+    # block, so a pairwise sum would show at p = 1.
+    strategy, stages = _reference_layout(name)
+    rng = make_rng(50 + p)
+    ds, _ = learn.gen_synthetic(rng, 600, p)
+    train = learn.with_partitions(ds, strategy.partition_count)
+    layout = sim.build_layout(strategy, train)
+    policy = sim.StragglerPolicy(mode="random", count=2, kind="delay", extra=5.0)
+    latency_rng, straggler_rng = make_rng(1), make_rng(2)
+    for _ in range(6):
+        point = rng.standard_normal(p)
+        gradient, _, survivors, _, _ = sim.run_iteration(
+            layout, sim.LatencyModel(), policy, train, point, latency_rng, straggler_rng,
+            {}, verify,
+        )
+        G = [learn.partial_gradient(train, j, point) for j in range(train.partitions)]
+        assert np.array_equal(gradient, _reference_gradient(strategy, stages, G, survivors))
+
+
+@pytest.mark.parametrize("shape", [(40, 1), (40, 2), (9, 3), (33, 100), (5, 40, 1),
+                                   (12, 1, 1), (3, 7, 5), (1, 1)])
+def test_sequential_sum_adds_rows_left_to_right(shape):
+    # Wide magnitudes make any other order round differently.
+    rng = make_rng(sum(shape))
+    for _ in range(20):
+        parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        assert np.array_equal(sim._sequential_sum(parts), seq_sum(list(parts)))
+
+
+@pytest.mark.parametrize(
+    "name", ["naive", "ignore", "frac", "cyc", "partial_frac", "partial_cyc"]
+)
+def test_stage_arrays_hold_each_messages_terms(name):
+    strategy, stages = _reference_layout(name)
+    assert len(strategy.index) == len(strategy.coef) == len(stages)
+    for index, coef, terms in zip(strategy.index, strategy.coef, stages):
+        assert index.shape == coef.shape == (strategy.n, len(terms[0]))
+        assert not index.flags.writeable and not coef.flags.writeable
+        assert index.tolist() == [[j for j, _ in msg] for msg in terms]
+        assert coef.tolist() == [[1.0 if c is None else c for _, c in msg] for msg in terms]
+
+
 # ---------------------------------------------------------------------------
 # Exact strategies track single-node descent; partial sums do not
 

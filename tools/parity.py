@@ -1,0 +1,166 @@
+"""Compare two gradcode source trees output for output.
+
+Usage, from the repository root:
+
+    python3 tools/parity.py OLD_SRC NEW_SRC [--small] [--seed N]
+
+OLD_SRC and NEW_SRC are directories that hold the ``gradcode`` package
+(a checkout's ``src``). Each tree runs one fixed list of CLI invocations
+through ``gradcode.cli.main``, in its own Python subprocess and a fresh
+directory:
+
+* a 24-worker desk bundle (``compare --bundle``, d=10,000, p=100, T=100,
+  three random delay stragglers);
+* a partial-cyc ``gd_decay --verify-decode`` simulate with three random
+  slowdown stragglers;
+* a p=1 bundle, where numpy's pairwise summation would differ from a
+  left-to-right one;
+* ``scheme build``, ``verify`` and ``inspect`` of a cyclic scheme and of
+  a two-stage plan;
+* a paper-scale bundle (d=554,400, split 12 ways) at T=5.
+
+Then it prints every CSV, config echo, exit code or output line that
+differs between the two trees, output paths stripped, and exits 1 if
+any does (0 if none). ``--small`` runs the same invocations at sizes
+that finish in about a second; ``--seed`` (default 0) moves every seed.
+The full run holds the paper-scale data, about 450 MB, in one
+subprocess at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MANIFEST = "parity-manifest.json"
+
+
+def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
+    """(name, argv after ``gradcode``) of each invocation, in run order."""
+    desk = ["--d", "2400", "--p", "10", "--iterations", "8"] if small else \
+        ["--d", "10000", "--p", "100", "--iterations", "100"]
+    thin = ["--d", "1200", "--p", "1", "--iterations", "8"] if small else \
+        ["--d", "4800", "--p", "1", "--iterations", "60"]
+    paper = ["--d", "6000", "--p", "20", "--iterations", "3"] if small else \
+        ["--d", "554400", "--p", "100", "--iterations", "5"]
+
+    def stragglers(count, kind, amount):
+        flag = "--straggler-extra" if kind == "delay" else "--straggler-alpha"
+        return ["--straggler-mode", "random", "--straggler-count", str(count),
+                "--straggler-kind", kind, flag, amount]
+
+    def bundle(prefix, n, s, size, offset):
+        return ["compare", "--bundle", "--n", str(n), "--s", str(s), *size,
+                *stragglers(s, "delay", "5"), "--seed-all", str(seed + offset),
+                "--out-prefix", prefix]
+
+    partial = ["simulate", "--strategy", "partial", "--kind", "cyc", "--n", "24", "--s", "3",
+               "--alpha", "2", "--optimizer", "gd_decay", "--verify-decode", *desk,
+               *stragglers(3, "slowdown", "2"), "--seed-all", str(seed + 10),
+               "--out", "partial.csv"]
+    return [
+        ("desk bundle", bundle("desk", 24, 3, desk, 0)),
+        ("partial simulate", partial),
+        ("p=1 bundle", bundle("thin", 12, 2, thin, 20)),
+        ("scheme build", ["scheme", "build", "--kind", "cyc", "--n", "24", "--s", "3",
+                          "--seed", str(seed + 30), "--out", "cyc.json"]),
+        ("scheme verify", ["scheme", "verify", "cyc.json"]),
+        ("scheme inspect", ["scheme", "inspect", "cyc.json"]),
+        ("plan build", ["scheme", "build", "--kind", "frac", "--n", "4", "--s", "1",
+                        "--alpha", "2", "--out", "plan.json"]),
+        ("plan verify", ["scheme", "verify", "plan.json"]),
+        ("plan inspect", ["scheme", "inspect", "plan.json"]),
+        ("paper bundle", bundle("paper", 12, 2, paper, 40)),
+    ]
+
+
+def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
+    """Run every invocation with ``src``'s gradcode, in ``workdir``.
+
+    Writes each one's exit code and output lines to ``MANIFEST`` there,
+    next to the files the invocations wrote.
+    """
+    sys.path.insert(0, os.path.abspath(src))
+    from gradcode import cli
+
+    os.chdir(workdir)
+    records = []
+    for name, argv in invocations(small, seed):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        text = out.getvalue() + err.getvalue()
+        lines = [line.replace(workdir, "") for line in text.splitlines()]
+        records.append({"name": name, "exit": code, "lines": lines})
+    Path(MANIFEST).write_text(json.dumps(records, indent=1) + "\n")
+
+
+def _first_difference(old: list[str], new: list[str]) -> str:
+    for i, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            return f"line {i + 1}: {a!r} != {b!r}"
+    return f"{len(old)} lines != {len(new)} lines"
+
+
+def differences(old_dir: Path, new_dir: Path) -> list[str]:
+    """One line per exit code, output line or written file that differs."""
+    found = []
+    old_runs = json.loads((old_dir / MANIFEST).read_text())
+    new_runs = json.loads((new_dir / MANIFEST).read_text())
+    for old, new in zip(old_runs, new_runs):
+        if old["exit"] != new["exit"]:
+            found.append(f"{old['name']}: exit {old['exit']} != {new['exit']}")
+        if old["lines"] != new["lines"]:
+            found.append(f"{old['name']} output: "
+                         f"{_first_difference(old['lines'], new['lines'])}")
+    old_files = {p.name for p in old_dir.iterdir()} - {MANIFEST}
+    new_files = {p.name for p in new_dir.iterdir()} - {MANIFEST}
+    for name in sorted(old_files ^ new_files):
+        found.append(f"{name}: written by {'OLD' if name in old_files else 'NEW'} only")
+    for name in sorted(old_files & new_files):
+        old_text = (old_dir / name).read_text().splitlines()
+        new_text = (new_dir / name).read_text().splitlines()
+        if old_text != new_text:
+            found.append(f"{name}: {_first_difference(old_text, new_text)}")
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--small", action="store_true",
+                        help="run every invocation at test sizes")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--run", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run:  # one tree's subprocess: old_src is the tree, new_src the directory
+        run_tree(args.old_src, args.new_src, args.small, args.seed)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = []
+        for tag, src in (("old", args.old_src), ("new", args.new_src)):
+            workdir = Path(tmp) / tag
+            workdir.mkdir()
+            cmd = [sys.executable, __file__, "--run", src, str(workdir), "--seed", str(args.seed)]
+            if args.small:
+                cmd.append("--small")
+            subprocess.run(cmd, check=True)
+            dirs.append(workdir)
+        found = differences(*dirs)
+    for line in found:
+        print(line)
+    count = len(invocations(args.small, args.seed))
+    print(f"parity: {len(found)} differences over {count} invocations")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
