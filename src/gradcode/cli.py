@@ -243,10 +243,15 @@ def _build_strategy(merged: dict) -> sim.Strategy:
 
 
 def _check_read(merged: dict, given: set[str]) -> None:
-    """Raise ConfigError for a key in ``given`` that the run never reads."""
+    """Raise ConfigError for a key in ``given`` that the run never reads.
+
+    A key left at its default counts as not set, so a run's own config
+    echo, which holds every key, reruns it.
+    """
     for key, (by, readers) in _READ_ONLY_UNDER.items():
         chosen = merged[by]
-        if key in given and merged[key] is not None and chosen not in (None, *readers):
+        if (key in given and merged[key] != _RUN_DEFAULTS[key]
+                and chosen not in (None, *readers)):
             raise ConfigError(f"the {chosen} {by} does not read {key}, given {merged[key]!r}")
 
 

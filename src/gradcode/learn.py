@@ -181,6 +181,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     # The numerator max(e^-|z|, z >= 0) is 1 or e^z, and NaN at NaN: the
     # values of np.where(z >= 0, 1.0, e^-|z|), which took 3.3 ms to
     # np.maximum's 0.73 ms over 443,520 values (2-core host, numpy 2.4.6).
+    # Working in one buffer skips two temporaries: over a paper partition's
+    # 36,960 values it took 0.43 ms to the two-line
+    # np.maximum(ez, z >= 0) / (1.0 + ez)'s 0.58 ms, and paper_bundle's
+    # round_ms_p50 was lower in 4 of 4 pairs (medians 59.5 and 60.7 ms).
     ez = np.abs(z, out=np.empty(z.shape))  # an array even when z is 0-d
     np.negative(ez, out=ez)
     np.exp(ez, out=ez)
@@ -268,10 +272,7 @@ def partition_gradients(
     """
     bounds = ds.partition_bounds
     row_bytes = ds.X.itemsize * ds.dim
-    if wanted is None:
-        G = np.empty((len(bounds), ds.dim))
-    else:
-        G = np.full((len(bounds), ds.dim), np.nan)
+    G = np.full((len(bounds), ds.dim), np.nan)
     first = 0
     while first < len(bounds):
         lo, hi = bounds[first]

@@ -170,6 +170,20 @@ def test_simulate_is_idempotent(tmp_path):
     assert (tmp_path / "run.csv.config.json").read_bytes() == first_echo
 
 
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--strategy", "partial", "--kind", "cyc", "--s", 1, "--alpha", 2.0,
+     "--optimizer", "gd_decay", "--c1", 0.5, "--c2", 5.0],
+])
+def test_simulate_reruns_from_its_own_config_echo(tmp_path, extra):
+    assert run(*sim_args(tmp_path, *extra)) == 0
+    echo = tmp_path / "run.csv.config.json"
+    again = tmp_path / "again.csv"
+    assert run("simulate", "--config", echo, "--out", again) == 0
+    assert again.read_bytes() == (tmp_path / "run.csv").read_bytes()
+    assert (tmp_path / "again.csv.config.json").read_bytes() == echo.read_bytes()
+
+
 def test_simulate_without_seeds_demands_them(tmp_path, capsys):
     code = run("simulate", "--strategy", "naive", "--n", 4, "--d", 480, "--p", 6,
                "--iterations", 3, "--out", tmp_path / "x.csv")
@@ -496,6 +510,18 @@ def test_compare_bundle_four_strategies(tmp_path, capsys):
     assert thresholds and "naive_sim_time_s" in thresholds[0]
     echo = json.loads((tmp_path / "cmp.config.json").read_text())
     assert len(echo["runs"]) == 4
+
+
+def test_compare_reruns_from_its_own_config_echo(tmp_path):
+    assert run("compare", "--bundle", "--n", 4, "--s", 1, "--d", 480, "--p", 6,
+               "--iterations", 3, "--seed-all", 40, "--out-prefix", tmp_path / "a") == 0
+    assert run("compare", "--config", tmp_path / "a.config.json",
+               "--out-prefix", tmp_path / "b") == 0
+    firsts = sorted(tmp_path.glob("a_*.csv"))
+    assert len(firsts) == 6  # four runs, iterations and thresholds
+    for first in firsts:
+        again = tmp_path / ("b" + first.name[1:])
+        assert again.read_bytes() == first.read_bytes()
 
 
 def test_compare_config_mode_and_degenerate_single(tmp_path):
