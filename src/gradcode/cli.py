@@ -115,8 +115,9 @@ _RUN_SCHEMA: dict[str, _Field] = {
 # entries only, never from flags.
 _PER_RUN_KEYS = ("strategy", "scheme_file", "kind", "alpha", "label")
 _RUN_DEFAULTS = {key: field.default for key, field in _RUN_SCHEMA.items()}
-# Settings a run reads only under some strategies or optimizers: key ->
-# (the setting that decides, the values under which the key is read).
+# Settings a run reads only under some strategies, optimizers or
+# straggler settings: key -> (the setting that decides, the values under
+# which the key is read). A key is read only if its decider is read too.
 _READ_ONLY_UNDER = {
     "alpha": ("strategy", ("partial",)),
     "s": ("strategy", ("ignore", "coded", "partial")),
@@ -125,6 +126,9 @@ _READ_ONLY_UNDER = {
     "eta": ("optimizer", (learn.NAG,)),
     "c1": ("optimizer", (learn.GD_DECAY,)),
     "c2": ("optimizer", (learn.GD_DECAY,)),
+    "straggler_kind": ("straggler_mode", ("fixed", "random")),
+    "straggler_extra": ("straggler_kind", ("delay",)),
+    "straggler_alpha": ("straggler_kind", ("slowdown",)),
 }
 
 
@@ -246,13 +250,21 @@ def _check_read(merged: dict, given: set[str]) -> None:
     """Raise ConfigError for a key in ``given`` that the run never reads.
 
     A key left at its default counts as not set, so a run's own config
-    echo, which holds every key, reruns it.
+    echo, which holds every key, reruns it. The error names the topmost
+    decider, along the key's chain of them, that rules the key out.
     """
-    for key, (by, readers) in _READ_ONLY_UNDER.items():
-        chosen = merged[by]
-        if (key in given and merged[key] != _RUN_DEFAULTS[key]
-                and chosen not in (None, *readers)):
-            raise ConfigError(f"the {chosen} {by} does not read {key}, given {merged[key]!r}")
+    for key in _READ_ONLY_UNDER:
+        if key not in given or merged[key] == _RUN_DEFAULTS[key]:
+            continue
+        unread, by = None, key
+        while by in _READ_ONLY_UNDER:
+            by, readers = _READ_ONLY_UNDER[by]
+            if merged[by] not in (None, *readers):
+                unread = by
+        if unread is not None:
+            raise ConfigError(
+                f"the {merged[unread]} {unread} does not read {key}, given {merged[key]!r}"
+            )
 
 
 def _training_config(merged: dict, given: set[str]) -> sim.TrainingConfig:

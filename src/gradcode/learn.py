@@ -306,6 +306,14 @@ def lipschitz_bound(X: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[-1]) / 4.0
 
 
+def require_both_classes(labels: np.ndarray) -> int:
+    """The number of positive labels; DegenerateLabels unless both classes occur."""
+    n_pos = int(np.count_nonzero(labels))
+    if n_pos == 0 or n_pos == labels.size:
+        raise DegenerateLabels(f"need both classes, got {n_pos} positives of {labels.size}")
+    return n_pos
+
+
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve via average ranks (ties count half).
 
@@ -318,10 +326,8 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
             f"scores {scores.shape} and labels {labels.shape} do not line up"
         )
     pos = labels.astype(bool)
-    n_pos = int(np.count_nonzero(pos))
+    n_pos = require_both_classes(pos)
     n_neg = pos.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels(f"need both classes, got {n_pos} positives of {pos.size}")
     # NaN ranks would depend on the sort order; every other score gets its
     # tie group's mean rank, so any sort, stable or not, gives the same AUC.
     if np.isnan(scores).any():

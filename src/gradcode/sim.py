@@ -1,20 +1,16 @@
 """Deterministic simulator for synchronous distributed gradient descent.
 
 Each training iteration is one synchronous round. A strategy is one
-``Strategy`` value, its message layout: per stage (a naive stage, a
-coded stage, or both in turn), an index array of the partitions each
-worker's message sums and a coefficient array of their weights, summed
-left to right; and one of four aggregation rules. ``Naive``,
-``IgnoreStragglers``, ``Coded`` and ``PartialCoded`` build the four of
-them:
-
-* every naive message (naive); the update is the exact gradient;
-* the first n - s naive messages, summed (ignore-stragglers): a biased,
-  partial gradient;
-* the first n - s coded messages, decoded (coded): the exact gradient
-  whichever set arrived;
-* every naive message plus the first n - s coded messages, decoded
-  (two-stage): again exact.
+``Strategy`` value: its message stages (a naive stage, a coded stage, or
+both in turn), each an index array of the partitions each worker's
+message sums and a coefficient array of their weights, summed left to
+right; its straggler tolerance s; and an optional code. One aggregation
+rule serves ``Naive``, ``IgnoreStragglers``, ``Coded`` and
+``PartialCoded`` alike: the aggregator needs every message of each stage
+but the last and the first n - s of the last stage, decoded when there
+is a code and summed otherwise. So naive (s = 0) and a two-stage plan
+get the exact gradient, as a code does whichever n - s messages arrive,
+and ignore-stragglers gets a biased, partial sum.
 
 ``build_layout`` adds only each worker's stage rows over one run's
 partitioned training set (``Layout``), once per run. A round draws the
@@ -73,9 +69,6 @@ DEFAULT_JITTER_SIGMA = math.log(5.0) / 1.6448536269514722
 
 EXACT = "exact"
 PARTIAL_SUM = "partial_sum"
-
-MSG_NAIVE = "naive"
-MSG_CODED = "coded"
 
 
 # ---------------------------------------------------------------------------
@@ -156,35 +149,43 @@ NO_STRAGGLERS = StragglerPolicy()
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """What each worker sends in a round, and the aggregation rule.
+    """What each worker sends in a round, and how much of it is needed.
 
-    Each of the n workers runs the stages in order and sends a message
-    of kind ``kinds[k]`` once stage k's compute is done. Stage k is two
-    read-only ``(n, t)`` arrays: worker w's stage-k message is the sum,
-    left to right, of ``coef[k][w, i] * g[index[k][w, i]]`` over its t
-    partition gradients g (a plain term has coefficient 1.0, and
-    ``1.0 * g == g`` exactly). The rule needs every message of stage
-    ``every`` and the first n - s of stage ``first``, decoded with
-    ``code`` when there is one and summed otherwise; either stage may be
-    None. Build one with ``Naive``, ``IgnoreStragglers``, ``Coded`` or
-    ``PartialCoded``.
+    Each of the n workers runs the stages in order and sends one message
+    once each stage's compute is done. Stage k is two read-only ``(n, t)``
+    arrays: worker w's stage-k message is the sum, left to right, of
+    ``coef[k][w, i] * g[index[k][w, i]]`` over its t partition gradients
+    g (a plain term has coefficient 1.0, and ``1.0 * g == g`` exactly).
+    The aggregator needs every message of each stage but the last and
+    the first n - s of the last stage, decoded with ``code`` when there
+    is one and summed otherwise. Build one with ``Naive``,
+    ``IgnoreStragglers``, ``Coded`` or ``PartialCoded``.
     """
 
     label: str
-    n: int
     s: int
-    partition_count: int
-    kinds: tuple[str, ...]
     index: tuple[np.ndarray, ...]
     coef: tuple[np.ndarray, ...]
-    every: int | None
-    first: int | None
     code: GradientCode | None = None
 
     def __post_init__(self):
         for arrays in (self.index, self.coef):
             for a in arrays:
                 a.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.index[0])
+
+    @property
+    def partition_count(self) -> int:
+        return max(int(index.max()) for index in self.index) + 1
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """Each stage's message kind: only a decoded last stage is coded."""
+        last = "coded" if self.code is not None else "naive"
+        return ("naive",) * (len(self.index) - 1) + (last,)
 
 
 def _plain_stage(index) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +205,7 @@ def Naive(n: int) -> Strategy:
     if n < 1:
         raise ConfigError(f"need at least one worker, got n={n}")
     index, coef = _plain_stage(np.arange(n)[:, None])
-    return Strategy("naive", n, 0, n, (MSG_NAIVE,), (index,), (coef,), every=0, first=None)
+    return Strategy("naive", 0, (index,), (coef,))
 
 
 def IgnoreStragglers(n: int, s: int) -> Strategy:
@@ -212,47 +213,19 @@ def IgnoreStragglers(n: int, s: int) -> Strategy:
     if not 1 <= s < n:
         raise ConfigError(f"need 1 <= s < n, got s={s}, n={n}")
     index, coef = _plain_stage(np.arange(n)[:, None])
-    return Strategy(
-        f"ignore_s{s}", n, s, n, (MSG_NAIVE,), (index,), (coef,), every=None, first=0
-    )
+    return Strategy(f"ignore_s{s}", s, (index,), (coef,))
 
 
 def Coded(code: GradientCode) -> Strategy:
     """A gradient code: any n - s messages reproduce the exact gradient."""
     index, coef = _coded_stage(code)
-    return Strategy(
-        f"{code.kind}_n{code.n}_s{code.s}", code.n, code.s, code.k,
-        (MSG_CODED,), (index,), (coef,), every=None, first=0, code=code,
-    )
+    return Strategy(f"{code.kind}_n{code.n}_s{code.s}", code.s, (index,), (coef,), code)
 
 
 def PartialCoded(plan: TwoStagePlan) -> Strategy:
     """Two-stage plan: all naive sums plus any n - s coded messages."""
     stages = (_plain_stage(plan.naive_assignment), _coded_stage(plan.code, plan.coded_offset))
-    return Strategy(
-        f"partial_{plan.code.kind}_a{plan.alpha:g}", plan.n, plan.s, plan.total_partitions,
-        (MSG_NAIVE, MSG_CODED), *zip(*stages), every=0, first=1, code=plan.code,
-    )
-
-
-def validate_policy(policy: StragglerPolicy, strategy: Strategy) -> None:
-    """Cross-checks that need both halves of the configuration."""
-    n = strategy.n
-    if policy.mode == "fixed":
-        bad = [w for w in policy.workers if not 0 <= w < n]
-        if bad:
-            raise IndexOutOfRange(f"straggler workers {bad} not in [0, {n})")
-        chosen = len(policy.workers)
-    elif policy.mode == "random":
-        chosen = policy.count
-    else:
-        return
-    if chosen >= n:
-        raise ConfigError(f"{chosen} stragglers leaves no working cluster of {n}")
-    # Waiting for the first n - s messages is only meaningful within s;
-    # waiting for every message runs under any injection.
-    if strategy.first is not None and chosen > strategy.s:
-        raise ConfigError(f"{chosen} stragglers exceeds the strategy's tolerance s={strategy.s}")
+    return Strategy(f"partial_{plan.code.kind}_a{plan.alpha:g}", plan.s, *zip(*stages), plan.code)
 
 
 @dataclass(frozen=True)
@@ -292,7 +265,18 @@ class TrainingConfig:
                 f"{train_rows} training rows (d={self.d} less the holdout) "
                 f"cannot fill {self.strategy.partition_count} partitions"
             )
-        validate_policy(self.policy, self.strategy)
+        n, s = self.strategy.n, self.strategy.s
+        bad = [w for w in self.policy.workers if not 0 <= w < n]
+        if bad:
+            raise IndexOutOfRange(f"straggler workers {bad} not in [0, {n})")
+        # A policy sets workers (fixed mode) or a count (random), not both.
+        chosen = len(self.policy.workers) + self.policy.count
+        if chosen >= n:
+            raise ConfigError(f"{chosen} stragglers leaves no working cluster of {n}")
+        # Waiting for the first n - s messages is only meaningful within s;
+        # with s = 0 every message is needed, which runs under any injection.
+        if s and chosen > s:
+            raise ConfigError(f"{chosen} stragglers exceeds the strategy's tolerance s={s}")
 
     @property
     def run_label(self) -> str:
@@ -392,9 +376,8 @@ def time_round(
     """Draw the stragglers and time one round, with no gradient work.
 
     Returns (arrival times indexed [stage, worker], round duration,
-    survivors): the senders of stage ``first``'s first n - s messages,
-    or every worker. Raises StarvedIteration when a required message can
-    never arrive.
+    survivors): the senders of the last stage's first n - s messages.
+    Raises StarvedIteration when a required message can never arrive.
     """
     strategy = layout.strategy
     n = strategy.n
@@ -423,25 +406,21 @@ def time_round(
     for k in range(1, len(rows)):
         compute = compute + scale * rows[k]
         finish[k] = compute + (k + 1) * latency.comm_time + extra
-    duration = 0.0
-    survivors = tuple(range(n))
-    if strategy.every is not None:
-        duration = float(np.max(finish[strategy.every]))
-        if not math.isfinite(duration):
-            raise StarvedIteration(
-                f"the aggregator needs every {strategy.kinds[strategy.every]} message; "
-                "a full delay never arrives"
-            )
-    if strategy.first is not None:
-        times = finish[strategy.first]
-        need = n - strategy.s
-        # A stable sort breaks ties by worker index.
-        first = np.argsort(times, kind="stable")[:need]
-        last = float(times[first[-1]])
-        if not math.isfinite(last):
-            raise StarvedIteration(f"fewer than {need} of {n} workers can ever finish")
-        duration = max(duration, last)
-        survivors = tuple(sorted(first.tolist()))
+    # Every message of the earlier stages, then the first n - s of the last.
+    duration = float(finish[:-1].max(initial=0.0))
+    if not math.isfinite(duration):
+        raise StarvedIteration(
+            "the aggregator needs every naive message; a full delay never arrives"
+        )
+    times = finish[-1]
+    need = n - strategy.s
+    # A stable sort breaks ties by worker index.
+    first = np.argsort(times, kind="stable")[:need]
+    last = float(times[first[-1]])
+    if not math.isfinite(last):
+        raise StarvedIteration(f"fewer than {need} of {n} workers can ever finish")
+    duration = max(duration, last)
+    survivors = tuple(sorted(first.tolist()))
     return finish, duration, survivors
 
 
@@ -473,23 +452,20 @@ def run_iteration(
         for kind, times in zip(strategy.kinds, finish.tolist())
         for w, t in enumerate(times)
     )
-    used = []
-    if strategy.every is not None:
-        used.append((strategy.index[strategy.every], strategy.coef[strategy.every]))
-    if strategy.first is not None:
-        rows = list(survivors)
-        used.append((strategy.index[strategy.first][rows], strategy.coef[strategy.first][rows]))
+    rows = list(survivors)
+    used = [*zip(strategy.index[:-1], strategy.coef[:-1]),
+            (strategy.index[-1][rows], strategy.coef[-1][rows])]
     check = verify_decode and strategy.code is not None
     wanted = None if check else set(np.concatenate([i.ravel() for i, _ in used]).tolist())
     G = learn.partition_gradients(train, point, logits, wanted)
     parts = [_messages(G, index, coef) for index, coef in used]
     if strategy.code is not None:
-        # The coded messages are the last stage used, one per survivor.
+        # The coded messages are the last stage's, one per survivor.
         parts[-1] *= decode_row(strategy.code, survivors, cache).coeffs[:, None]
     gradient = _sequential_sum(np.concatenate(parts))
     if check:
         _check_exact(gradient, G, survivors)
-    kind = EXACT if strategy.first is None or strategy.code is not None else PARTIAL_SUM
+    kind = EXACT if strategy.code is not None or strategy.s == 0 else PARTIAL_SUM
     return gradient, duration, survivors, kind, events
 
 
@@ -540,6 +516,9 @@ def prepare_data(config: TrainingConfig) -> TrainingData:
     data_rng = make_rng(config.seeds.data)
     dataset, _ = learn.gen_synthetic(data_rng, config.d, config.p)
     train, holdout = learn.holdout_split(dataset, config.holdout_frac, data_rng)
+    # Every run takes the holdout's AUC, so a one-class holdout fails here,
+    # before any training.
+    learn.require_both_classes(holdout.y)
     # The split is the generated array, shuffled in place: one copy of the data.
     return TrainingData(data_key(config), train, holdout)
 

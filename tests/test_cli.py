@@ -72,6 +72,28 @@ def test_build_cyc_without_seed_is_usage_error(tmp_path):
                "--out", tmp_path / "c.json") == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "frac"], "--s is required for kind 'frac'"),
+    (["--kind", "cyc", "--seed", 1], "--s is required for kind 'cyc'"),
+    (["--kind", "naive", "--alpha", 2.0], "two-stage plans need a frac or cyc stage-two code"),
+    (["--kind", "naive", "--s", 2], "the naive scheme has no straggler tolerance"),
+])
+def test_build_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "s.json"
+    assert run("scheme", "build", "--n", 4, *argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_naive_writes_the_identity(tmp_path, capsys):
+    out = tmp_path / "naive.json"
+    assert run("scheme", "build", "--kind", "naive", "--n", 4, "--out", out) == 0
+    assert "kind=naive n=4 k=4 s=0" in capsys.readouterr().out
+    code = codec.import_code(out)
+    assert (code.kind, code.s) == ("naive", 0)
+    assert np.array_equal(code.B, np.eye(4))
+
+
 def test_build_plan_and_inspect(tmp_path, capsys):
     out = tmp_path / "plan.json"
     assert run("scheme", "build", "--kind", "cyc", "--seed", 5, "--n", 3, "--s", 1,
@@ -174,6 +196,8 @@ def test_simulate_is_idempotent(tmp_path):
     [],
     ["--strategy", "partial", "--kind", "cyc", "--s", 1, "--alpha", 2.0,
      "--optimizer", "gd_decay", "--c1", 0.5, "--c2", 5.0],
+    ["--straggler-mode", "random", "--straggler-count", 1, "--straggler-kind", "slowdown",
+     "--straggler-alpha", 2.0],
 ])
 def test_simulate_reruns_from_its_own_config_echo(tmp_path, extra):
     assert run(*sim_args(tmp_path, *extra)) == 0
@@ -424,6 +448,13 @@ UNREAD = [
     ({"strategy": "naive", "n": 4, "optimizer": "gd_decay", "eta": 0.01}, "eta"),
     ({"strategy": "naive", "n": 4, "c1": 0.5}, "c1"),
     ({"strategy": "naive", "n": 4, "c2": 5.0}, "c2"),
+    ({"strategy": "naive", "n": 4, "straggler_mode": "random", "straggler_count": 1,
+      "straggler_kind": "delay", "straggler_alpha": 3.0}, "straggler_alpha"),
+    ({"strategy": "ignore", "n": 4, "s": 1, "straggler_mode": "random", "straggler_count": 1,
+      "straggler_kind": "slowdown", "straggler_alpha": 2.0, "straggler_extra": 7.0},
+     "straggler_extra"),
+    ({"strategy": "naive", "n": 4, "straggler_extra": 7.0}, "straggler_extra"),
+    ({"strategy": "naive", "n": 4, "straggler_kind": "slowdown"}, "straggler_kind"),
 ]
 
 
@@ -446,6 +477,32 @@ def test_a_setting_the_run_never_reads_is_a_validation_error(
     assert f"does not read {key}, given" in err
     assert "run " not in out
     assert list(tmp_path.glob("x*")) == []
+
+
+@pytest.mark.parametrize("flags, decider", [
+    (["--straggler-extra", 7], "the none straggler_mode does not read straggler_extra"),
+    (["--straggler-kind", "slowdown", "--straggler-extra", 7],
+     "the none straggler_mode does not read straggler_kind"),
+    (["--straggler-mode", "fixed", "--straggler-workers", "1", "--straggler-kind", "slowdown",
+      "--straggler-alpha", 2, "--straggler-extra", 7],
+     "the slowdown straggler_kind does not read straggler_extra"),
+])
+def test_an_unread_setting_names_the_topmost_decider_that_rules_it_out(
+    tmp_path, capsys, flags, decider
+):
+    assert run(*sim_args(tmp_path, *flags)) == 3
+    assert decider in capsys.readouterr().err
+
+
+def test_compare_straggler_flags_and_shared_values_apply_to_the_runs_that_read_them(tmp_path):
+    config = {
+        "shared": {"d": 480, "p": 6, "iterations": 2, "seed_all": 3, "straggler_extra": 7.0},
+        "runs": [{"strategy": "naive", "n": 4}],
+    }
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--straggler-kind", "slowdown",
+               "--straggler-alpha", 3.0, "--out-prefix", tmp_path / "x") == 0
 
 
 def test_compare_flags_and_shared_values_apply_to_the_runs_that_read_them(tmp_path):
@@ -481,6 +538,56 @@ def test_simulate_starved_iteration_exit_code(tmp_path, capsys):
                "--out", tmp_path / "x.csv")
     assert code == 4
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_a_code_of_zero_tolerance_runs_under_stragglers_like_naive(tmp_path):
+    scheme = tmp_path / "naive.json"
+    assert run("scheme", "build", "--kind", "naive", "--n", 4, "--out", scheme) == 0
+    flags = ["--d", 480, "--p", 6, "--iterations", 4, "--seed-all", 5,
+             "--straggler-mode", "random", "--straggler-count", 2,
+             "--straggler-kind", "delay", "--straggler-extra", 9.0]
+    assert run("simulate", "--strategy", "coded", "--scheme-file", scheme, *flags,
+               "--out", tmp_path / "coded.csv") == 0
+    assert run("simulate", "--strategy", "naive", "--n", 4, *flags,
+               "--out", tmp_path / "naive.csv") == 0
+    coded, naive = read_csv(tmp_path / "coded.csv"), read_csv(tmp_path / "naive.csv")
+    assert [row["strategy"] for row in coded] == ["naive_n4_s0"] * 4
+    for row in coded + naive:
+        row.pop("strategy")
+    assert coded == naive
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--strategy", "naive", "--n", 2, "--out", "x.csv"],
+    ["compare", "--bundle", "--n", 2, "--s", 1, "--out-prefix", "x"],
+])
+def test_a_one_class_holdout_fails_before_any_round(tmp_path, capsys, monkeypatch, argv):
+    # d=10 holds out 2 rows; under data seed 1 both are positive.
+    rounds = []
+    monkeypatch.setattr(sim, "run_iteration", lambda *a, **kw: rounds.append(a))
+    argv = [tmp_path / a if a.startswith("x") else a for a in map(str, argv)]
+    assert run(*argv, "--d", 10, "--p", 2, "--iterations", 3, "--seed-all", 0) == 3
+    out, err = capsys.readouterr()
+    assert "need both classes, got 2 positives of 2" in err
+    assert "run " not in out
+    assert list(tmp_path.glob("x*")) == []
+    assert rounds == []
+
+
+def test_verify_decode_turns_a_wrong_decode_into_a_span_failure(tmp_path, capsys, monkeypatch):
+    decode = sim.decode_row
+
+    def off(code, survivors, cache=None):
+        row = decode(code, survivors, cache)
+        return codec.DecodeRow(row.survivors, row.coeffs * 1.01, row.residual)
+
+    monkeypatch.setattr(sim, "decode_row", off)
+    argv = ["simulate", "--strategy", "coded", "--kind", "frac", "--n", 4, "--s", 1,
+            "--d", 480, "--p", 6, "--iterations", 3, "--seed-all", 5]
+    assert run(*argv, "--out", tmp_path / "unchecked.csv") == 0
+    assert run(*argv, "--verify-decode", "--out", tmp_path / "x.csv") == 4
+    assert "numerical error: decoded gradient off by" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_policy_over_tolerance_is_validation_error(tmp_path):

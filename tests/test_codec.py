@@ -30,6 +30,7 @@ from gradcode.errors import (
     IndexOutOfRange,
     NonFinite,
     ParseError,
+    RetryExhausted,
     SpanFailure,
 )
 from gradcode.numerics import make_rng
@@ -165,6 +166,21 @@ def test_build_cyc_deterministic_per_seed():
     assert np.array_equal(a.B, b.B)
     assert a.h_seed == b.h_seed
     assert not np.array_equal(a.B, c.B)
+
+
+def test_build_cyc_gives_up_after_its_draw_budget(monkeypatch):
+    # Equal rows that vanish on columns 1..s: row 0's support cannot
+    # reach H[:, 0] from them, whatever the seed.
+    seeds = []
+
+    def rank_one(n, s, h_seed):
+        seeds.append(h_seed)
+        return np.tile(np.r_[1.0, np.zeros(n - 2), -1.0], (s, 1))
+
+    monkeypatch.setattr(codec, "cyc_h_matrix", rank_one)
+    with pytest.raises(RetryExhausted, match="in 5 attempts starting at seed 7"):
+        codec.build_cyc(6, 2, seed=7)
+    assert seeds == list(range(7, 7 + codec.MAX_CONSTRUCTION_DRAWS))
 
 
 @pytest.mark.parametrize(

@@ -292,11 +292,9 @@ def _reference_layout(name):
 
 
 def _reference_gradient(strategy, stages, G, survivors):
-    used = []
-    if strategy.every is not None:
-        used += stages[strategy.every]
-    if strategy.first is not None:
-        used += [stages[strategy.first][w] for w in survivors]
+    # Every message of the earlier stages, then the survivors' last-stage ones.
+    used = [terms for stage in stages[:-1] for terms in stage]
+    used += [stages[-1][w] for w in survivors]
     parts = [_reference_message(G, terms) for terms in used]
     if strategy.code is not None:
         row = codec.decode_row(strategy.code, survivors)
@@ -338,6 +336,28 @@ def test_sequential_sum_adds_rows_left_to_right(shape):
     for _ in range(20):
         parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
         assert np.array_equal(sim._sequential_sum(parts), seq_sum(list(parts)))
+
+
+@pytest.mark.parametrize("n, s", [(4, 1), (6, 1), (6, 2), (12, 2), (12, 3)])
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 4.0])
+def test_size_and_message_kinds_derive_from_the_stages(n, s, alpha):
+    # (strategy, workers, partitions, stage kinds), the sizes as each
+    # constructor's input holds them
+    frac = codec.build_frac(n, s)
+    plans = [partial.plan_partial(n, s, alpha, kind=kind, seed=3)
+             for kind in (codec.FRAC, codec.CYC)]
+    cases = [
+        (sim.Naive(n), n, n, ("naive",)),
+        (sim.IgnoreStragglers(n, s), n, n, ("naive",)),
+        (sim.Coded(frac), frac.n, frac.k, ("coded",)),
+        (sim.Coded(codec.build_cyc(n, s, 3)), n, n, ("coded",)),
+        (sim.Coded(codec.build_naive(n)), n, n, ("coded",)),
+    ] + [(sim.PartialCoded(plan), plan.n, plan.total_partitions, ("naive", "coded"))
+         for plan in plans]
+    for strategy, workers, partitions, kinds in cases:
+        assert strategy.n == workers
+        assert strategy.partition_count == partitions
+        assert strategy.kinds == kinds
 
 
 @pytest.mark.parametrize(
@@ -571,6 +591,19 @@ def test_partial_naive_stage_starves_on_full_delay():
         sim.run_training(cfg)
 
 
+@pytest.mark.parametrize("make, d, waited_for", [
+    (lambda: sim.Naive(4), 512, "fewer than 4 of 4 workers can ever finish"),
+    (lambda: sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.FRAC)), 960,
+     "the aggregator needs every naive message"),
+], ids=["naive", "partial"])
+def test_a_starved_round_names_the_messages_it_waits_for(make, d, waited_for):
+    # Naive waits for all n last-stage messages; a two-stage plan for every
+    # message of its earlier, naive stage.
+    policy = sim.StragglerPolicy(mode="fixed", workers=(1,), kind="delay", extra=math.inf)
+    with pytest.raises(StarvedIteration, match=waited_for):
+        sim.run_training(small_config(make(), policy=policy, d=d))
+
+
 def test_coded_survives_full_delay_within_tolerance():
     policy = sim.StragglerPolicy(mode="fixed", workers=(2,), kind="delay", extra=math.inf)
     cfg = small_config(sim.Coded(codec.build_frac(4, 1)), policy=policy)
@@ -609,6 +642,7 @@ def test_policy_validation():
         (sim.IgnoreStragglers(4, 1), False),
         (sim.Coded(codec.build_frac(4, 1)), False),
         (sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.FRAC)), False),
+        (sim.Coded(codec.build_naive(4)), True),
     ],
 )
 def test_tolerance_check_follows_the_aggregation_rule(strategy, accepts):

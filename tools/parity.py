@@ -17,7 +17,12 @@ directory:
   left-to-right one;
 * ``scheme build``, ``verify`` and ``inspect`` of a cyclic scheme and of
   a two-stage plan;
-* a paper-scale bundle (d=554,400, split 12 ways) at T=5.
+* a paper-scale bundle (d=554,400, split 12 ways) at T=5;
+* one simulate for each way the aggregation rule can end a round or a
+  run: naive under fixed finite delays, naive starved by an infinite one
+  (exit 4), ignore-stragglers over its tolerance (exit 3), and frac
+  under infinite delays within its tolerance;
+* a p=1 bundle without jitter, where arrival ties are common.
 
 Then it prints every CSV, config echo, exit code or output line that
 differs between the two trees, output paths stripped, and exits 1 if
@@ -65,6 +70,14 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                "--alpha", "2", "--optimizer", "gd_decay", "--verify-decode", *desk,
                *stragglers(3, "slowdown", "2"), "--seed-all", str(seed + 10),
                "--out", "partial.csv"]
+
+    def delayed(strategy, mode, extra, offset, out):
+        chosen = ["--straggler-workers", "2,5"] if mode == "fixed" else \
+            ["--straggler-count", "3"]
+        return ["simulate", "--strategy", *strategy, "--n", "24", *desk,
+                "--straggler-mode", mode, *chosen, "--straggler-kind", "delay",
+                "--straggler-extra", extra, "--seed-all", str(seed + offset), "--out", out]
+
     return [
         ("desk bundle", bundle("desk", 24, 3, desk, 0)),
         ("partial simulate", partial),
@@ -78,6 +91,14 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
         ("plan verify", ["scheme", "verify", "plan.json"]),
         ("plan inspect", ["scheme", "inspect", "plan.json"]),
         ("paper bundle", bundle("paper", 12, 2, paper, 40)),
+        ("naive delayed", delayed(["naive"], "fixed", "5", 50, "naive.csv")),
+        ("naive starved", delayed(["naive"], "fixed", "inf", 50, "starved.csv")),
+        ("ignore over tolerance", delayed(["ignore", "--s", "2"], "random", "5", 60,
+                                          "over.csv")),
+        ("frac infinite delay", delayed(["coded", "--kind", "frac", "--s", "3"], "random",
+                                        "inf", 70, "frac.csv")),
+        ("p=1 bundle without jitter", [*bundle("still", 12, 2, thin, 80),
+                                       "--jitter-sigma", "none"]),
     ]
 
 
