@@ -72,8 +72,9 @@ def _parse_jitter(text: str) -> float | None:
         raise argparse.ArgumentTypeError(f"wants a number or 'none': {err}")
 
 
-# Everything a run can configure, one flag each. Paths are flag-only so
-# config files stay relocatable.
+# Everything a run can configure, one flag each, with the library's
+# defaults and choices. Paths are flag-only so config files stay
+# relocatable.
 _RUN_SCHEMA: dict[str, _Field] = {
     "strategy": _Field(str, None, ("naive", "ignore", "coded", "partial")),
     "scheme_file": _Field(str, None),
@@ -81,35 +82,36 @@ _RUN_SCHEMA: dict[str, _Field] = {
     "n": _Field(int, None),
     "s": _Field(int, None),
     "alpha": _Field(float, None),
-    "d": _Field(int, 10000),
-    "p": _Field(int, 100),
-    "iterations": _Field(int, 100),
-    "optimizer": _Field(str, learn.NAG, (learn.NAG, learn.GD_DECAY)),
-    "eta": _Field(float, None),
-    "c1": _Field(float, None),
-    "c2": _Field(float, 10.0),
-    "compute_time": _Field(float, 1.0),
-    "comm_time": _Field(float, 0.05),
+    "d": _Field(int, sim.TrainingConfig.d),
+    "p": _Field(int, sim.TrainingConfig.p),
+    "iterations": _Field(int, sim.TrainingConfig.iterations),
+    "optimizer": _Field(str, learn.OptimizerConfig.method, learn.METHODS),
+    "eta": _Field(float, learn.OptimizerConfig.eta),
+    "c1": _Field(float, learn.OptimizerConfig.c1),
+    "c2": _Field(float, learn.OptimizerConfig.c2),
+    "compute_time": _Field(float, sim.LatencyModel.compute_time_per_partition),
+    "comm_time": _Field(float, sim.LatencyModel.comm_time),
     # Like every field whose default is None, this one may be null in a
     # config file: no jitter.
-    "jitter_sigma": _Field(float, sim.DEFAULT_JITTER_SIGMA, None, "number or 'none'",
-                           _parse_jitter),
-    "straggler_mode": _Field(str, "none", ("none", "fixed", "random")),
-    "straggler_workers": _Field(tuple, (), None, "comma-separated worker indices",
-                                _parse_workers),
-    "straggler_count": _Field(int, 0),
-    "straggler_kind": _Field(str, "delay", ("delay", "slowdown")),
-    "straggler_extra": _Field(float, 0.0, None, "seconds added per message (inf allowed)"),
-    "straggler_alpha": _Field(float, 1.0),
-    "holdout_frac": _Field(float, 0.2),
-    "auc_interval": _Field(int, 10),
+    "jitter_sigma": _Field(float, sim.LatencyModel.jitter_sigma, None,
+                           "number or 'none'", _parse_jitter),
+    "straggler_mode": _Field(str, sim.StragglerPolicy.mode, sim.STRAGGLER_MODES),
+    "straggler_workers": _Field(tuple, sim.StragglerPolicy.workers, None,
+                                "comma-separated worker indices", _parse_workers),
+    "straggler_count": _Field(int, sim.StragglerPolicy.count),
+    "straggler_kind": _Field(str, sim.StragglerPolicy.kind, sim.STRAGGLER_KINDS),
+    "straggler_extra": _Field(float, sim.StragglerPolicy.extra, None,
+                              "seconds added per message (inf allowed)"),
+    "straggler_alpha": _Field(float, sim.StragglerPolicy.alpha),
+    "holdout_frac": _Field(float, sim.TrainingConfig.holdout_frac),
+    "auc_interval": _Field(int, sim.TrainingConfig.auc_interval),
     "seed_all": _Field(int, None, None, "derive the four sub-seeds as N, N+1, N+2, N+3"),
     "seed_scheme": _Field(int, None),
     "seed_data": _Field(int, None),
     "seed_latency": _Field(int, None),
     "seed_straggler": _Field(int, None),
-    "label": _Field(str, None),
-    "verify_decode": _Field(bool, False),
+    "label": _Field(str, sim.TrainingConfig.label),
+    "verify_decode": _Field(bool, sim.TrainingConfig.verify_decode),
 }
 # What tells a compare's runs apart: compare reads these from its run
 # entries only, never from flags.
@@ -123,6 +125,7 @@ _READ_ONLY_UNDER = {
     "s": ("strategy", ("ignore", "coded", "partial")),
     "kind": ("strategy", ("coded", "partial")),
     "scheme_file": ("strategy", ("coded", "partial")),
+    "verify_decode": ("strategy", ("coded", "partial")),
     "eta": ("optimizer", (learn.NAG,)),
     "c1": ("optimizer", (learn.GD_DECAY,)),
     "c2": ("optimizer", (learn.GD_DECAY,)),
@@ -642,10 +645,7 @@ def main(argv: list[str] | None = None) -> int:
     except NUMERICAL_ERRORS as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except IO_ERRORS as err:
-        print(f"file error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as err:
+    except (*IO_ERRORS, OSError) as err:
         print(f"file error: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -11,7 +11,8 @@ exactly the requirement that the all-ones row lies in the span of every
 Two constructions are provided with minimum per-row density s + 1:
 
 * ``build_frac``: 0/1 scheme from s + 1 stacked copies of a disjoint
-  block layout; needs (s + 1) | n, decodes with 0/1 coefficients.
+  block layout; needs (s + 1) | n. Its decode splits each block's
+  weight evenly: each of a block's h surviving holders gets 1/h.
 * ``build_cyc``: support pattern {i, ..., i + s} (mod n) with real
   coefficients from the null space of a random Gaussian matrix whose
   columns sum to zero; works for any s < n.
@@ -40,10 +41,9 @@ from .errors import (
     NonFinite,
     ParseError,
     RetryExhausted,
-    SingularSystem,
     SpanFailure,
 )
-from .numerics import RESIDUAL_TOL, make_rng, solve_left, solve_right
+from .numerics import RESIDUAL_TOL, make_rng, solve_right
 
 NAIVE = "naive"
 FRAC = "frac"
@@ -188,8 +188,8 @@ def build_frac(n: int, s: int) -> GradientCode:
 
     Workers are s + 1 groups of n/(s+1); within a group, worker j holds
     partitions j(s+1) .. (j+1)(s+1) - 1 with coefficient 1. Any s
-    removals leave at least one complete group, so decoding picks one
-    surviving holder of each block with coefficient 1.
+    removals leave every block a holder; ``decode_row``'s minimum-norm
+    row gives each of a block's h surviving holders the coefficient 1/h.
     """
     if not 1 <= s < n:
         raise DimensionMismatch(f"need 1 <= s < n, got s={s}, n={n}")
@@ -205,20 +205,23 @@ def build_frac(n: int, s: int) -> GradientCode:
 
 
 def _cyc_rows(H: np.ndarray, n: int, s: int) -> np.ndarray:
-    """Fill each cyclic-support row so that H @ b_i = 0 with leading 1."""
+    """Fill each cyclic-support row so that H @ b_i = 0 with leading 1.
+
+    A row whose solve leaves max|H @ b_i| above ``RESIDUAL_TOL`` times
+    max(1, max|H|) raises SpanFailure.
+    """
     B = np.zeros((n, n))
-    scale = max(1.0, float(np.max(np.abs(H))))
+    threshold = RESIDUAL_TOL * max(1.0, float(np.max(np.abs(H))))
     for i in range(n):
         supp = [(i + t) % n for t in range(s + 1)]
         B[i, supp[0]] = 1.0
         rest = supp[1:]
-        y, _ = solve_left(H[:, rest], -H[:, supp[0]])
-        B[i, rest] = y
-        res = float(np.max(np.abs(H @ B[i])))
-        if res > RESIDUAL_TOL * scale:
+        y, res = solve_right(H[:, rest].T, -H[:, supp[0]])
+        if res > threshold:
             raise SpanFailure(
                 f"cyclic row {i} leaves null-space residual {res:.3e}", (i,), res
             )
+        B[i, rest] = y
     return B
 
 
@@ -239,9 +242,9 @@ def build_cyc(n: int, s: int, seed: int) -> GradientCode:
     H is s x n standard normal with the last column overwritten so every
     row sums to zero; row i of B is supported on {i, ..., i + s} (mod n)
     with leading coefficient 1 and the rest solving H[:, rest] y = -H[:, i].
-    A draw whose s x s subsystems are numerically singular is retried
-    with seed + 1, at most 5 draws in total; ``h_seed`` records the
-    accepted draw's seed.
+    A draw with a numerically singular s x s subsystem, which
+    ``_cyc_rows`` rejects, is retried with seed + 1, at most 5 draws in
+    total; ``h_seed`` records the accepted draw's seed.
     """
     if not 1 <= s < n:
         raise DimensionMismatch(f"need 1 <= s < n, got s={s}, n={n}")
@@ -251,7 +254,7 @@ def build_cyc(n: int, s: int, seed: int) -> GradientCode:
         H = cyc_h_matrix(n, s, h_seed)
         try:
             B = _cyc_rows(H, n, s)
-        except (SingularSystem, SpanFailure) as err:
+        except SpanFailure as err:
             last = err
             continue
         return GradientCode(CYC, n, n, s, B, h_seed=h_seed)

@@ -3,8 +3,8 @@
 Every error raised by this package derives from GradientCodingError so
 callers can catch one type. The CLI maps subfamilies to exit codes:
 validation problems (bad arguments, violated preconditions), numerical
-failures (singular systems, span failures, divergence), and I/O or
-format problems (unreadable or malformed scheme files).
+failures (span failures, exhausted construction draws, divergence), and
+I/O or format problems (unreadable or malformed scheme files).
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ class DimensionMismatch(GradientCodingError):
 
 class NonFinite(GradientCodingError):
     """An input or iterate contains NaN or infinity."""
-
-
-class SingularSystem(GradientCodingError):
-    """A square linear system could not be solved within tolerance."""
 
 
 class DivisibilityError(GradientCodingError):
@@ -89,7 +85,6 @@ VALIDATION_ERRORS = (
 
 NUMERICAL_ERRORS = (
     NonFinite,
-    SingularSystem,
     RetryExhausted,
     SpanFailure,
     StarvedIteration,

@@ -50,7 +50,8 @@ RATIO_SNAP = 1e-9
 PLAN_FIELDS = ("alpha", "naive_per_worker", "naive_assignment")
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float; InvalidAlpha unless it is finite and > 1."""
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 1.0:
         raise InvalidAlpha(f"slowdown factor must be finite and > 1, got {alpha}")
@@ -59,7 +60,7 @@ def _check_alpha(alpha: float) -> float:
 
 def naive_partition_count(s: int, alpha: float) -> int:
     """r = ceil((s+1)/(alpha-1)), snapping near-integer float ratios."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     ratio = (s + 1) / (alpha - 1.0)
     nearest = round(ratio)
     if nearest >= 1 and abs(ratio - nearest) <= RATIO_SNAP * max(1.0, abs(ratio)):
@@ -71,7 +72,7 @@ def load_fraction(n: int, s: int, alpha: float) -> float:
     """Fraction of the data a full-speed worker processes under the plan."""
     if not 1 <= s < n:
         raise DimensionMismatch(f"need 1 <= s < n, got s={s}, n={n}")
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     return (s + 1) * alpha / (n * (s + alpha))
 
 
@@ -88,7 +89,7 @@ class TwoStagePlan:
     code: GradientCode
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if self.code.kind not in (FRAC, CYC):
             raise DimensionMismatch(f"stage two needs a coded scheme, got {self.code.kind!r}")
 
@@ -141,7 +142,7 @@ def plan_partial(
     Raises InvalidAlpha for alpha <= 1 and propagates DivisibilityError
     from the fractional construction.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if not 1 <= s < n:
         raise DimensionMismatch(f"need 1 <= s < n, got s={s}, n={n}")
     if kind == FRAC:

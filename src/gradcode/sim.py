@@ -55,17 +55,19 @@ from .codec import DecodeCache, GradientCode, decode_row
 from .errors import (
     ConfigError,
     IndexOutOfRange,
-    InvalidAlpha,
     MismatchedConfigs,
     SpanFailure,
     StarvedIteration,
 )
 from .numerics import make_rng
-from .partial import TwoStagePlan
+from .partial import TwoStagePlan, check_alpha
 
 # Lognormal jitter multiplier exp(sigma * Z): sigma chosen so that
 # about 5% of draws exceed five times the median.
 DEFAULT_JITTER_SIGMA = math.log(5.0) / 1.6448536269514722
+
+STRAGGLER_MODES = ("none", "fixed", "random")
+STRAGGLER_KINDS = ("delay", "slowdown")
 
 EXACT = "exact"
 PARTIAL_SUM = "partial_sum"
@@ -115,9 +117,9 @@ class StragglerPolicy:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("none", "fixed", "random"):
+        if self.mode not in STRAGGLER_MODES:
             raise ConfigError(f"unknown straggler mode {self.mode!r}")
-        if self.kind not in ("delay", "slowdown"):
+        if self.kind not in STRAGGLER_KINDS:
             raise ConfigError(f"unknown straggler kind {self.kind!r}")
         object.__setattr__(self, "workers", tuple(int(w) for w in self.workers))
         if self.mode == "fixed":
@@ -136,8 +138,7 @@ class StragglerPolicy:
             if math.isnan(self.extra) or self.extra < 0:
                 raise ConfigError(f"delay must be >= 0 (inf allowed), got {self.extra}")
         if self.kind == "slowdown" and self.mode != "none":
-            if not math.isfinite(self.alpha) or self.alpha <= 1.0:
-                raise InvalidAlpha(f"slowdown factor must be finite and > 1, got {self.alpha}")
+            check_alpha(self.alpha)
 
 
 NO_STRAGGLERS = StragglerPolicy()

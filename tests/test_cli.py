@@ -405,7 +405,8 @@ def run_entry(tmp_path, place, entry):
     if place == "simulate":
         argv = ["simulate", "--out", tmp_path / "x.csv"]
         for k, v in {**shared, **entry}.items():
-            argv += ["--" + k.replace("_", "-"), v]
+            # A bool flag is given by name alone.
+            argv += ["--" + k.replace("_", "-")] + ([] if v is True else [v])
     else:
         cfg_path = tmp_path / "cmp.json"
         cfg_path.write_text(json.dumps({"shared": shared, "runs": [entry]}))
@@ -455,6 +456,8 @@ UNREAD = [
      "straggler_extra"),
     ({"strategy": "naive", "n": 4, "straggler_extra": 7.0}, "straggler_extra"),
     ({"strategy": "naive", "n": 4, "straggler_kind": "slowdown"}, "straggler_kind"),
+    ({"strategy": "naive", "n": 4, "verify_decode": True}, "verify_decode"),
+    ({"strategy": "ignore", "n": 4, "s": 1, "verify_decode": True}, "verify_decode"),
 ]
 
 

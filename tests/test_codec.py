@@ -33,7 +33,7 @@ from gradcode.errors import (
     RetryExhausted,
     SpanFailure,
 )
-from gradcode.numerics import make_rng
+from gradcode.numerics import RESIDUAL_TOL, make_rng
 
 # Three workers, one tolerated straggler, real coefficients. Any two
 # rows combine to the all-ones row with the frozen coefficients below.
@@ -181,6 +181,47 @@ def test_build_cyc_gives_up_after_its_draw_budget(monkeypatch):
     with pytest.raises(RetryExhausted, match="in 5 attempts starting at seed 7"):
         codec.build_cyc(6, 2, seed=7)
     assert seeds == list(range(7, 7 + codec.MAX_CONSTRUCTION_DRAWS))
+
+
+@pytest.mark.parametrize("above_scaled_tol, builds", [(False, True), (True, False)])
+def test_cyc_rows_judge_the_solve_residual_by_the_scaled_rule(
+    monkeypatch, above_scaled_tol, builds
+):
+    # The solver returns the true coefficients with a made-up residual,
+    # so only the acceptance rule decides. The unscaled RESIDUAL_TOL
+    # would reject both residuals; RESIDUAL_TOL * max|H| accepts the
+    # lower one.
+    n, s = 6, 2
+    H = codec.cyc_h_matrix(n, s, 3)
+    scale = float(np.max(np.abs(H)))
+    assert scale > 1.5
+    residual = RESIDUAL_TOL * (2 * scale if above_scaled_tol else (1 + scale) / 2)
+    assert residual > RESIDUAL_TOL
+
+    def reported(M, target):
+        return np.linalg.solve(M.T, target), residual
+
+    monkeypatch.setattr(codec, "cyc_h_matrix", lambda n, s, h_seed: H)
+    monkeypatch.setattr(codec, "solve_right", reported)
+    if builds:
+        code = codec.build_cyc(n, s, seed=3)
+        assert code.h_seed == 3
+        assert float(np.max(np.abs(H @ code.B.T))) < 1e-12 * scale
+    else:
+        with pytest.raises(RetryExhausted, match="null-space residual"):
+            codec.build_cyc(n, s, seed=3)
+
+
+@pytest.mark.parametrize("n,s", [(4, 1), (6, 2), (8, 3)])
+def test_frac_decode_splits_each_block_over_its_surviving_holders(n, s):
+    # decode_row returns the minimum-norm row, which gives each of the h
+    # surviving holders of a block the coefficient 1/h.
+    code = codec.build_frac(n, s)
+    groups = n // (s + 1)
+    for I in combinations(range(n), n - s):
+        holders = [sum(1 for v in I if v % groups == w % groups) for w in I]
+        row = codec.decode_row(code, I)
+        np.testing.assert_allclose(row.coeffs, 1.0 / np.array(holders), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(

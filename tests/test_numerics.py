@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gradcode.errors import DimensionMismatch, NonFinite, SingularSystem
-from gradcode.numerics import RESIDUAL_TOL, make_rng, solve_right, solve_left
+from gradcode.errors import DimensionMismatch, NonFinite
+from gradcode.numerics import RESIDUAL_TOL, make_rng, solve_right
 
 
 def test_solve_right_known_coefficients():
@@ -45,26 +45,14 @@ def test_solve_right_reports_inconsistency_without_raising():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_solve_left_square_round_trip(seed):
+    # A left system M @ y = target is solve_right of the transpose.
     rng = make_rng(100 + seed)
     m = int(rng.integers(1, 8))
     M = rng.standard_normal((m, m))
     y0 = rng.standard_normal(m)
-    y, res = solve_left(M, M @ y0)
+    y, res = solve_right(M.T, M @ y0)
     assert res < RESIDUAL_TOL
     np.testing.assert_allclose(y, y0, atol=1e-7)
-
-
-def test_solve_left_singular_square_raises():
-    with pytest.raises(SingularSystem):
-        solve_left(np.zeros((2, 2)), np.array([1.0, 0.0]))
-
-
-def test_solve_left_rectangular_reports_residual():
-    # Overdetermined and inconsistent: best fit leaves a residual but no error.
-    M = np.array([[1.0], [1.0]])
-    y, res = solve_left(M, np.array([0.0, 1.0]))
-    assert y[0] == pytest.approx(0.5)
-    assert res == pytest.approx(0.5)
 
 
 def test_shape_validation():
@@ -72,7 +60,7 @@ def test_shape_validation():
     with pytest.raises(DimensionMismatch):
         solve_right(M, np.ones(3))
     with pytest.raises(DimensionMismatch):
-        solve_left(M, np.ones(3))
+        solve_right(np.ones((2, 3)), np.ones(2))
     with pytest.raises(DimensionMismatch):
         solve_right(np.ones(4), np.ones(2))
 
@@ -84,7 +72,7 @@ def test_nonfinite_inputs_rejected():
     with pytest.raises(NonFinite):
         solve_right(bad, np.ones(2))
     with pytest.raises(NonFinite):
-        solve_left(M, np.array([np.inf, 0.0]))
+        solve_right(M, np.array([np.inf, 0.0]))
 
 
 def test_make_rng_is_deterministic():

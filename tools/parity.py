@@ -22,7 +22,11 @@ directory:
   run: naive under fixed finite delays, naive starved by an infinite one
   (exit 4), ignore-stragglers over its tolerance (exit 3), and frac
   under infinite delays within its tolerance;
-* a p=1 bundle without jitter, where arrival ties are common.
+* a p=1 bundle without jitter, where arrival ties are common;
+* ``scheme build`` of cyclic schemes at (n, s) = (24, 4), seeds 0-9, and
+  (30, 5), seeds 0-4, of a frac and a naive scheme and of a cyclic
+  two-stage plan, each file compared byte for byte. These keep their
+  sizes under ``--small``: each takes milliseconds.
 
 Then it prints every CSV, config echo, exit code or output line that
 differs between the two trees, output paths stripped, and exits 1 if
@@ -78,6 +82,10 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                 "--straggler-mode", mode, *chosen, "--straggler-kind", "delay",
                 "--straggler-extra", extra, "--seed-all", str(seed + offset), "--out", out]
 
+    def build(name, kind, n, *flags):
+        return name, ["scheme", "build", "--kind", kind, "--n", str(n), *flags,
+                      "--out", name + ".json"]
+
     return [
         ("desk bundle", bundle("desk", 24, 3, desk, 0)),
         ("partial simulate", partial),
@@ -99,6 +107,12 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                                         "inf", 70, "frac.csv")),
         ("p=1 bundle without jitter", [*bundle("still", 12, 2, thin, 80),
                                        "--jitter-sigma", "none"]),
+        *(build(f"cyc{n}-{s}-seed{seed + i}", "cyc", n, "--s", str(s), "--seed", str(seed + i))
+          for n, s, draws in ((24, 4, 10), (30, 5, 5)) for i in range(draws)),
+        build("frac12-2", "frac", 12, "--s", "2"),
+        build("naive8", "naive", 8),
+        build("cyc12-2-plan", "cyc", 12, "--s", "2", "--seed", str(seed + 90),
+              "--alpha", "1.5"),
     ]
 
 
