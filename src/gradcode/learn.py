@@ -238,13 +238,37 @@ def partial_gradient(ds: Dataset, j: int, beta: np.ndarray) -> np.ndarray:
 # Most bytes of rows in one partition group of partition_gradients. The
 # logistic map runs once per group instead of once per partition; a group
 # this small is still in a core's 2 MiB L2 cache when its partitions'
-# second products read it. On a 2-core host (numpy 2.4.6, OpenBLAS), the
-# pass over 24 partitions of 333 x 100 rows took 532 us at 1 MiB against
-# 614 us at 8 MiB and 551 us at 2 MiB, fastest of 400 alternating calls
-# (medians 703, 768 and 757 us); a 29.6 MB paper-scale partition is its
-# own group under any of them. A group always holds at least one
-# partition.
+# second products read it. On a 2-core host (numpy 2.4.6, scipy-openblas
+# 0.3.31), with each run of equal partitions taken in one stacked call,
+# the pass over 24 partitions of 333 x 100 rows took 545 us at 1 MiB
+# against 560 us at 2 MiB and 605 us as one group, and over 120
+# partitions of 66 rows 593, 652 and 685 us, fastest of 400 alternating
+# calls (medians 695-815 us, all within 3 % at 24 partitions). A 29.6 MB
+# paper-scale partition is its own group under 1 or 2 MiB; 12 of them
+# took 44.6, 44.8 and 44.2 ms, fastest of 20, so one group saves nothing
+# there. A group always holds at least one partition.
 _GROUP_BYTES = 1 << 20
+
+
+def _equal_runs(bounds, first: int, last: int, wanted: set[int] | None):
+    """(j, m, a, rows) for each longest run of partitions j to j + m - 1
+    in [first, last), all wanted, that hold ``rows`` rows each from row
+    ``a`` on (partitions in a group are contiguous)."""
+    j = first
+    while j < last:
+        if wanted is not None and j not in wanted:
+            j += 1
+            continue
+        a, b = bounds[j]
+        m = 1
+        while (
+            j + m < last
+            and bounds[j + m][1] - bounds[j + m][0] == b - a
+            and (wanted is None or j + m in wanted)
+        ):
+            m += 1
+        yield j, m, a, b - a
+        j += m
 
 
 def partition_gradients(
@@ -255,13 +279,20 @@ def partition_gradients(
 ) -> np.ndarray:
     """Every partition's gradient: row j equals ``partial_gradient(ds, j, beta)``.
 
-    Consecutive partitions are grouped up to ``_GROUP_BYTES`` of rows. A
-    group's logits come from one product per partition, written into one
-    buffer, and the logistic map and the label subtraction run once over
-    the buffer; then each partition writes its own ``X_j.T @ r_j`` into
-    its row of the ``(partitions, dim)`` result. Each value is computed
-    by the same operations as in ``partial_gradient``, so the results
-    are bit-identical.
+    Consecutive partitions are grouped up to ``_GROUP_BYTES`` of rows.
+    Within a group, each run of consecutive partitions of one size takes
+    its products in one stacked ``np.matmul`` call: its logits as the
+    ``(m, rows, dim)`` view of its rows times ``beta``, written into one
+    buffer for the group. The logistic map and the label subtraction run
+    once over the buffer; then each run writes its ``X_j.T @ r_j``, as
+    the ``(m, 1, rows)`` view of ``r`` times its rows, into its rows of
+    the ``(partitions, dim)`` result. Under ``make_partition_bounds`` a
+    group holds at most two runs. numpy computes a stacked product as one
+    BLAS matrix-vector call per stack item, on the same strides as the
+    partition's own slice, so each value is computed by the same
+    operations as in ``partial_gradient`` and the results are
+    bit-identical. That is how numpy runs it, not a documented guarantee;
+    ``test_stacked_products_equal_partial_gradient_bit_for_bit`` pins it.
 
     ``logits``, when given, is a buffer of ``ds.rows`` entries that the
     groups' logits are written into, so it ends up holding every
@@ -271,8 +302,10 @@ def partition_gradients(
     still computed.
     """
     bounds = ds.partition_bounds
-    row_bytes = ds.X.itemsize * ds.dim
-    G = np.full((len(bounds), ds.dim), np.nan)
+    X = ds.X
+    p = ds.dim
+    row_bytes = X.itemsize * p
+    G = np.full((len(bounds), p), np.nan)
     first = 0
     while first < len(bounds):
         lo, hi = bounds[first]
@@ -285,13 +318,16 @@ def partition_gradients(
             hi = bounds[last][1]
             last += 1
         z = np.empty(hi - lo) if logits is None else logits[lo:hi]
-        for a, b in bounds[first:last]:
-            np.matmul(ds.X[a:b], beta, out=z[a - lo : b - lo])
+        # Splitting a slice's row axis gives a view, never a copy, so the
+        # stacked products read X in place and write into z and G.
+        for _, m, a, rows in _equal_runs(bounds, first, last, None):
+            np.matmul(X[a : a + m * rows].reshape(m, rows, p), beta,
+                      out=z[a - lo : a - lo + m * rows].reshape(m, rows))
         r = sigmoid(z)
         r -= ds.y[lo:hi]
-        for j, (a, b) in enumerate(bounds[first:last], first):
-            if wanted is None or j in wanted:
-                np.matmul(ds.X[a:b].T, r[a - lo : b - lo], out=G[j])
+        for j, m, a, rows in _equal_runs(bounds, first, last, wanted):
+            np.matmul(r[a - lo : a - lo + m * rows].reshape(m, 1, rows),
+                      X[a : a + m * rows].reshape(m, rows, p), out=G[j : j + m, None])
         first = last
     return G
 

@@ -29,7 +29,10 @@ def make_rng(seed: int) -> np.random.Generator:
     """Return a PCG64 generator seeded with ``seed``.
 
     Identical seeds give identical streams for the lifetime of the
-    package; results are bit-exact across runs on the same numpy.
+    package. A run's results are bit-exact across reruns with the same
+    seeds and settings on the same numpy version, BLAS build and BLAS
+    thread count; the matrix products may round differently when any of
+    the last three changes.
     """
     return np.random.Generator(np.random.PCG64(seed))
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,23 @@ def test_each_differing_exit_code_line_and_file_is_reported(tmp_path):
         "run.csv: line 2: '1,2.5' != '1,2.25'",
     ]
     assert parity.differences(old, old) == []
+
+
+def test_each_tree_runs_at_the_benchmarks_blas_thread_count(monkeypatch):
+    envs = []
+
+    def run(cmd, check, env):
+        envs.append(env)
+        (Path(cmd[4]) / parity.MANIFEST).write_text("[]")
+
+    monkeypatch.setattr(parity.subprocess, "run", run)
+    for var in parity.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "7")
+    monkeypatch.setenv("GRADCODE_PARITY_PROBE", "kept")
+    src = str(ROOT / "src")
+    assert parity.main([src, src, "--small"]) == 0
+    threads = str(len(os.sched_getaffinity(0)))
+    assert len(envs) == 2
+    for env in envs:
+        assert [env[var] for var in parity.BLAS_THREAD_VARS] == [threads] * 3
+        assert env["GRADCODE_PARITY_PROBE"] == "kept"

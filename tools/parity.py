@@ -28,6 +28,12 @@ directory:
   two-stage plan, each file compared byte for byte. These keep their
   sizes under ``--small``: each takes milliseconds.
 
+Each subprocess runs with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` set to the number of cores this process may use,
+whatever the caller's environment, as ``bench/run.py`` sets them: the
+output bits depend on the BLAS thread count, so a verdict holds at the
+thread count the benchmark measures.
+
 Then it prints every CSV, config echo, exit code or output line that
 differs between the two trees, output paths stripped, and exits 1 if
 any does (0 if none). ``--small`` runs the same invocations at sizes
@@ -49,6 +55,7 @@ import tempfile
 from pathlib import Path
 
 MANIFEST = "parity-manifest.json"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
@@ -167,6 +174,13 @@ def differences(old_dir: Path, new_dir: Path) -> list[str]:
     return found
 
 
+def subprocess_env() -> dict[str, str]:
+    """This process's environment with every BLAS thread count set to
+    the number of cores it may use."""
+    threads = str(len(os.sched_getaffinity(0)))
+    return {**os.environ, **{var: threads for var in BLAS_THREAD_VARS}}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
@@ -187,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd = [sys.executable, __file__, "--run", src, str(workdir), "--seed", str(args.seed)]
             if args.small:
                 cmd.append("--small")
-            subprocess.run(cmd, check=True)
+            subprocess.run(cmd, check=True, env=subprocess_env())
             dirs.append(workdir)
         found = differences(*dirs)
     for line in found:
