@@ -12,10 +12,12 @@ is a code and summed otherwise. So naive (s = 0) and a two-stage plan
 get the exact gradient, as a code does whichever n - s messages arrive,
 and ignore-stragglers gets a biased, partial sum.
 
-``build_layout`` adds only each worker's stage rows over one run's
-partitioned training set (``Layout``), once per run. A round draws the
-stragglers, times itself from the layout alone (``time_round``, no
-gradient work), picks the survivors and aggregates in a few array
+A run's clock is drawn and timed before its first round (``schedule``,
+no gradient work): from each worker's stage rows over the run's
+partitioned training set and the latency and straggler streams alone, it
+gives every message's arrival time, each round's duration and its
+survivors, so a clock that can never finish fails before any gradient.
+A round takes its survivors from the clock and aggregates in a few array
 operations, with no loop over messages; only the partitions the used
 messages read take a gradient. A round's training loss is
 finished in the next round, from the logits that round's gradients
@@ -28,7 +30,7 @@ stage-k message arrives at jitter * slowdown * (compute of stages 0..k)
 + (k + 1) * comm + injected delay. Among messages of one kind, ties in
 time go to the lower worker index, so every run resolves them alike.
 All randomness flows from three named seeds (data, latency, straggler);
-jitter is drawn for all workers every iteration whether or not anyone
+jitter is drawn for all workers of every round whether or not anyone
 straggles, so a model trajectory can never depend on the straggler
 stream through draw-order coupling. Aggregator-side decode and
 summation costs are not modeled.
@@ -47,6 +49,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from .errors import (
     ConfigError,
     IndexOutOfRange,
     MismatchedConfigs,
+    NonFinite,
     SpanFailure,
     StarvedIteration,
 )
@@ -323,24 +327,87 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Message layout
+# The run's clock
 
 
-@dataclass(frozen=True, eq=False)
-class Layout:
-    """A strategy over one run's partitions: ``rows[k, w]`` is the rows
-    worker w computes in stage k, out of ``train_rows`` in all."""
+class Clock(NamedTuple):
+    """A run's simulated clock, T rounds of n workers: ``finish[t, k, w]``
+    is when worker w's stage-k message of round t arrives,
+    ``durations[t]`` how long round t lasts, and ``survivors[t]`` the
+    senders of its last stage's first n - s messages, in increasing order."""
 
-    strategy: Strategy
-    train_rows: int
-    rows: np.ndarray
+    finish: np.ndarray
+    durations: np.ndarray
+    survivors: np.ndarray
 
 
-def build_layout(strategy: Strategy, train: learn.Dataset) -> Layout:
-    """The per-worker stage rows of ``strategy`` over ``train``'s partitions."""
+def schedule(strategy: Strategy, train: learn.Dataset, latency: LatencyModel,
+             policy: StragglerPolicy, seeds: SeedBundle, iterations: int) -> Clock:
+    """Draw the stragglers and time every round of a run, with no gradient work.
+
+    The latency and straggler generators start from ``seeds``. All the
+    jitter is one (T, n) normal draw, which numpy fills with the values of
+    T draws of n: numpy's behaviour, not a documented guarantee, checked
+    on numpy 2.4.6 and pinned by
+    test_one_jitter_draw_equals_a_draw_per_round. The stragglers are
+    drawn one round at a time, since ``Generator.choice`` has no batched
+    form with the same stream. Raises NonFinite when a compute time
+    overflows, and StarvedIteration when a required message can never
+    arrive, each for the first round where it happens.
+    """
+    n, rounds = strategy.n, np.arange(iterations)[:, None]
+    latency_rng = make_rng(seeds.latency)
+    straggler_rng = make_rng(seeds.straggler)
+    if policy.mode == "random":
+        stragglers = np.array([straggler_rng.choice(n, size=policy.count, replace=False)
+                               for _ in range(iterations)])
+    else:  # the fixed workers, or none
+        workers = np.array(policy.workers, dtype=np.intp)
+        stragglers = np.broadcast_to(workers, (iterations, workers.size))
+    slow = np.ones((iterations, n))
+    extra = np.zeros((iterations, n))
+    if policy.kind == "slowdown":
+        slow[rounds, stragglers] = policy.alpha
+    else:
+        extra[rounds, stragglers] = policy.extra
     sizes = np.array([hi - lo for lo, hi in train.partition_bounds])
     rows = np.array([sizes[index].sum(axis=1) for index in strategy.index], dtype=float)
-    return Layout(strategy, train.rows, rows)
+    per_row = latency.compute_time_per_partition * n / train.rows
+    jitter = np.ones((iterations, n))
+    finish = np.empty((iterations, len(rows), n))
+    # An overflow is reported below, with its round.
+    with np.errstate(over="ignore"):
+        if latency.jitter_sigma is not None:
+            jitter = np.exp(latency.jitter_sigma * latency_rng.standard_normal((iterations, n)))
+        compute = jitter * slow * per_row * rows[0]
+        finish[:, 0] = compute + latency.comm_time + extra
+        # A later stage's message goes out after all earlier stages' compute,
+        # at the first stage's per-row cost, jitter and slowdown included.
+        scale = compute / rows[0]
+        for k in range(1, len(rows)):
+            compute = compute + scale * rows[k]
+            finish[:, k] = compute + (k + 1) * latency.comm_time + extra
+    overflow = ~np.isfinite(compute).all(axis=1)
+    if overflow.any():
+        raise NonFinite(
+            f"round {int(np.argmax(overflow)) + 1}: a worker's compute time overflows "
+            f"at jitter_sigma={latency.jitter_sigma}"
+        )
+    # Every message of the earlier stages, then the first n - s of the last.
+    early = finish[:, :-1].max(axis=(1, 2), initial=0.0)
+    times = finish[:, -1]
+    need = n - strategy.s
+    # A stable sort breaks ties by worker index.
+    first = np.argsort(times, axis=1, kind="stable")[:, :need]
+    last = np.take_along_axis(times, first[:, -1:], axis=1)[:, 0]
+    starved = ~(np.isfinite(early) & np.isfinite(last))
+    if starved.any():
+        if not math.isfinite(early[np.argmax(starved)]):
+            raise StarvedIteration(
+                "the aggregator needs every naive message; a full delay never arrives"
+            )
+        raise StarvedIteration(f"fewer than {need} of {n} workers can ever finish")
+    return Clock(finish, np.maximum(early, last), np.sort(first, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -367,91 +434,31 @@ def _messages(G: np.ndarray, index: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return _sequential_sum(G[index.T] * coef.T[..., None])
 
 
-def time_round(
-    layout: Layout,
-    latency: LatencyModel,
-    policy: StragglerPolicy,
-    latency_rng: np.random.Generator,
-    straggler_rng: np.random.Generator,
-) -> tuple[np.ndarray, float, tuple[int, ...]]:
-    """Draw the stragglers and time one round, with no gradient work.
-
-    Returns (arrival times indexed [stage, worker], round duration,
-    survivors): the senders of the last stage's first n - s messages.
-    Raises StarvedIteration when a required message can never arrive.
-    """
-    strategy = layout.strategy
-    n = strategy.n
-    stragglers = []
-    if policy.mode == "fixed":
-        stragglers = list(policy.workers)
-    elif policy.mode == "random":
-        stragglers = straggler_rng.choice(n, size=policy.count, replace=False)
-    per_row = latency.compute_time_per_partition * n / layout.train_rows
-    jitter = np.ones(n)
-    if latency.jitter_sigma is not None:
-        jitter = np.exp(latency.jitter_sigma * latency_rng.standard_normal(n))
-    slow = np.ones(n)
-    extra = np.zeros(n)
-    if policy.kind == "slowdown":
-        slow[stragglers] = policy.alpha
-    else:
-        extra[stragglers] = policy.extra
-    rows = layout.rows
-    compute = jitter * slow * per_row * rows[0]
-    finish = np.empty(rows.shape)
-    finish[0] = compute + latency.comm_time + extra
-    # A later stage's message goes out after all earlier stages' compute,
-    # at the first stage's per-row cost, jitter and slowdown included.
-    scale = compute / rows[0]
-    for k in range(1, len(rows)):
-        compute = compute + scale * rows[k]
-        finish[k] = compute + (k + 1) * latency.comm_time + extra
-    # Every message of the earlier stages, then the first n - s of the last.
-    duration = float(finish[:-1].max(initial=0.0))
-    if not math.isfinite(duration):
-        raise StarvedIteration(
-            "the aggregator needs every naive message; a full delay never arrives"
-        )
-    times = finish[-1]
-    need = n - strategy.s
-    # A stable sort breaks ties by worker index.
-    first = np.argsort(times, kind="stable")[:need]
-    last = float(times[first[-1]])
-    if not math.isfinite(last):
-        raise StarvedIteration(f"fewer than {need} of {n} workers can ever finish")
-    duration = max(duration, last)
-    survivors = tuple(sorted(first.tolist()))
-    return finish, duration, survivors
-
-
 def run_iteration(
-    layout: Layout,
-    latency: LatencyModel,
-    policy: StragglerPolicy,
+    strategy: Strategy,
+    clock: Clock,
+    t: int,
     train: learn.Dataset,
     point: np.ndarray,
-    latency_rng: np.random.Generator,
-    straggler_rng: np.random.Generator,
     cache: DecodeCache,
     verify_decode: bool = False,
     logits: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, tuple[int, ...], str, tuple[Event, ...]]:
-    """Simulate one round at ``point``.
+    """Aggregate round ``t`` (from 0) of ``clock`` at ``point``.
 
     Returns (gradient, round duration, survivors used, gradient kind,
-    all message events). Raises StarvedIteration when a required
-    message can never arrive. ``logits``, when given, receives every
-    partition's ``X_j @ point`` (see ``learn.partition_gradients``).
-    Only the partitions the used messages read take a gradient, unless
-    ``verify_decode`` checks a decode against all of them.
+    all message events). The duration, survivors and events are the
+    clock's; they stay in the result for the benchmark's round probe.
+    ``logits``, when given, receives every partition's ``X_j @ point``
+    (see ``learn.partition_gradients``). Only the partitions the used
+    messages read take a gradient, unless ``verify_decode`` checks a
+    decode against all of them.
     """
-    strategy = layout.strategy
-    finish, duration, survivors = time_round(layout, latency, policy, latency_rng, straggler_rng)
+    survivors = tuple(clock.survivors[t].tolist())
     events = tuple(
-        (t, w, kind)
-        for kind, times in zip(strategy.kinds, finish.tolist())
-        for w, t in enumerate(times)
+        (at, w, kind)
+        for kind, times in zip(strategy.kinds, clock.finish[t].tolist())
+        for w, at in enumerate(times)
     )
     rows = list(survivors)
     used = [*zip(strategy.index[:-1], strategy.coef[:-1]),
@@ -467,7 +474,7 @@ def run_iteration(
     if check:
         _check_exact(gradient, G, survivors)
     kind = EXACT if strategy.code is not None or strategy.s == 0 else PARTIAL_SUM
-    return gradient, duration, survivors, kind, events
+    return gradient, float(clock.durations[t]), survivors, kind, events
 
 
 def _check_exact(gradient: np.ndarray, G: np.ndarray, survivors: tuple[int, ...]) -> None:
@@ -557,11 +564,9 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
         raise MismatchedConfigs(
             f"run {config.run_label!r} needs data {data_key(config)}, was given {data.key}"
         )
-    latency_rng = make_rng(config.seeds.latency)
-    straggler_rng = make_rng(config.seeds.straggler)
-
     train = learn.with_partitions(data.train, config.strategy.partition_count)
-    layout = build_layout(config.strategy, train)
+    clock = schedule(config.strategy, train, config.latency, config.policy, config.seeds,
+                     config.iterations)
 
     lipschitz = data.lipschitz if config.optimizer.needs_lipschitz else None
     opt = learn.make_optimizer(config.optimizer, config.p, lipschitz)
@@ -574,21 +579,12 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     # eval point combines (zero at first: beta_0 = 0).
     logits = np.empty(train.rows)
     carried = np.zeros(train.rows)
-    clock = 0.0
+    elapsed = 0.0
     for t in range(1, config.iterations + 1):
         point = opt.eval_point()
         a, b = opt.eval_weights()
         gradient, duration, survivors, kind, _ = run_iteration(
-            layout,
-            config.latency,
-            config.policy,
-            train,
-            point,
-            latency_rng,
-            straggler_rng,
-            cache,
-            config.verify_decode,
-            logits,
+            config.strategy, clock, t - 1, train, point, cache, config.verify_decode, logits
         )
         if b:
             carried *= b  # free to scale: it is the next round's logits buffer
@@ -598,18 +594,18 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
             losses.append(learn.logits_loss(logits, train.y))
         logits, carried = carried, logits
         beta = opt.step(gradient)
-        clock += duration
+        elapsed += duration
         auc_val = None
         if t % config.auc_interval == 0 or t == config.iterations:
             # Scores are linear: AUC only needs the ranking, and the
             # logistic link is monotone.
             auc_val = learn.auc(data.holdout.X @ beta, data.holdout.y)
-        rounds.append((t, clock, duration, survivors, kind, auc_val))
+        rounds.append((t, elapsed, duration, survivors, kind, auc_val))
     # No later round reads the last iterate's logits.
     losses.append(learn.log_loss(train, opt.beta))
     traces = tuple(
-        IterationTrace(t, clock, duration, survivors, kind, loss, auc_val)
-        for (t, clock, duration, survivors, kind, auc_val), loss in zip(rounds, losses)
+        IterationTrace(t, elapsed, duration, survivors, kind, loss, auc_val)
+        for (t, elapsed, duration, survivors, kind, auc_val), loss in zip(rounds, losses)
     )
     return RunResult(label=config.run_label, config=config, traces=traces, beta=opt.beta)
 

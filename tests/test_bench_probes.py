@@ -60,7 +60,8 @@ def test_round_probe_counts_sent_and_used_messages(monkeypatch, strategy, sent, 
     data, _ = learn.gen_synthetic(make_rng(0), 96, 3)
     train = learn.with_partitions(data, strategy.partition_count)
     policy = sim.StragglerPolicy(mode="random", count=1, kind="delay", extra=5.0)
-    args = (sim.build_layout(strategy, train), sim.LatencyModel(), policy, train,
-            np.zeros(3), make_rng(1), make_rng(2), {})
+    clock = sim.schedule(strategy, train, sim.LatencyModel(), policy,
+                         sim.SeedBundle(scheme=0, data=0, latency=1, straggler=2), 1)
+    args = (strategy, clock, 0, train, np.zeros(3), {})
     attrs = spans._iteration_after({}, args, {}, sim.run_iteration(*args))
     assert (attrs["sent"], attrs["used"]) == (sent, used)

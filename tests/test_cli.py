@@ -8,6 +8,11 @@ bit from the same seeds.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,6 +546,52 @@ def test_simulate_starved_iteration_exit_code(tmp_path, capsys):
                "--out", tmp_path / "x.csv")
     assert code == 4
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_an_overflowing_clock_is_reported_before_any_round(tmp_path, capsys, monkeypatch):
+    # exp(300 Z) overflows in round 15 of this seed: no worker is starved,
+    # and the run fails before its first gradient, warning nothing.
+    calls = []
+    monkeypatch.setattr(learn, "partition_gradients", lambda *args: calls.append(args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("simulate", "--strategy", "naive", "--n", 4, "--d", 400, "--p", 5,
+                   "--iterations", 100, "--jitter-sigma", 300, "--seed-all", 0,
+                   "--out", tmp_path / "x.csv")
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert err == ("numerical error: round 15: a worker's compute time overflows "
+                   "at jitter_sigma=300.0\n")
+    assert out == ""
+    assert caught == []
+    assert list(tmp_path.iterdir()) == []
+    assert calls == []
+
+
+def test_blas_thread_count_moves_only_the_loss_bits(tmp_path):
+    # The partition products round differently at 1 and 2 BLAS threads.
+    # Measured on numpy 2.4.6 with scipy-openblas 0.3.31: 20 of these
+    # 100 loss rows differed, by at most 2.2e-16 relative; the clock,
+    # the survivors and the AUC did not move.
+    argv = ["simulate", "--strategy", "coded", "--kind", "frac", "--n", "24", "--s", "3",
+            "--d", "10000", "--p", "100", "--iterations", "100",
+            "--straggler-mode", "random", "--straggler-count", "3",
+            "--straggler-kind", "delay", "--straggler-extra", "5", "--seed-all", "5"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    rows = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "gradcode.cli", *argv, "--out", str(out)],
+                       check=True, env=env, capture_output=True, timeout=300)
+        rows.append(read_csv(out))
+    one, two = rows
+    assert len(one) == len(two) == 100
+    for a, b in zip(one, two):
+        assert {k: a[k] for k in a if k != "loss"} == {k: b[k] for k in b if k != "loss"}
+        assert float(a["loss"]) == pytest.approx(float(b["loss"]), rel=1e-13, abs=0)
 
 
 def test_a_code_of_zero_tolerance_runs_under_stragglers_like_naive(tmp_path):

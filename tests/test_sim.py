@@ -1,9 +1,10 @@
 """Simulator tests.
 
 Oracles: round durations are recomputed by brute force from the raw
-message events; gradient aggregation is replayed outside the simulator
-from the recorded survivor sets; exact strategies are checked against a
-single-node descent run on the same data. Timing identities use
+message events; a run's clock is replayed by a per-round timer, one
+round's draws at a time; gradient aggregation is replayed outside the
+simulator from the recorded survivor sets; exact strategies are checked
+against a single-node descent run on the same data. Timing identities use
 power-of-two constants so float products are exact and equalities can
 be asserted with ==.
 """
@@ -20,6 +21,7 @@ from gradcode.errors import (
     IndexOutOfRange,
     InvalidAlpha,
     MismatchedConfigs,
+    NonFinite,
     StarvedIteration,
 )
 from gradcode.numerics import make_rng
@@ -315,14 +317,13 @@ def test_array_aggregation_matches_the_term_loop(name, p, verify):
     rng = make_rng(50 + p)
     ds, _ = learn.gen_synthetic(rng, 600, p)
     train = learn.with_partitions(ds, strategy.partition_count)
-    layout = sim.build_layout(strategy, train)
     policy = sim.StragglerPolicy(mode="random", count=2, kind="delay", extra=5.0)
-    latency_rng, straggler_rng = make_rng(1), make_rng(2)
-    for _ in range(6):
+    clock = sim.schedule(strategy, train, sim.LatencyModel(), policy,
+                         sim.SeedBundle(scheme=0, data=0, latency=1, straggler=2), 6)
+    for t in range(6):
         point = rng.standard_normal(p)
         gradient, _, survivors, _, _ = sim.run_iteration(
-            layout, sim.LatencyModel(), policy, train, point, latency_rng, straggler_rng,
-            {}, verify,
+            strategy, clock, t, train, point, {}, verify
         )
         G = [learn.partial_gradient(train, j, point) for j in range(train.partitions)]
         assert np.array_equal(gradient, _reference_gradient(strategy, stages, G, survivors))
@@ -546,6 +547,152 @@ def test_two_stage_round_time_matches_plan_slack_and_load(n, s, alpha):
     fast_coded = fast_load * c_part + 2 * latency.comm_time
     slow_naive = (fast_load + partial.timing_slack(plan)) * c_part + latency.comm_time
     assert duration == max(fast_coded, slow_naive)
+
+
+# ---------------------------------------------------------------------------
+# The run's clock against a round-by-round replay
+
+
+def _time_round(strategy, train, latency, policy, latency_rng, straggler_rng):
+    """The per-round clock the simulator ran before its clock was batched,
+    kept as the oracle for ``sim.schedule``: one round's (arrival times
+    indexed [stage, worker], duration, survivors)."""
+    n = strategy.n
+    stragglers = []
+    if policy.mode == "fixed":
+        stragglers = list(policy.workers)
+    elif policy.mode == "random":
+        stragglers = straggler_rng.choice(n, size=policy.count, replace=False)
+    sizes = np.array([hi - lo for lo, hi in train.partition_bounds])
+    rows = np.array([sizes[index].sum(axis=1) for index in strategy.index], dtype=float)
+    per_row = latency.compute_time_per_partition * n / train.rows
+    jitter = np.ones(n)
+    if latency.jitter_sigma is not None:
+        jitter = np.exp(latency.jitter_sigma * latency_rng.standard_normal(n))
+    slow = np.ones(n)
+    extra = np.zeros(n)
+    if policy.kind == "slowdown":
+        slow[stragglers] = policy.alpha
+    else:
+        extra[stragglers] = policy.extra
+    compute = jitter * slow * per_row * rows[0]
+    finish = np.empty(rows.shape)
+    finish[0] = compute + latency.comm_time + extra
+    scale = compute / rows[0]
+    for k in range(1, len(rows)):
+        compute = compute + scale * rows[k]
+        finish[k] = compute + (k + 1) * latency.comm_time + extra
+    duration = float(finish[:-1].max(initial=0.0))
+    if not math.isfinite(duration):
+        raise StarvedIteration(
+            "the aggregator needs every naive message; a full delay never arrives"
+        )
+    times = finish[-1]
+    need = n - strategy.s
+    first = np.argsort(times, kind="stable")[:need]
+    last = float(times[first[-1]])
+    if not math.isfinite(last):
+        raise StarvedIteration(f"fewer than {need} of {n} workers can ever finish")
+    return finish, max(duration, last), tuple(sorted(first.tolist()))
+
+
+def _replay_clock(strategy, train, latency, policy, seeds, iterations):
+    latency_rng, straggler_rng = make_rng(seeds.latency), make_rng(seeds.straggler)
+    return [_time_round(strategy, train, latency, policy, latency_rng, straggler_rng)
+            for _ in range(iterations)]
+
+
+CLOCK_STRATEGIES = {
+    "naive": lambda: sim.Naive(6),
+    "ignore": lambda: sim.IgnoreStragglers(6, 2),
+    "frac": lambda: sim.Coded(codec.build_frac(6, 2)),
+    "cyc": lambda: sim.Coded(codec.build_cyc(6, 2, seed=7)),
+    "partial_frac": lambda: sim.PartialCoded(partial.plan_partial(6, 2, 2.0, kind=codec.FRAC)),
+    "partial_cyc": lambda: sim.PartialCoded(
+        partial.plan_partial(6, 1, 1.5, kind=codec.CYC, seed=8)),
+}
+
+CLOCK_POLICIES = {
+    "none": dict(),
+    "fixed_delay": dict(mode="fixed", workers=(4,), kind="delay", extra=0.75),
+    "fixed_inf_delay": dict(mode="fixed", workers=(1,), kind="delay", extra=math.inf),
+    "fixed_slowdown": dict(mode="fixed", workers=(0,), kind="slowdown", alpha=2.5),
+    "random_delay": dict(mode="random", count=1, kind="delay", extra=0.5),
+    "random_inf_delay": dict(mode="random", count=1, kind="delay", extra=math.inf),
+    "random_slowdown": dict(mode="random", count=1, kind="slowdown", alpha=1.5),
+}
+
+
+@pytest.mark.parametrize("sigma", [sim.DEFAULT_JITTER_SIGMA, None], ids=["jitter", "still"])
+@pytest.mark.parametrize("policy", CLOCK_POLICIES)
+@pytest.mark.parametrize("name", CLOCK_STRATEGIES)
+def test_schedule_equals_a_round_by_round_replay(name, policy, sigma):
+    # An infinite delay starves naive and the two-stage naive stage, and
+    # is within every other strategy's tolerance. Without jitter, the
+    # equal partitions of 1200 rows make arrival ties.
+    strategy = CLOCK_STRATEGIES[name]()
+    policy = sim.StragglerPolicy(**CLOCK_POLICIES[policy])
+    latency = sim.LatencyModel(compute_time_per_partition=0.3, comm_time=0.05,
+                               jitter_sigma=sigma)
+    ds, _ = learn.gen_synthetic(make_rng(3), 1200, 2)
+    train = learn.with_partitions(ds, strategy.partition_count)
+    args = (strategy, train, latency, policy, SEEDS, 25)
+    try:
+        rounds = _replay_clock(*args)
+    except StarvedIteration as starved:
+        with pytest.raises(StarvedIteration, match=f"^{starved}$"):
+            sim.schedule(*args)
+        return
+    clock = sim.schedule(*args)
+    assert clock.finish.shape == (25, len(strategy.index), strategy.n)
+    assert np.array_equal(clock.finish, np.array([finish for finish, _, _ in rounds]))
+    assert clock.durations.tolist() == [duration for _, duration, _ in rounds]
+    assert [tuple(row) for row in clock.survivors.tolist()] == [
+        survivors for _, _, survivors in rounds
+    ]
+    if sigma is None and policy.mode == "none":
+        assert clock.survivors.tolist() == [list(range(strategy.n - strategy.s))] * 25
+
+
+@pytest.mark.parametrize("seed", [0, 5, 41])
+@pytest.mark.parametrize("rounds, n", [(1, 1), (7, 3), (100, 24), (3, 1001)])
+def test_one_jitter_draw_equals_a_draw_per_round(seed, rounds, n):
+    # sim.schedule draws a run's jitter at once. That one (T, n) draw
+    # fills its rows as T draws of n would, bit for bit, is how numpy's
+    # PCG64 normal sampler consumes its stream, not a documented
+    # guarantee: it was checked on numpy 2.4.6.
+    batched = make_rng(seed).standard_normal((rounds, n))
+    rng = make_rng(seed)
+    assert np.array_equal(batched, [rng.standard_normal(n) for _ in range(rounds)])
+
+
+@pytest.mark.parametrize("make, policy, latency, error", [
+    (lambda: sim.Naive(4), dict(mode="fixed", workers=(1,), extra=math.inf), sim.LatencyModel(),
+     StarvedIteration),
+    (lambda: sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.FRAC)),
+     dict(mode="random", count=1, extra=math.inf), sim.LatencyModel(), StarvedIteration),
+    (lambda: sim.Naive(4), dict(), sim.LatencyModel(jitter_sigma=300.0), NonFinite),
+], ids=["starved_naive", "starved_partial", "overflow"])
+def test_a_clock_that_cannot_run_fails_before_any_gradient(monkeypatch, make, policy, latency,
+                                                           error):
+    calls = []
+    monkeypatch.setattr(learn, "partition_gradients", lambda *args: calls.append(args))
+    cfg = small_config(make(), d=960, iterations=100, latency=latency,
+                       policy=sim.StragglerPolicy(kind="delay", **policy))
+    with pytest.raises(error):
+        sim.run_training(cfg)
+    assert calls == []
+
+
+def test_an_overflowing_clock_names_its_first_round():
+    # exp(300 Z) overflows once Z > 2.37, which these seeds first draw in
+    # the round named; no overflow warning escapes the clock.
+    latency = sim.LatencyModel(jitter_sigma=300.0)
+    z = make_rng(SEEDS.latency).standard_normal((100, 4))
+    first = int(np.argmax((300.0 * z > np.log(np.finfo(float).max)).any(axis=1))) + 1
+    assert first > 1
+    with pytest.raises(NonFinite, match=f"^round {first}: .* at jitter_sigma=300.0$"):
+        sim.run_training(small_config(sim.Naive(4), iterations=100, latency=latency))
 
 
 # (constructor, argument): the strategy itself is built under the patch.

@@ -20,8 +20,9 @@ directory:
 * a paper-scale bundle (d=554,400, split 12 ways) at T=5;
 * one simulate for each way the aggregation rule can end a round or a
   run: naive under fixed finite delays, naive starved by an infinite one
-  (exit 4), ignore-stragglers over its tolerance (exit 3), and frac
-  under infinite delays within its tolerance;
+  (exit 4), a two-stage plan whose naive stage it starves (exit 4),
+  ignore-stragglers over its tolerance (exit 3), and frac under infinite
+  delays within its tolerance;
 * a p=1 bundle without jitter, where arrival ties are common;
 * ``scheme build`` of cyclic schemes at (n, s) = (24, 4), seeds 0-9, and
   (30, 5), seeds 0-4, of a frac and a naive scheme and of a cyclic
@@ -108,6 +109,8 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
         ("paper bundle", bundle("paper", 12, 2, paper, 40)),
         ("naive delayed", delayed(["naive"], "fixed", "5", 50, "naive.csv")),
         ("naive starved", delayed(["naive"], "fixed", "inf", 50, "starved.csv")),
+        ("partial starved", delayed(["partial", "--kind", "frac", "--s", "3", "--alpha", "2"],
+                                    "fixed", "inf", 55, "partial-starved.csv")),
         ("ignore over tolerance", delayed(["ignore", "--s", "2"], "random", "5", 60,
                                           "over.csv")),
         ("frac infinite delay", delayed(["coded", "--kind", "frac", "--s", "3"], "random",
