@@ -140,13 +140,35 @@ def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[D
     )
 
 
-# Rows moved per block by _permute_rows: its scratch is two such blocks
-# of X plus two integer index arrays of one entry per row.
-_PERMUTE_CHUNK = 8192
+# The scratch budget, in bytes, of every step that would otherwise
+# allocate in proportion to the data, so a run allocates little beyond its
+# data and its two logits vectors: the rows of one partition group of
+# partition_gradients, of one block of _permute_rows, and of one chunk of
+# logits_loss (_GROUP_BYTES // 32 entries: four chunk-wide float arrays).
+#
+# Partition groups: the logistic map runs once per group instead of once
+# per partition; a group this small is still in a core's 2 MiB L2 cache
+# when its partitions' second products read it. On a 2-core host (numpy
+# 2.4.6, scipy-openblas 0.3.31), with each run of equal partitions taken
+# in one stacked call, the pass over 24 partitions of 333 x 100 rows took
+# 545 us at 1 MiB against 560 us at 2 MiB and 605 us as one group, and
+# over 120 partitions of 66 rows 593, 652 and 685 us, fastest of 400
+# alternating calls (medians 695-815 us, all within 3 % at 24
+# partitions). A 29.6 MB paper-scale partition is its own group under 1
+# or 2 MiB; 12 of them took 44.6, 44.8 and 44.2 ms, fastest of 20, so one
+# group saves nothing there. A group always holds at least one partition.
+#
+# Shuffle blocks: 1 MiB is 1,310 rows at p = 100. On the same host, a
+# desk shuffle (d = 10,000) took 3.17 / 2.88 / 2.34 ms with blocks of
+# 1,024 / 2,048 / 8,192 rows, and a paper shuffle (d = 554,400) 334-366
+# ms with blocks of 1,024 to 16,384 rows, with no trend. Blocks of 8,192
+# rows (6.5 MB at p = 100) set desk_bundle's peak memory.
+_GROUP_BYTES = 1 << 20
 
 
-def _permute_rows(X: np.ndarray, perm: np.ndarray, chunk: int = _PERMUTE_CHUNK) -> None:
-    """``X[:] = X[perm]`` in place, with O(chunk) rows of X as scratch.
+def _permute_rows(X: np.ndarray, perm: np.ndarray, chunk: int | None = None) -> None:
+    """``X[:] = X[perm]`` in place, with two blocks of ``chunk`` rows of X
+    as scratch; ``chunk`` defaults to ``_GROUP_BYTES`` of rows.
 
     Fills the destination slots a block at a time. ``pos[r]`` is the slot
     original row r sits in now, ``at[q]`` the original row in slot q; both
@@ -155,8 +177,11 @@ def _permute_rows(X: np.ndarray, perm: np.ndarray, chunk: int = _PERMUTE_CHUNK) 
     gathered, the unwanted rows still in [i, j) move to the slots the
     gather vacated beyond j, and the block is written. Every value is
     copied, never recomputed, so the result is bit-identical to the
-    fancy-indexed copy.
+    fancy-indexed copy. Beyond the blocks, the scratch is ``pos`` and
+    ``at``, one integer per row each.
     """
+    if chunk is None:
+        chunk = max(1, _GROUP_BYTES // (X.itemsize * X.shape[1]))
     pos = np.arange(len(perm))
     at = pos.copy()
     for i in range(0, len(perm), chunk):
@@ -196,28 +221,45 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 def log_loss(ds: Dataset, beta: np.ndarray) -> float:
     """Summed logistic negative log-likelihood of ``beta``: one product
-    over the whole matrix, then ``logits_loss``."""
-    return logits_loss(ds.X @ beta, ds.y)
+    over the whole matrix, then ``logits_loss`` with that product as both
+    ``z`` and ``out``, so the rows' terms overwrite it."""
+    z = ds.X @ beta
+    return logits_loss(z, ds.y, out=z)
 
 
-def logits_loss(z: np.ndarray, y: np.ndarray) -> float:
+def logits_loss(z: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> float:
     """Summed logistic negative log-likelihood of the logits ``z``.
 
     Each row adds log(1 + e^z) - y*z, written as max(z, 0) + log1p(e^-|z|)
     - y*z: the exponent is never positive, and numpy's vectorized exp and
-    log1p run several times faster than `np.logaddexp`. ``z`` is only
-    read. A simulated run does not call ``log_loss`` each round: it feeds
-    this function the logits its partition gradients already compute,
-    carried one round back to the iterate (``sim.run_training``), so a
-    trace loss matches ``log_loss`` of its iterate to rounding, measured
-    at most 3.5e-16 relative under NAG and exactly under ``gd_decay``.
+    log1p run several times faster than `np.logaddexp`. The rows' terms
+    are written into ``out`` (a new array when None) ``_GROUP_BYTES // 32``
+    entries at a time, then summed with one ``np.sum``, so the only
+    temporaries are two chunks. ``z`` and ``y`` are vectors; ``out`` must
+    be C-contiguous with ``z``'s shape and may be ``z`` itself, and ``z``
+    is only read otherwise. Each entry gets the same operations in the
+    same order as over the whole array at once, and the sum runs over an
+    array of the same shape, so the result does not depend on ``out``.
+
+    A simulated run does not call ``log_loss`` each round: it feeds this
+    function the logits its partition gradients already compute, carried
+    one round back to the iterate (``sim.run_training``), so a trace loss
+    matches ``log_loss`` of its iterate to rounding, measured at most
+    3.5e-16 relative under NAG and exactly under ``gd_decay``.
     """
-    t = np.abs(z)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    t += np.maximum(z, 0.0)
-    t -= y * z
+    t = np.empty(z.shape) if out is None else out
+    chunk = _GROUP_BYTES // 32
+    for i in range(0, len(z), chunk):
+        zi, ti = z[i : i + chunk], t[i : i + chunk]
+        # Both terms that read z come first: ti may be zi.
+        top = np.maximum(zi, 0.0)
+        yz = y[i : i + chunk] * zi
+        np.abs(zi, out=ti)
+        np.negative(ti, out=ti)
+        np.exp(ti, out=ti)
+        np.log1p(ti, out=ti)
+        ti += top
+        ti -= yz
     return float(np.sum(t))
 
 
@@ -233,21 +275,6 @@ def partial_gradient(ds: Dataset, j: int, beta: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"partition {j} not in [0, {ds.partitions})")
     lo, hi = ds.partition_bounds[j]
     return _gradient_rows(ds, lo, hi, beta)
-
-
-# Most bytes of rows in one partition group of partition_gradients. The
-# logistic map runs once per group instead of once per partition; a group
-# this small is still in a core's 2 MiB L2 cache when its partitions'
-# second products read it. On a 2-core host (numpy 2.4.6, scipy-openblas
-# 0.3.31), with each run of equal partitions taken in one stacked call,
-# the pass over 24 partitions of 333 x 100 rows took 545 us at 1 MiB
-# against 560 us at 2 MiB and 605 us as one group, and over 120
-# partitions of 66 rows 593, 652 and 685 us, fastest of 400 alternating
-# calls (medians 695-815 us, all within 3 % at 24 partitions). A 29.6 MB
-# paper-scale partition is its own group under 1 or 2 MiB; 12 of them
-# took 44.6, 44.8 and 44.2 ms, fastest of 20, so one group saves nothing
-# there. A group always holds at least one partition.
-_GROUP_BYTES = 1 << 20
 
 
 def _equal_runs(bounds, first: int, last: int, wanted: set[int] | None):
@@ -370,10 +397,14 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise NonFinite("AUC scores contain NaN")
     order = np.argsort(scores)
     s = scores[order]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    ends = np.r_[starts[1:], s.size]
+    new_group = np.empty(s.size, dtype=bool)
+    new_group[0] = True
+    np.not_equal(s[1:], s[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], s.size)
     avg_rank = (starts + ends + 1) / 2.0  # mean of 1-based ranks in each tie group
-    group_pos = np.add.reduceat(pos[order], starts, dtype=np.int64)
+    # Positives per tie group: differences of one running count, exact integers.
+    group_pos = np.diff(np.cumsum(pos[order], dtype=np.int64)[ends - 1], prepend=0)
     # Half-integer ranks times integer counts, summed below 2^53: exact in
     # any order, so the AUC equals that of a per-row rank sum.
     pos_rank_sum = float(np.sum(avg_rank * group_pos))

@@ -591,7 +591,8 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
             logits -= carried
             logits /= a
         if t > 1:
-            losses.append(learn.logits_loss(logits, train.y))
+            # Nothing reads ``carried`` again before the next round overwrites it.
+            losses.append(learn.logits_loss(logits, train.y, out=carried))
         logits, carried = carried, logits
         beta = opt.step(gradient)
         elapsed += duration

@@ -319,6 +319,47 @@ def test_log_loss_equals_logaddexp_formula_at_extremes():
             assert np.array_equal(got, expected, equal_nan=True), (z, y, got, expected)
 
 
+def _three_temporary_loss(z, y):
+    # The former whole-array expression, kept as the oracle for the
+    # chunked one.
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t += np.maximum(z, 0.0)
+    t -= y * z
+    return float(np.sum(t))
+
+
+@pytest.mark.parametrize("size", [1, 7, 32_767, 32_768, 32_769, 443_520])
+def test_logits_loss_chunks_equal_the_whole_array_formula(size):
+    rng = make_rng(size)
+    z = 800.0 * np.tanh(rng.standard_normal(size)) * rng.random(size)
+    z[:: max(1, size // 5)] = 800.0 * rng.choice([-1.0, 1.0])
+    y = (rng.random(size) < 0.5).astype(float)
+    expected = _three_temporary_loss(z, y)
+    assert learn.logits_loss(z, y) == expected
+    buf = np.full(size, np.nan)
+    assert learn.logits_loss(z, y, out=buf) == expected
+    z_in = z.copy()
+    assert learn.logits_loss(z_in, y, out=z_in) == expected
+
+
+def test_logits_loss_into_a_buffer_allocates_at_most_the_budget():
+    rng = make_rng(31)
+    size = 443_520
+    z = 30.0 * rng.standard_normal(size)
+    y = (rng.random(size) < 0.5).astype(float)
+    buf = np.empty(size)
+    tracemalloc.start()
+    try:
+        learn.logits_loss(z, y, out=buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
 def test_gen_synthetic_matches_dense_mean_expression():
     # The masked in-place adds give the same X as adding a dense
     # (d, p) array of cluster means, on the same draws.
@@ -383,7 +424,8 @@ def _lexsorted_rows(A: np.ndarray) -> np.ndarray:
     return A[np.lexsort(A.T[::-1])]
 
 
-CHUNK = learn._PERMUTE_CHUNK
+# Rows in one block of the shuffle at these tests' p = 3.
+CHUNK = learn._GROUP_BYTES // (3 * 8)
 
 
 @pytest.mark.parametrize(
@@ -434,6 +476,22 @@ def test_holdout_split_scratch_memory_is_a_fraction_of_the_data():
         tracemalloc.stop()
     # A copying split allocates a whole second X (30.5 MB here).
     assert peak < 0.35 * ds.X.nbytes
+
+
+def test_holdout_split_scratch_is_the_index_vectors_and_two_blocks():
+    rng = make_rng(8)
+    d, p = 100_000, 100
+    ds = learn.Dataset(rng.standard_normal((d, p)), (rng.random(d) < 0.5).astype(float), ((0, d),))
+    tracemalloc.start()
+    try:
+        learn.holdout_split(ds, 0.2, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The permutation and the shuffle's two position indexes, two blocks
+    # of _GROUP_BYTES of rows, and a little for the per-block indexes.
+    index_vectors = 3 * d * np.dtype(np.intp).itemsize
+    assert peak <= index_vectors + 2 * learn._GROUP_BYTES + 256 * 1024
 
 
 def test_auc_frozen_and_edge_values():
@@ -507,6 +565,39 @@ def test_auc_group_sums_match_the_rank_scatter_at_holdout_size():
     scores[::7] = np.round(scores[::7], 2)
     labels = rng.random(scores.size) < 0.5
     assert learn.auc(scores, labels) == mergesort_auc(scores, labels)
+
+
+def reduceat_auc(scores, labels) -> float:
+    """The former tie-group sums by np.add.reduceat over np.r_ bounds,
+    kept as the oracle for the running-count ones."""
+    scores = np.asarray(scores, dtype=float)
+    pos = np.asarray(labels).astype(bool)
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = pos.size - n_pos
+    order = np.argsort(scores)
+    s = scores[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    avg_rank = (starts + ends + 1) / 2.0
+    group_pos = np.add.reduceat(pos[order], starts, dtype=np.int64)
+    pos_rank_sum = float(np.sum(avg_rank * group_pos))
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000, 100_000])
+@pytest.mark.parametrize("scores_kind", ["distinct", "ties", "infinite"])
+def test_auc_equals_the_reduceat_formula(n, scores_kind):
+    rng = make_rng(n)
+    scores = rng.standard_normal(n)
+    if scores_kind == "ties":
+        scores = np.round(scores, 1)
+    elif scores_kind == "infinite":
+        scores[rng.random(n) < 0.2] = np.inf
+        scores[rng.random(n) < 0.2] = -np.inf
+        scores[0], scores[-1] = np.inf, -np.inf
+    labels = rng.random(n) < 0.4
+    labels[0], labels[-1] = True, False
+    assert learn.auc(scores, labels) == reduceat_auc(scores, labels)
 
 
 def test_auc_rejects_nan_scores():
