@@ -140,9 +140,8 @@ def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[D
     )
 
 
-# The scratch budget, in bytes, of every step that would otherwise
-# allocate in proportion to the data, so a run allocates little beyond its
-# data and its two logits vectors: the rows of one partition group of
+# The scratch budget, in bytes, of the steps that would otherwise allocate
+# in proportion to the training data: the rows of one partition group of
 # partition_gradients, of one block of _permute_rows, and of one chunk of
 # logits_loss (_GROUP_BYTES // 32 entries: four chunk-wide float arrays).
 #
