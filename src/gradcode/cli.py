@@ -461,7 +461,7 @@ def cmd_scheme_inspect(args: argparse.Namespace) -> int:
 
 def _summary_line(result: sim.RunResult) -> str:
     return (
-        f"run {result.label}: iterations={len(result.traces)} "
+        f"run {result.label}: iterations={len(result.loss)} "
         f"total_sim_time_s={_fmt(result.total_time)} "
         f"final_loss={_fmt(result.final_loss)} final_auc={_fmt(result.final_auc)}"
     )

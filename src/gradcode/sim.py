@@ -23,6 +23,9 @@ messages read take a gradient. A round's training loss is
 finished in the next round, from the logits that round's gradients
 compute (``run_training``), and the last iterate's by one product over
 the training matrix, so a round passes over X twice, not three times.
+A run's result (``RunResult``) is its clock plus its loss and AUC
+series; ``run_iteration`` returns the round's timing facts as well, but
+only as copies of the clock kept for observers.
 Time is simulated, never measured: a worker's compute cost is
 proportional to the rows it processes, scaled so that
 ``compute_time_per_partition`` is the cost of one n-way partition. A
@@ -45,6 +48,7 @@ build, so they differ only in strategy, timing and optimizer.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -292,38 +296,42 @@ class TrainingConfig:
 # Results
 
 
-@dataclass(frozen=True)
-class IterationTrace:
-    iteration: int
-    sim_time_s: float
-    duration: float
-    survivors: tuple[int, ...]
-    gradient_kind: str
-    loss: float
-    auc: float | None
-
-
 Event = tuple[float, int, str]  # (arrival time, worker, message kind)
 
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    label: str
+    """A trained run: its clock, each round's training loss and holdout
+    AUC (None but every ``auc_interval``-th round and the last), and the
+    last iterate."""
+
     config: TrainingConfig
-    traces: tuple[IterationTrace, ...]
+    clock: Clock
+    loss: tuple[float, ...]
+    auc: tuple[float | None, ...]
     beta: np.ndarray
 
     @property
+    def label(self) -> str:
+        return self.config.run_label
+
+    @cached_property
+    def sim_time_s(self) -> np.ndarray:
+        """Each round's end in simulated seconds: its clock's durations,
+        summed left to right."""
+        return np.cumsum(self.clock.durations)
+
+    @property
     def total_time(self) -> float:
-        return self.traces[-1].sim_time_s
+        return float(self.sim_time_s[-1])
 
     @property
     def final_loss(self) -> float:
-        return self.traces[-1].loss
+        return self.loss[-1]
 
     @property
     def final_auc(self) -> float | None:
-        return self.traces[-1].auc
+        return self.auc[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +455,11 @@ def run_iteration(
     """Aggregate round ``t`` (from 0) of ``clock`` at ``point``.
 
     Returns (gradient, round duration, survivors used, gradient kind,
-    all message events). The duration, survivors and events are the
-    clock's; they stay in the result for the benchmark's round probe.
+    all message events). A run reads only the gradient: the duration,
+    survivors and events are copies of the clock's, and the kind follows
+    from the strategy. They stay in the result only for observers, the
+    benchmark's round probe (``bench/spans.py``) and the tests' ``recorded``
+    fixture, until the benchmark reads the clock instead.
     ``logits``, when given, receives every partition's ``X_j @ point``
     (see ``learn.partition_gradients``). Only the partitions the used
     messages read take a gradient, unless ``verify_decode`` checks a
@@ -554,7 +565,7 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     the round before; rounding in the carry shrinks by m/(1+m) <= 1/2 a
     round. With b = 0 (``gd_decay``) the logits are used as computed. The
     per-partition products can round differently from one product over
-    the whole matrix, so a trace loss may differ from ``learn.log_loss``
+    the whole matrix, so a round's loss may differ from ``learn.log_loss``
     of its iterate: measured at d=10,000, p=100 over 100 iterations, by
     at most 3.5e-16 relative under NAG and not at all under ``gd_decay``.
     """
@@ -572,20 +583,19 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     opt = learn.make_optimizer(config.optimizer, config.p, lipschitz)
 
     cache: DecodeCache = {}
-    rounds: list[tuple] = []
     losses: list[float] = []
+    aucs: list[float | None] = []
     # ``logits`` gets X @ the eval point from each round's gradients;
     # ``carried`` holds X @ beta_prev, the older of the two iterates the
     # eval point combines (zero at first: beta_0 = 0).
     logits = np.empty(train.rows)
     carried = np.zeros(train.rows)
-    elapsed = 0.0
     for t in range(1, config.iterations + 1):
         point = opt.eval_point()
         a, b = opt.eval_weights()
-        gradient, duration, survivors, kind, _ = run_iteration(
+        gradient = run_iteration(
             config.strategy, clock, t - 1, train, point, cache, config.verify_decode, logits
-        )
+        )[0]
         if b:
             carried *= b  # free to scale: it is the next round's logits buffer
             logits -= carried
@@ -595,20 +605,15 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
             losses.append(learn.logits_loss(logits, train.y, out=carried))
         logits, carried = carried, logits
         beta = opt.step(gradient)
-        elapsed += duration
         auc_val = None
         if t % config.auc_interval == 0 or t == config.iterations:
             # Scores are linear: AUC only needs the ranking, and the
             # logistic link is monotone.
             auc_val = learn.auc(data.holdout.X @ beta, data.holdout.y)
-        rounds.append((t, elapsed, duration, survivors, kind, auc_val))
+        aucs.append(auc_val)
     # No later round reads the last iterate's logits.
     losses.append(learn.log_loss(train, opt.beta))
-    traces = tuple(
-        IterationTrace(t, elapsed, duration, survivors, kind, loss, auc_val)
-        for (t, elapsed, duration, survivors, kind, auc_val), loss in zip(rounds, losses)
-    )
-    return RunResult(label=config.run_label, config=config, traces=traces, beta=opt.beta)
+    return RunResult(config, clock, tuple(losses), tuple(aucs), opt.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -624,28 +629,23 @@ class ThresholdRow:
 
 @dataclass(frozen=True)
 class Comparison:
-    labels: tuple[str, ...]
-    iterations: tuple[int, ...]
-    # per label, aligned with ``iterations``; None pads shorter runs
-    sim_time_s: dict[str, tuple[float | None, ...]]
-    loss: dict[str, tuple[float | None, ...]]
-    auc: dict[str, tuple[float | None, ...]]
+    runs: tuple[RunResult, ...]
     thresholds: tuple[ThresholdRow, ...]
 
 
 def time_to_loss(result: RunResult, threshold: float) -> tuple[int, float] | None:
     """First (iteration, cumulative sim time) with loss <= threshold."""
-    for tr in result.traces:
-        if tr.loss <= threshold:
-            return tr.iteration, tr.sim_time_s
+    for t, loss in enumerate(result.loss):
+        if loss <= threshold:
+            return t + 1, float(result.sim_time_s[t])
     return None
 
 
 def _pick_thresholds(results: list[RunResult], count: int = 10) -> list[float]:
     # Milestones come from the run that ends worst, so every run is
     # graded on levels someone actually attained.
-    reference = max(results, key=lambda r: min(tr.loss for tr in r.traces))
-    cummin = np.minimum.accumulate([tr.loss for tr in reference.traces])
+    reference = max(results, key=lambda r: min(r.loss))
+    cummin = np.minimum.accumulate(reference.loss)
     milestones = sorted({float(v) for v in cummin}, reverse=True)
     if len(milestones) <= count:
         return milestones
@@ -654,9 +654,11 @@ def _pick_thresholds(results: list[RunResult], count: int = 10) -> list[float]:
 
 
 def compare_runs(results: list[RunResult]) -> Comparison:
-    """Align runs trained on the same data into per-iteration series.
+    """The runs, with the first iteration and sim time at which each
+    reaches each loss milestone. Raises MismatchedConfigs unless they
+    trained on the same data under unique labels.
 
-    A single run yields a degenerate one-column comparison.
+    A single run yields a degenerate one-run comparison.
     """
     if not results:
         raise MismatchedConfigs("no runs to compare")
@@ -664,19 +666,8 @@ def compare_runs(results: list[RunResult]) -> Comparison:
     if len(set(labels)) != len(labels):
         raise MismatchedConfigs(f"run labels must be unique, got {labels}")
     check_shared_data([r.config for r in results])
-    horizon = max(len(r.traces) for r in results)
-    iterations = tuple(range(1, horizon + 1))
-
-    def column(r: RunResult, get) -> tuple:
-        vals = [get(tr) for tr in r.traces]
-        return tuple(vals + [None] * (horizon - len(vals)))
-
     return Comparison(
-        labels=tuple(labels),
-        iterations=iterations,
-        sim_time_s={r.label: column(r, lambda tr: tr.sim_time_s) for r in results},
-        loss={r.label: column(r, lambda tr: tr.loss) for r in results},
-        auc={r.label: column(r, lambda tr: tr.auc) for r in results},
+        runs=tuple(results),
         thresholds=tuple(
             ThresholdRow(thr, {r.label: time_to_loss(r, thr) for r in results})
             for thr in _pick_thresholds(results)
@@ -701,45 +692,36 @@ def write_run_csv(result: RunResult, path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "sim_time_s", "loss", "auc", "survivors", "strategy"])
-        for tr in result.traces:
-            writer.writerow(
-                [
-                    tr.iteration,
-                    _fmt(tr.sim_time_s),
-                    _fmt(tr.loss),
-                    _fmt(tr.auc),
-                    ";".join(str(w) for w in tr.survivors),
-                    result.label,
-                ]
-            )
+        rounds = zip(result.sim_time_s.tolist(), result.loss, result.auc,
+                     result.clock.survivors.tolist())
+        for t, (elapsed, loss, auc, survivors) in enumerate(rounds, 1):
+            writer.writerow([t, _fmt(elapsed), _fmt(loss), _fmt(auc),
+                             ";".join(str(w) for w in survivors), result.label])
 
 
 def write_comparison_csvs(cmp: Comparison, iterations_path, thresholds_path) -> None:
-    """Aligned per-iteration series and loss-milestone arrival tables."""
+    """Aligned per-iteration series and loss-milestone arrival tables;
+    a shorter run's cells past its last round are empty."""
+    labels = [r.label for r in cmp.runs]
     with Path(iterations_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["iteration"]
-        for label in cmp.labels:
+        for label in labels:
             header += [f"{label}_sim_time_s", f"{label}_loss", f"{label}_auc"]
         writer.writerow(header)
-        for i, t in enumerate(cmp.iterations):
-            row = [t]
-            for label in cmp.labels:
-                row += [
-                    _fmt(cmp.sim_time_s[label][i]),
-                    _fmt(cmp.loss[label][i]),
-                    _fmt(cmp.auc[label][i]),
-                ]
-            writer.writerow(row)
+        series = [zip(r.sim_time_s.tolist(), r.loss, r.auc) for r in cmp.runs]
+        padded = itertools.zip_longest(*series, fillvalue=(None, None, None))
+        for t, rounds in enumerate(padded, 1):
+            writer.writerow([t, *(_fmt(value) for row in rounds for value in row)])
     with Path(thresholds_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["loss_threshold"]
-        for label in cmp.labels:
+        for label in labels:
             header += [f"{label}_iteration", f"{label}_sim_time_s"]
         writer.writerow(header)
         for row_data in cmp.thresholds:
             row = [_fmt(row_data.threshold)]
-            for label in cmp.labels:
+            for label in labels:
                 hit = row_data.reached[label]
                 row += ["", ""] if hit is None else [hit[0], _fmt(hit[1])]
             writer.writerow(row)

@@ -9,6 +9,7 @@ from gradcode import learn, sim
 
 @dataclass
 class RecordedRun:
+    kinds: list = field(default_factory=list)  # each round's gradient kind
     events: list = field(default_factory=list)  # each round's message events
     iterates: list = field(default_factory=list)  # a copy of each step's iterate
 
@@ -18,9 +19,10 @@ def recorded(monkeypatch):
     """One ``RecordedRun`` per ``sim.run_training`` call in the test.
 
     Recorded from outside the simulator, as the benchmark's probes do: by
-    patching ``sim.run_iteration`` (its fifth result is the round's
-    events) and the ``step`` of each optimizer ``learn.make_optimizer``
-    returns during a run, names the simulator looks up on every call.
+    patching ``sim.run_iteration`` (its fourth result is the round's
+    gradient kind, its fifth the round's events) and the ``step`` of each
+    optimizer ``learn.make_optimizer`` returns during a run, names the
+    simulator looks up on every call.
     """
     runs: list[RecordedRun] = []
     active: list[RecordedRun] = []
@@ -37,6 +39,7 @@ def recorded(monkeypatch):
 
     def iteration(*args, **kwargs):
         result = run_iteration(*args, **kwargs)
+        active[-1].kinds.append(result[3])
         active[-1].events.append(result[4])
         return result
 

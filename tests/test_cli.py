@@ -182,9 +182,9 @@ def test_simulate_matches_library_run(tmp_path):
     )
     expected = sim.run_training(cfg)
     rows = read_csv(tmp_path / "run.csv")
-    for row, tr in zip(rows, expected.traces):
-        assert float(row["loss"]) == tr.loss
-        assert float(row["sim_time_s"]) == tr.sim_time_s
+    for row, loss, elapsed in zip(rows, expected.loss, expected.sim_time_s.tolist()):
+        assert float(row["loss"]) == loss
+        assert float(row["sim_time_s"]) == elapsed
 
 
 def test_simulate_is_idempotent(tmp_path):

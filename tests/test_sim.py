@@ -60,15 +60,29 @@ def rebuild_datasets(config):
 def replay(config, result, gradient_fn):
     """Drive a fresh optimizer with gradients built by ``gradient_fn``.
 
-    gradient_fn(train, point, trace) must reproduce what the simulated
+    gradient_fn(train, point, survivors) must reproduce what the simulated
     aggregator summed, in the same order, so betas match bit for bit.
     """
     train, _ = rebuild_datasets(config)
     opt = learn.make_optimizer(config.optimizer, config.p, learn.lipschitz_bound(train.X))
     beta = None
-    for trace in result.traces:
-        beta = opt.step(gradient_fn(train, opt.eval_point(), trace))
+    for survivors in survivor_sets(result):
+        beta = opt.step(gradient_fn(train, opt.eval_point(), survivors))
     return beta, train
+
+
+def survivor_sets(result):
+    """Each round's survivors, as a tuple of worker indices."""
+    return [tuple(row) for row in result.clock.survivors.tolist()]
+
+
+def assert_same_series(a, b):
+    """Two runs agree in every per-round series, bit for bit."""
+    assert a.loss == b.loss
+    assert a.auc == b.auc
+    assert np.array_equal(a.clock.durations, b.clock.durations)
+    assert np.array_equal(a.sim_time_s, b.sim_time_s)
+    assert np.array_equal(a.clock.survivors, b.clock.survivors)
 
 
 def seq_sum(parts):
@@ -86,7 +100,7 @@ def test_run_on_prepared_data_matches_private_build():
     cfg = small_config(sim.Coded(codec.build_frac(4, 1)))
     own = sim.run_training(cfg)
     shared = sim.run_training(cfg, sim.prepare_data(cfg))
-    assert shared.traces == own.traces
+    assert_same_series(shared, own)
     assert np.array_equal(shared.beta, own.beta)
 
 
@@ -155,11 +169,12 @@ def test_durations_match_event_brute_force(strategy, recorded):
     [run] = recorded
     assert len(run.events) == cfg.iterations
     clock = 0.0
-    for trace, events in zip(res.traces, run.events):
+    for duration, elapsed, events in zip(res.clock.durations.tolist(), res.sim_time_s.tolist(),
+                                         run.events):
         expected = brute_force_duration(strategy, list(events))
-        assert trace.duration == expected
-        clock += trace.duration
-        assert trace.sim_time_s == pytest.approx(clock, rel=1e-12)
+        assert duration == expected
+        clock += duration
+        assert elapsed == pytest.approx(clock, rel=1e-12)
 
 
 def test_event_counts_and_kinds(recorded):
@@ -182,15 +197,16 @@ def test_event_counts_and_kinds(recorded):
 # Aggregation replayed from recorded survivors
 
 
-def test_ignore_sums_exactly_surviving_partitions():
+def test_ignore_sums_exactly_surviving_partitions(recorded):
     policy = sim.StragglerPolicy(mode="random", count=1, kind="delay", extra=50.0)
     cfg = small_config(sim.IgnoreStragglers(4, 1), policy=policy, iterations=20)
     res = sim.run_training(cfg)
+    [run] = recorded
+    assert run.kinds == ["partial_sum"] * 20
 
-    def partial_sum(train, point, trace):
-        assert len(trace.survivors) == 3
-        assert trace.gradient_kind == "partial_sum"
-        return seq_sum([learn.partial_gradient(train, w, point) for w in trace.survivors])
+    def partial_sum(train, point, survivors):
+        assert len(survivors) == 3
+        return seq_sum([learn.partial_gradient(train, w, point) for w in survivors])
 
     beta, _ = replay(cfg, res, partial_sum)
     assert np.array_equal(beta, res.beta)
@@ -206,7 +222,7 @@ def test_ignore_excludes_the_delayed_worker():
         iterations=30,
     )
     res = sim.run_training(cfg)
-    excluded = {tuple(set(range(4)) - set(tr.survivors)) for tr in res.traces}
+    excluded = {tuple(set(range(4)) - set(survivors)) for survivors in survivor_sets(res)}
     assert all(len(e) == 1 for e in excluded)
     assert len(excluded) >= 2  # the random draw moves around
 
@@ -218,12 +234,12 @@ def test_coded_decode_replay_bit_exact():
     res = sim.run_training(cfg)
     cache = {}
 
-    def decoded(train, point, trace):
+    def decoded(train, point, survivors):
         G = [learn.partial_gradient(train, j, point) for j in range(code.k)]
-        row = codec.decode_row(code, trace.survivors, cache)
+        row = codec.decode_row(code, survivors, cache)
         msgs = [
             seq_sum([code.B[w, j] * G[j] for j in codec.assignment(code, w)])
-            for w in trace.survivors
+            for w in survivors
         ]
         return seq_sum([c * m for c, m in zip(row.coeffs, msgs)])
 
@@ -244,15 +260,15 @@ def test_partial_two_stage_replay_bit_exact():
     code, off = plan.code, plan.coded_offset
     cache = {}
 
-    def two_stage(train, point, trace):
+    def two_stage(train, point, survivors):
         G = [learn.partial_gradient(train, j, point) for j in range(train.partitions)]
         naive = [
             seq_sum([G[j] for j in plan.naive_assignment[w]]) for w in range(plan.n)
         ]
-        row = codec.decode_row(code, trace.survivors, cache)
+        row = codec.decode_row(code, survivors, cache)
         coded = [
             seq_sum([code.B[w, j] * G[off + j] for j in codec.assignment(code, w)])
-            for w in trace.survivors
+            for w in survivors
         ]
         return seq_sum(naive + [c * m for c, m in zip(row.coeffs, coded)])
 
@@ -396,13 +412,14 @@ def single_node_betas(cfg):
         sim.PartialCoded(partial.plan_partial(4, 2, 2.5, kind=codec.CYC, seed=2)),
     ],
 )
-def test_exact_strategies_match_single_node(strategy):
+def test_exact_strategies_match_single_node(strategy, recorded):
     cfg = small_config(strategy, d=768, iterations=40)
     res = sim.run_training(cfg)
     reference = single_node_betas(cfg)[-1]
     scale = max(1.0, float(np.max(np.abs(reference))))
     assert float(np.max(np.abs(res.beta - reference))) / scale < 1e-9
-    assert all(tr.gradient_kind == "exact" for tr in res.traces)
+    [run] = recorded
+    assert run.kinds == ["exact"] * 40
 
 
 def test_ignore_diverges_from_single_node():
@@ -425,7 +442,7 @@ def test_coded_model_ignores_straggler_pattern():
         seeds = sim.SeedBundle(11, 21, 31, straggler_seed)
         cfg = small_config(sim.Coded(code), seeds=seeds, policy=policy, **base)
         runs.append(sim.run_training(cfg))
-    losses = [[tr.loss for tr in r.traces] for r in runs]
+    losses = [r.loss for r in runs]
     for other in losses[1:]:
         assert np.allclose(losses[0], other, rtol=1e-9)
     for other in runs[1:]:
@@ -445,14 +462,14 @@ def test_zero_jitter_round_times_exact():
     per_row = EXACT_LAT.compute_time_per_partition * 4 / train_rows
     expected = per_row * 128 + EXACT_LAT.comm_time
     res = sim.run_training(cfg)
-    assert all(tr.duration == expected for tr in res.traces)
+    assert res.clock.durations.tolist() == [expected] * cfg.iterations
     assert res.total_time == pytest.approx(cfg.iterations * expected, rel=1e-12)
 
 
 def test_zero_jitter_ties_break_by_worker_index():
     cfg = small_config(sim.IgnoreStragglers(4, 1), latency=EXACT_LAT, d=640)
     res = sim.run_training(cfg)
-    assert all(tr.survivors == (0, 1, 2) for tr in res.traces)
+    assert survivor_sets(res) == [(0, 1, 2)] * cfg.iterations
 
 
 def test_naive_delay_adds_linearly():
@@ -475,7 +492,7 @@ def test_coded_time_flat_under_tolerated_delay():
             small_config(sim.Coded(code), latency=EXACT_LAT, d=640, policy=policy)
         )
         assert delayed.total_time == base.total_time
-        assert all(tr.survivors == (0, 1, 2) for tr in delayed.traces)
+        assert survivor_sets(delayed) == [(0, 1, 2)] * delayed.config.iterations
 
 
 def test_partial_completion_identity_integral_ratio():
@@ -494,14 +511,14 @@ def test_partial_completion_identity_integral_ratio():
     coded_done = per_row * 256 + 2.0 * EXACT_LAT.comm_time
     naive_straggler_done = 2.0 * (per_row * 128) + EXACT_LAT.comm_time
     assert coded_done > naive_straggler_done  # slack is zero, comm decides
-    assert all(tr.duration == coded_done for tr in res.traces)
-    assert all(tr.survivors == (1, 2, 3) for tr in res.traces)
+    assert res.clock.durations.tolist() == [coded_done] * cfg.iterations
+    assert survivor_sets(res) == [(1, 2, 3)] * cfg.iterations
 
 
 def _one_round_durations(strategy, latency, policy, d, iterations=2):
     cfg = small_config(strategy, latency=latency, policy=policy, d=d, p=3,
                        iterations=iterations)
-    durations = {tr.duration for tr in sim.run_training(cfg).traces}
+    durations = set(sim.run_training(cfg).clock.durations.tolist())
     assert len(durations) == 1
     return durations.pop()
 
@@ -695,6 +712,29 @@ def test_an_overflowing_clock_names_its_first_round():
         sim.run_training(small_config(sim.Naive(4), iterations=100, latency=latency))
 
 
+
+@pytest.mark.parametrize("sigma", [sim.DEFAULT_JITTER_SIGMA, None], ids=["jitter", "still"])
+@pytest.mark.parametrize("name", ["naive", "ignore", "frac", "partial_frac"])
+def test_sim_time_is_the_running_sum_of_round_durations(name, sigma):
+    # RunResult.sim_time_s is np.cumsum of the clock's durations. That
+    # np.cumsum adds left to right, as a running Python sum does, is how
+    # numpy iterates, not a documented guarantee: it was checked on numpy
+    # 2.4.6. Over 300 rounds, the prefix sums of every case below differ
+    # from the exactly rounded ones (math.fsum), whether the durations
+    # vary (jitter) or repeat (still).
+    latency = sim.LatencyModel(compute_time_per_partition=0.3, comm_time=0.05,
+                               jitter_sigma=sigma)
+    policy = sim.StragglerPolicy(mode="random", count=1, kind="delay", extra=0.7)
+    cfg = small_config(CLOCK_STRATEGIES[name](), d=1200, p=2, iterations=300,
+                       latency=latency, policy=policy)
+    res = sim.run_training(cfg)
+    elapsed, running = 0.0, []
+    for duration in res.clock.durations.tolist():
+        elapsed += duration
+        running.append(elapsed)
+    assert res.sim_time_s.tolist() == running
+    assert res.total_time == running[-1]
+
 # (constructor, argument): the strategy itself is built under the patch.
 @pytest.mark.parametrize(
     "strategy",
@@ -755,7 +795,7 @@ def test_coded_survives_full_delay_within_tolerance():
     policy = sim.StragglerPolicy(mode="fixed", workers=(2,), kind="delay", extra=math.inf)
     cfg = small_config(sim.Coded(codec.build_frac(4, 1)), policy=policy)
     res = sim.run_training(cfg)
-    assert all(2 not in tr.survivors for tr in res.traces)
+    assert all(2 not in survivors for survivors in survivor_sets(res))
     assert math.isfinite(res.total_time)
 
 
@@ -798,7 +838,7 @@ def test_tolerance_check_follows_the_aggregation_rule(strategy, accepts):
     policy = sim.StragglerPolicy(mode="random", count=2, kind="delay", extra=1.0)
     if accepts:
         res = sim.run_training(small_config(strategy, policy=policy, iterations=3))
-        assert all(tr.survivors == (0, 1, 2, 3) for tr in res.traces)
+        assert survivor_sets(res) == [(0, 1, 2, 3)] * 3
     else:
         with pytest.raises(ConfigError, match="tolerance"):
             small_config(strategy, policy=policy)
@@ -846,7 +886,7 @@ def test_partitions_must_fit_the_training_split():
         with pytest.raises(ConfigError, match="48 training rows"):
             small_config(sim.Naive(k), d=60)
     res = sim.run_training(small_config(sim.Naive(48), d=60, iterations=2))
-    assert len(res.traces) == 2
+    assert len(res.loss) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +898,7 @@ def test_rerun_is_bit_identical():
     cfg = small_config(sim.Coded(codec.build_cyc(4, 1, seed=2)), policy=policy)
     a = sim.run_training(cfg)
     b = sim.run_training(cfg)
-    assert a.traces == b.traces
+    assert_same_series(a, b)
     assert np.array_equal(a.beta, b.beta)
 
 
@@ -866,16 +906,16 @@ def test_latency_seed_changes_times_not_model():
     cfg1 = small_config(sim.Naive(4))
     cfg2 = small_config(sim.Naive(4), seeds=sim.SeedBundle(11, 21, 99, 41))
     r1, r2 = sim.run_training(cfg1), sim.run_training(cfg2)
-    assert [tr.loss for tr in r1.traces] == [tr.loss for tr in r2.traces]
+    assert r1.loss == r2.loss
     assert np.array_equal(r1.beta, r2.beta)
-    assert [tr.duration for tr in r1.traces] != [tr.duration for tr in r2.traces]
+    assert r1.clock.durations.tolist() != r2.clock.durations.tolist()
 
 
 def test_data_seed_changes_model():
     cfg1 = small_config(sim.Naive(4))
     cfg2 = small_config(sim.Naive(4), seeds=sim.SeedBundle(11, 22, 31, 41))
     r1, r2 = sim.run_training(cfg1), sim.run_training(cfg2)
-    assert [tr.loss for tr in r1.traces] != [tr.loss for tr in r2.traces]
+    assert r1.loss != r2.loss
 
 
 def test_default_jitter_tail_calibration():
@@ -890,7 +930,7 @@ def test_default_jitter_tail_calibration():
 def test_auc_interval_sampling():
     cfg = small_config(sim.Naive(4), iterations=7, auc_interval=3)
     res = sim.run_training(cfg)
-    have = [tr.iteration for tr in res.traces if tr.auc is not None]
+    have = [t for t, auc in enumerate(res.auc, 1) if auc is not None]
     assert have == [3, 6, 7]  # interval hits plus the final iteration
 
 
@@ -906,21 +946,38 @@ def make_pair(iterations=12):
     return runs
 
 
-def test_compare_runs_aligns_series():
+def comparison_tables(tmp_path, cmp_):
+    """The rows of the iterations and thresholds CSVs ``cmp_`` writes."""
+    it_path, th_path = tmp_path / "it.csv", tmp_path / "th.csv"
+    sim.write_comparison_csvs(cmp_, it_path, th_path)
+    with it_path.open() as it_fh, th_path.open() as th_fh:
+        return list(csv.DictReader(it_fh)), list(csv.DictReader(th_fh))
+
+
+def test_compare_runs_aligns_series(tmp_path):
     runs = make_pair()
     cmp_ = sim.compare_runs(runs)
-    assert cmp_.labels == ("naive", "frac_n4_s1")
-    assert cmp_.iterations == tuple(range(1, 13))
+    assert cmp_.runs == tuple(runs)
+    rows, trows = comparison_tables(tmp_path, cmp_)
+    assert list(rows[0]) == ["iteration"] + [
+        f"{label}_{column}" for label in ("naive", "frac_n4_s1")
+        for column in ("sim_time_s", "loss", "auc")
+    ]
+    assert [int(row["iteration"]) for row in rows] == list(range(1, 13))
     for r in runs:
-        assert cmp_.loss[r.label] == tuple(tr.loss for tr in r.traces)
-    thr = [row.threshold for row in cmp_.thresholds]
+        assert [float(row[f"{r.label}_loss"]) for row in rows] == list(r.loss)
+        assert [float(row[f"{r.label}_sim_time_s"]) for row in rows] == r.sim_time_s.tolist()
+    thr = [float(row["loss_threshold"]) for row in trows]
+    assert thr == [row.threshold for row in cmp_.thresholds]
     assert thr == sorted(thr, reverse=True)
-    for row in cmp_.thresholds:
-        for label, hit in row.reached.items():
-            if hit is not None:
-                it, t = hit
-                assert cmp_.loss[label][it - 1] <= row.threshold
-                assert t == cmp_.sim_time_s[label][it - 1]
+    for row, threshold in zip(trows, thr):
+        for r in runs:
+            it, t = row[f"{r.label}_iteration"], row[f"{r.label}_sim_time_s"]
+            if it == "":
+                assert t == ""
+            else:
+                assert r.loss[int(it) - 1] <= threshold
+                assert float(t) == r.sim_time_s[int(it) - 1]
 
 
 def test_compare_rejects_mismatched_data():
@@ -936,21 +993,24 @@ def test_compare_rejects_mismatched_data():
         sim.compare_runs([runs[0], runs[0]])
 
 
-def test_compare_single_run_degenerates():
+def test_compare_single_run_degenerates(tmp_path):
     runs = make_pair()
-    cmp_ = sim.compare_runs([runs[0]])
-    assert cmp_.labels == ("naive",)
-    assert cmp_.loss["naive"] == tuple(tr.loss for tr in runs[0].traces)
-    assert all(row.reached["naive"] is not None for row in cmp_.thresholds)
+    rows, trows = comparison_tables(tmp_path, sim.compare_runs([runs[0]]))
+    assert list(rows[0]) == ["iteration", "naive_sim_time_s", "naive_loss", "naive_auc"]
+    assert [float(row["naive_loss"]) for row in rows] == list(runs[0].loss)
+    assert trows and all(row["naive_iteration"] != "" for row in trows)
 
 
-def test_compare_pads_shorter_runs():
+def test_compare_pads_shorter_runs(tmp_path):
     a = sim.run_training(small_config(sim.Naive(4), iterations=8))
     b = sim.run_training(small_config(sim.Coded(codec.build_frac(4, 1)), iterations=12))
-    cmp_ = sim.compare_runs([a, b])
-    assert len(cmp_.iterations) == 12
-    assert cmp_.loss["naive"][8:] == (None,) * 4
-    assert cmp_.loss["frac_n4_s1"][11] is not None
+    rows, _ = comparison_tables(tmp_path, sim.compare_runs([a, b]))
+    assert len(rows) == 12
+    naive = [[row[f"naive_{column}"] for column in ("sim_time_s", "loss", "auc")]
+             for row in rows]
+    assert all(cells[:2] != ["", ""] for cells in naive[:8])
+    assert naive[8:] == [["", "", ""]] * 4
+    assert rows[11]["frac_n4_s1_loss"] != ""
 
 
 def test_run_csv_round_trip(tmp_path):
@@ -963,28 +1023,28 @@ def test_run_csv_round_trip(tmp_path):
         "iteration", "sim_time_s", "loss", "auc", "survivors", "strategy",
     ]
     assert len(rows) == 9
-    for row, tr in zip(rows, res.traces):
-        assert int(row["iteration"]) == tr.iteration
-        assert float(row["sim_time_s"]) == tr.sim_time_s
-        assert float(row["loss"]) == tr.loss
-        assert row["auc"] == ("" if tr.auc is None else repr(tr.auc))
-        assert tuple(int(w) for w in row["survivors"].split(";")) == tr.survivors
+    rounds = zip(res.sim_time_s.tolist(), res.loss, res.auc, survivor_sets(res))
+    for t, (row, (elapsed, loss, auc, survivors)) in enumerate(zip(rows, rounds), 1):
+        assert int(row["iteration"]) == t
+        assert float(row["sim_time_s"]) == elapsed
+        assert float(row["loss"]) == loss
+        assert row["auc"] == ("" if auc is None else repr(auc))
+        assert tuple(int(w) for w in row["survivors"].split(";")) == survivors
         assert row["strategy"] == "naive"
 
 
 def test_comparison_csvs(tmp_path):
     cmp_ = sim.compare_runs(make_pair())
-    it_path, th_path = tmp_path / "it.csv", tmp_path / "th.csv"
-    sim.write_comparison_csvs(cmp_, it_path, th_path)
-    with it_path.open() as fh:
-        rows = list(csv.DictReader(fh))
+    rows, trows = comparison_tables(tmp_path, cmp_)
     assert len(rows) == 12
     assert "naive_loss" in rows[0] and "frac_n4_s1_sim_time_s" in rows[0]
-    assert float(rows[3]["naive_loss"]) == cmp_.loss["naive"][3]
-    with th_path.open() as fh:
-        trows = list(csv.DictReader(fh))
+    assert float(rows[3]["naive_loss"]) == cmp_.runs[0].loss[3]
     assert len(trows) == len(cmp_.thresholds)
     assert float(trows[0]["loss_threshold"]) == cmp_.thresholds[0].threshold
+    # A milestone a run never reaches leaves both of its cells empty.
+    unreached = sim.ThresholdRow(0.0, {"naive": None, "frac_n4_s1": (3, 1.5)})
+    _, [row] = comparison_tables(tmp_path, sim.Comparison(cmp_.runs, (unreached,)))
+    assert list(row.values()) == ["0.0", "", "", "3", "1.5"]
 
 
 def test_label_override():
@@ -1012,14 +1072,14 @@ def test_trace_loss_is_log_loss_of_each_iterate(method, recorded):
     data = sim.prepare_data(cfg)
     res = sim.run_training(cfg, data)
     [run] = recorded
-    assert len(res.traces) == len(run.iterates) == cfg.iterations
-    for trace, beta in zip(res.traces, run.iterates):
+    assert len(res.loss) == len(run.iterates) == cfg.iterations
+    for loss, beta in zip(res.loss, run.iterates):
         want = learn.log_loss(data.train, beta)
         if method == learn.GD_DECAY:
-            assert trace.loss == want
+            assert loss == want
         else:
             # NAG's loss comes from carried logits: exact up to rounding.
-            assert abs(trace.loss - want) <= 1e-13 * abs(want)
+            assert abs(loss - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("method", [learn.NAG, learn.GD_DECAY])
@@ -1036,13 +1096,13 @@ def test_carried_loss_matches_log_loss_of_every_iterate(method, d, p, strategy, 
     data = sim.prepare_data(cfg)
     res = sim.run_training(cfg, data)
     [run] = recorded
-    assert len(res.traces) == len(run.iterates) == 40
-    for trace, beta in zip(res.traces, run.iterates):
+    assert len(res.loss) == len(run.iterates) == 40
+    for loss, beta in zip(res.loss, run.iterates):
         want = learn.log_loss(data.train, beta)
         if method == learn.GD_DECAY:
-            assert trace.loss == want
+            assert loss == want
         else:
-            assert abs(trace.loss - want) <= 1e-13 * abs(want)
+            assert abs(loss - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("method", [learn.NAG, learn.GD_DECAY])
@@ -1059,7 +1119,7 @@ def test_log_loss_runs_once_per_run(monkeypatch, method, make):
     cfg = small_config(make(), d=960, iterations=12,
                        optimizer=learn.OptimizerConfig(method=method))
     res = sim.run_training(cfg)
-    assert len(res.traces) == 12
+    assert len(res.loss) == 12
     assert calls == [1]
 
 
@@ -1072,8 +1132,27 @@ def test_run_training_looks_up_run_iteration_each_round(monkeypatch):
         sim, "run_iteration", lambda *args: calls.append(args[3]) or run_iteration(*args)
     )
     res = sim.run_training(small_config(sim.Naive(4), iterations=7))
-    assert len(calls) == len(res.traces) == 7
+    assert len(calls) == len(res.loss) == 7
     assert all(train.partitions == 4 for train in calls)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sim.IgnoreStragglers(4, 1),
+    lambda: sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.FRAC)),
+], ids=["ignore", "partial"])
+def test_a_run_reads_only_the_gradient_of_each_round(monkeypatch, make):
+    # The rest of run_iteration's result copies the clock for observers;
+    # the run's series come from the clock itself.
+    policy = sim.StragglerPolicy(mode="random", count=1, kind="delay", extra=5.0)
+    cfg = small_config(make(), d=960, iterations=20, auc_interval=3, policy=policy)
+    want = sim.run_training(cfg)
+    run_iteration = sim.run_iteration
+    monkeypatch.setattr(
+        sim, "run_iteration", lambda *args: (run_iteration(*args)[0], None, None, None, None)
+    )
+    got = sim.run_training(cfg)
+    assert_same_series(got, want)
+    assert np.array_equal(got.beta, want.beta)
 
 
 @pytest.mark.parametrize("make, verify, wanted", [
@@ -1091,4 +1170,4 @@ def test_only_partitions_a_used_message_reads_take_a_gradient(monkeypatch, make,
     )
     policy = sim.StragglerPolicy(mode="random", count=1, kind="delay", extra=5.0)
     res = sim.run_training(small_config(make(), policy=policy, verify_decode=verify))
-    assert asked == [wanted(set(tr.survivors)) for tr in res.traces]
+    assert asked == [wanted(set(survivors)) for survivors in survivor_sets(res)]

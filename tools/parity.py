@@ -16,7 +16,8 @@ directory:
 * a p=1 bundle, where numpy's pairwise summation would differ from a
   left-to-right one;
 * ``scheme build``, ``verify`` and ``inspect`` of a cyclic scheme and of
-  a two-stage plan;
+  a two-stage plan, each followed by a simulate of the strategy that
+  ``--scheme-file`` loads from the file just built;
 * a paper-scale bundle (d=554,400, split 12 ways) at T=5;
 * one simulate for each way the aggregation rule can end a round or a
   run: naive under fixed finite delays, naive starved by an infinite one
@@ -24,6 +25,9 @@ directory:
   ignore-stragglers over its tolerance (exit 3), and frac under infinite
   delays within its tolerance;
 * a p=1 bundle without jitter, where arrival ties are common;
+* a ``compare --config`` of three runs with their own labels and
+  different iteration counts, so the comparison pads the shorter runs;
+  each tree's directory gets the config file (``UNEVEN``) first;
 * ``scheme build`` of cyclic schemes at (n, s) = (24, 4), seeds 0-9, and
   (30, 5), seeds 0-4, of a frac and a naive scheme and of a cyclic
   two-stage plan, each file compared byte for byte. These keep their
@@ -56,6 +60,7 @@ import tempfile
 from pathlib import Path
 
 MANIFEST = "parity-manifest.json"
+UNEVEN = "uneven.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -102,10 +107,16 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                           "--seed", str(seed + 30), "--out", "cyc.json"]),
         ("scheme verify", ["scheme", "verify", "cyc.json"]),
         ("scheme inspect", ["scheme", "inspect", "cyc.json"]),
+        ("cyc from file", ["simulate", "--strategy", "coded", "--scheme-file", "cyc.json", *desk,
+                           *stragglers(3, "delay", "5"), "--seed-all", str(seed + 35),
+                           "--out", "cyc-file.csv"]),
         ("plan build", ["scheme", "build", "--kind", "frac", "--n", "4", "--s", "1",
                         "--alpha", "2", "--out", "plan.json"]),
         ("plan verify", ["scheme", "verify", "plan.json"]),
         ("plan inspect", ["scheme", "inspect", "plan.json"]),
+        ("plan from file", ["simulate", "--strategy", "partial", "--scheme-file", "plan.json",
+                            *desk, *stragglers(1, "slowdown", "2"), "--seed-all",
+                            str(seed + 37), "--out", "plan-file.csv"]),
         ("paper bundle", bundle("paper", 12, 2, paper, 40)),
         ("naive delayed", delayed(["naive"], "fixed", "5", 50, "naive.csv")),
         ("naive starved", delayed(["naive"], "fixed", "inf", 50, "starved.csv")),
@@ -117,6 +128,7 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                                         "inf", 70, "frac.csv")),
         ("p=1 bundle without jitter", [*bundle("still", 12, 2, thin, 80),
                                        "--jitter-sigma", "none"]),
+        ("uneven compare", ["compare", "--config", UNEVEN, "--out-prefix", "uneven"]),
         *(build(f"cyc{n}-{s}-seed{seed + i}", "cyc", n, "--s", str(s), "--seed", str(seed + i))
           for n, s, draws in ((24, 4, 10), (30, 5, 5)) for i in range(draws)),
         build("frac12-2", "frac", 12, "--s", "2"),
@@ -124,6 +136,21 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
         build("cyc12-2-plan", "cyc", 12, "--s", "2", "--seed", str(seed + 90),
               "--alpha", "1.5"),
     ]
+
+
+def uneven_config(small: bool, seed: int) -> dict:
+    """The ``compare --config`` file whose runs differ in length."""
+    size, lengths = ({"d": 1200, "p": 4}, (5, 9, 7)) if small else \
+        ({"d": 4800, "p": 20}, (40, 60, 50))
+    runs = [{"strategy": "naive", "label": "short"},
+            {"strategy": "coded", "kind": "frac", "s": 2, "label": "long"},
+            {"strategy": "ignore", "s": 2, "label": "middle"}]
+    return {
+        "shared": {"n": 12, **size, "straggler_mode": "random", "straggler_count": 2,
+                   "straggler_kind": "delay", "straggler_extra": 5.0, "auc_interval": 3,
+                   "seed_all": seed + 100},
+        "runs": [{**run, "iterations": length} for run, length in zip(runs, lengths)],
+    }
 
 
 def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
@@ -136,6 +163,7 @@ def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
     from gradcode import cli
 
     os.chdir(workdir)
+    Path(UNEVEN).write_text(json.dumps(uneven_config(small, seed)) + "\n")
     records = []
     for name, argv in invocations(small, seed):
         out, err = io.StringIO(), io.StringIO()
