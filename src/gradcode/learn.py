@@ -115,25 +115,24 @@ def holdout_rows(rows: int, frac: float) -> int:
     return int(round(frac * rows))
 
 
-def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
-    """Shuffle rows in place and carve off the first ``frac`` as a holdout set.
+def holdout_split(
+    ds: Dataset, frac: float, rng: np.random.Generator | None = None
+) -> tuple[Dataset, Dataset]:
+    """Split ``ds`` into ``(train, holdout)``: the holdout is its first
+    ``holdout_rows(rows, frac)`` rows, the training set the rest.
 
-    ``ds``'s rows (features and labels together) are permuted in place,
-    and the returned ``(train, holdout)`` are views of them: the holdout
-    is the first ``holdout_rows(rows, frac)`` shuffled rows, the training
-    set the rest. So the data is held once, not twice; ``ds`` stays a
-    consistent shuffled dataset but shares its memory with both splits.
-    The training rows keep their shuffled order, so contiguous
-    partitions of the training set are random subsamples of the data.
+    Both are views of ``ds``'s arrays, in row order, so the split copies
+    nothing. It shuffles nothing either: ``gen_synthetic``'s rows are
+    i.i.d., so its first rows are a random split in distribution, and
+    contiguous partitions of the training set are random subsamples. A
+    caller with ordered rows must shuffle them first. ``rng`` is never
+    drawn from; it stays only because the benchmark's oracle passes one.
     """
     if not 0.0 < frac < 1.0:
         raise DimensionMismatch(f"holdout fraction must be in (0, 1), got {frac}")
-    perm = rng.permutation(ds.rows)
     n_hold = holdout_rows(ds.rows, frac)
     if n_hold < 1 or ds.rows - n_hold < 1:
         raise DimensionMismatch(f"holdout fraction {frac} leaves an empty split at d={ds.rows}")
-    _permute_rows(ds.X, perm)
-    ds.y[:] = ds.y[perm]
     return (
         Dataset(ds.X[n_hold:], ds.y[n_hold:], ((0, ds.rows - n_hold),)),
         Dataset(ds.X[:n_hold], ds.y[:n_hold], ((0, n_hold),)),
@@ -142,8 +141,8 @@ def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[D
 
 # The scratch budget, in bytes, of the steps that would otherwise allocate
 # in proportion to the training data: the rows of one partition group of
-# partition_gradients, of one block of _permute_rows, and of one chunk of
-# logits_loss (_GROUP_BYTES // 32 entries: four chunk-wide float arrays).
+# partition_gradients and one chunk of logits_loss (_GROUP_BYTES // 32
+# entries: four chunk-wide float arrays).
 #
 # Partition groups: the logistic map runs once per group instead of once
 # per partition; a group this small is still in a core's 2 MiB L2 cache
@@ -156,46 +155,7 @@ def holdout_split(ds: Dataset, frac: float, rng: np.random.Generator) -> tuple[D
 # partitions). A 29.6 MB paper-scale partition is its own group under 1
 # or 2 MiB; 12 of them took 44.6, 44.8 and 44.2 ms, fastest of 20, so one
 # group saves nothing there. A group always holds at least one partition.
-#
-# Shuffle blocks: 1 MiB is 1,310 rows at p = 100. On the same host, a
-# desk shuffle (d = 10,000) took 3.17 / 2.88 / 2.34 ms with blocks of
-# 1,024 / 2,048 / 8,192 rows, and a paper shuffle (d = 554,400) 334-366
-# ms with blocks of 1,024 to 16,384 rows, with no trend. Blocks of 8,192
-# rows (6.5 MB at p = 100) set desk_bundle's peak memory.
 _GROUP_BYTES = 1 << 20
-
-
-def _permute_rows(X: np.ndarray, perm: np.ndarray, chunk: int | None = None) -> None:
-    """``X[:] = X[perm]`` in place, with two blocks of ``chunk`` rows of X
-    as scratch; ``chunk`` defaults to ``_GROUP_BYTES`` of rows.
-
-    Fills the destination slots a block at a time. ``pos[r]`` is the slot
-    original row r sits in now, ``at[q]`` the original row in slot q; both
-    are kept current for the rows not yet placed, which all sit at or
-    beyond the current block. For block [i, j) the wanted rows are
-    gathered, the unwanted rows still in [i, j) move to the slots the
-    gather vacated beyond j, and the block is written. Every value is
-    copied, never recomputed, so the result is bit-identical to the
-    fancy-indexed copy. Beyond the blocks, the scratch is ``pos`` and
-    ``at``, one integer per row each.
-    """
-    if chunk is None:
-        chunk = max(1, _GROUP_BYTES // (X.itemsize * X.shape[1]))
-    pos = np.arange(len(perm))
-    at = pos.copy()
-    for i in range(0, len(perm), chunk):
-        j = min(i + chunk, len(perm))
-        src = pos[perm[i:j]]
-        block = X[src]
-        free = src[src >= j]
-        kept = np.zeros(j - i, dtype=bool)
-        kept[src[src < j] - i] = True
-        evict = np.flatnonzero(~kept) + i
-        X[free] = X[evict]
-        moved = at[evict]
-        at[free] = moved
-        pos[moved] = free
-        X[i:j] = block
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

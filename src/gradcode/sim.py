@@ -531,14 +531,17 @@ class TrainingData:
 
 
 def prepare_data(config: TrainingConfig) -> TrainingData:
-    """Draw, split and hold the data of ``config``; seed-determined."""
-    data_rng = make_rng(config.seeds.data)
-    dataset, _ = learn.gen_synthetic(data_rng, config.d, config.p)
-    train, holdout = learn.holdout_split(dataset, config.holdout_frac, data_rng)
+    """Draw, split and hold the data of ``config``; seed-determined.
+
+    The holdout is the first generated rows and the training set the
+    rest, both views of the generated arrays (``learn.holdout_split``),
+    so the data is held once.
+    """
+    dataset, _ = learn.gen_synthetic(make_rng(config.seeds.data), config.d, config.p)
+    train, holdout = learn.holdout_split(dataset, config.holdout_frac)
     # Every run takes the holdout's AUC, so a one-class holdout fails here,
     # before any training.
     learn.require_both_classes(holdout.y)
-    # The split is the generated array, shuffled in place: one copy of the data.
     return TrainingData(data_key(config), train, holdout)
 
 
@@ -641,22 +644,27 @@ def time_to_loss(result: RunResult, threshold: float) -> tuple[int, float] | Non
     return None
 
 
-def _pick_thresholds(results: list[RunResult], count: int = 10) -> list[float]:
-    # Milestones come from the run that ends worst, so every run is
-    # graded on levels someone actually attained.
-    reference = max(results, key=lambda r: min(r.loss))
-    cummin = np.minimum.accumulate(reference.loss)
-    milestones = sorted({float(v) for v in cummin}, reverse=True)
-    if len(milestones) <= count:
-        return milestones
-    idx = np.linspace(0, len(milestones) - 1, count).round().astype(int)
-    return [milestones[i] for i in sorted(set(idx.tolist()))]
+def _pick_thresholds(results: list[RunResult]) -> list[float]:
+    """Nine loss targets, 10 %, 20 %, ..., 90 % of the way down from the
+    highest first-round loss among the runs to the lowest final loss,
+    non-finite losses skipped; none unless some run ends below that first loss.
+
+    The last target lies a tenth of the range above the lowest final
+    loss, so exact strategies that agree up to rounding all reach it,
+    while a run that stops short or ends worse can leave targets unreached.
+    """
+    top = max((r.loss[0] for r in results if math.isfinite(r.loss[0])), default=math.nan)
+    bottom = min((r.loss[-1] for r in results if math.isfinite(r.loss[-1])), default=math.nan)
+    if not top > bottom:
+        return []
+    return [top - k * (top - bottom) / 10 for k in range(1, 10)]
 
 
 def compare_runs(results: list[RunResult]) -> Comparison:
     """The runs, with the first iteration and sim time at which each
-    reaches each loss milestone. Raises MismatchedConfigs unless they
-    trained on the same data under unique labels.
+    reaches each loss target (``_pick_thresholds``), None where it never
+    does. Raises MismatchedConfigs unless they trained on the same data
+    under unique labels.
 
     A single run yields a degenerate one-run comparison.
     """

@@ -46,9 +46,8 @@ def _grid_codes():
 
 def _rebuild_train(seeds: sim.SeedBundle, d: int, p: int, holdout_frac: float = 0.2):
     """Replay the dataset pipeline a training run performs internally."""
-    data_rng = make_rng(seeds.data)
-    dataset, _ = learn.gen_synthetic(data_rng, d, p)
-    train, holdout = learn.holdout_split(dataset, holdout_frac, data_rng)
+    dataset, _ = learn.gen_synthetic(make_rng(seeds.data), d, p)
+    train, holdout = learn.holdout_split(dataset, holdout_frac)
     return train, holdout
 
 

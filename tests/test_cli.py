@@ -569,14 +569,15 @@ def test_an_overflowing_clock_is_reported_before_any_round(tmp_path, capsys, mon
 
 
 def test_blas_thread_count_moves_only_the_loss_bits(tmp_path):
-    # The partition products round differently at 1 and 2 BLAS threads.
-    # Measured on numpy 2.4.6 with scipy-openblas 0.3.31: 20 of these
-    # 100 loss rows differed, by at most 2.2e-16 relative; the clock,
-    # the survivors and the AUC did not move.
+    # The partition products round differently at 1 and 2 BLAS threads
+    # on some data. Measured on numpy 2.4.6 with scipy-openblas 0.3.31:
+    # 20 of these 100 loss rows differed, by at most 2.4e-16 relative;
+    # the clock, the survivors and the AUC did not move. At seeds 5, 6
+    # and 8 no row differed.
     argv = ["simulate", "--strategy", "coded", "--kind", "frac", "--n", "24", "--s", "3",
             "--d", "10000", "--p", "100", "--iterations", "100",
             "--straggler-mode", "random", "--straggler-count", "3",
-            "--straggler-kind", "delay", "--straggler-extra", "5", "--seed-all", "5"]
+            "--straggler-kind", "delay", "--straggler-extra", "5", "--seed-all", "7"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     rows = []

@@ -404,64 +404,38 @@ def test_gen_synthetic_label_model():
 
 
 def test_holdout_split_deterministic_and_partitioning():
-    rng = make_rng(3)
-    ds, _ = learn.gen_synthetic(rng, 250, 6)
-    before = np.column_stack([ds.X, ds.y])  # a copy: the split shuffles ds in place
-    train, hold = learn.holdout_split(ds, 0.2, rng)
-    rng2 = make_rng(3)
-    ds2, _ = learn.gen_synthetic(rng2, 250, 6)
-    train2, hold2 = learn.holdout_split(ds2, 0.2, rng2)
+    ds, _ = learn.gen_synthetic(make_rng(3), 250, 6)
+    before = np.column_stack([ds.X, ds.y])
+    train, hold = learn.holdout_split(ds, 0.2)
+    ds2, _ = learn.gen_synthetic(make_rng(3), 250, 6)
+    train2, hold2 = learn.holdout_split(ds2, 0.2)
     assert np.array_equal(train.X, train2.X) and np.array_equal(hold.y, hold2.y)
     assert hold.rows == 50 and train.rows == 200
-    # Same multiset of rows, each feature row with its label.
-    after = np.vstack([np.column_stack([d.X, d.y]) for d in (train, hold)])
-    assert np.array_equal(_lexsorted_rows(after), _lexsorted_rows(before))
+    # The generated rows, unchanged and in order, each feature row with its label.
+    after = np.vstack([np.column_stack([d.X, d.y]) for d in (hold, train)])
+    assert np.array_equal(after, before)
+    assert np.array_equal(np.column_stack([ds.X, ds.y]), before)
     with pytest.raises(DimensionMismatch):
-        learn.holdout_split(ds, 0.0, make_rng(0))
+        learn.holdout_split(ds, 0.0)
 
 
-def _lexsorted_rows(A: np.ndarray) -> np.ndarray:
-    return A[np.lexsort(A.T[::-1])]
-
-
-# Rows in one block of the shuffle at these tests' p = 3.
-CHUNK = learn._GROUP_BYTES // (3 * 8)
-
-
-@pytest.mark.parametrize(
-    "d, frac",
-    [(3, 0.2), (3, 0.5), (3, 0.34), (1000, 0.2), (1000, 0.34),
-     (2 * CHUNK, 0.2), (2 * CHUNK, 0.5), (2 * CHUNK + 1, 0.2), (2 * CHUNK + 1, 0.34)],
-)
-def test_holdout_split_in_place_matches_fancy_index_split(d, frac):
-    data = make_rng(d)
-    X0 = data.standard_normal((d, 3))
-    y0 = (data.random(d) < 0.5).astype(float)
-    ds = learn.Dataset(X0.copy(), y0.copy(), ((0, d),))
-    rng, ref_rng = make_rng(5), make_rng(5)
-    train, hold = learn.holdout_split(ds, frac, rng)
-    # Reference: the permuted rows copied out by fancy index.
-    perm = ref_rng.permutation(d)
-    n_hold = int(round(frac * d))
-    for split, idx in ((train, perm[n_hold:]), (hold, perm[:n_hold])):
-        assert np.array_equal(split.X, X0[idx]) and np.array_equal(split.y, y0[idx])
-        assert split.partition_bounds == ((0, len(idx)),)
-        assert np.shares_memory(split.X, ds.X) and np.shares_memory(split.y, ds.y)
-    # The split draws one permutation and nothing else from the generator.
-    assert rng.random() == ref_rng.random()
-    # ds stays a consistent shuffled dataset: each row keeps its label.
-    assert np.array_equal(ds.X, X0[perm]) and np.array_equal(ds.y, y0[perm])
-
-
-@pytest.mark.parametrize("d, chunk", [(1, 4), (2, 1), (10, 3), (64, 8), (100, 7), (500, 64)])
-def test_permute_rows_matches_fancy_index(d, chunk):
-    rng = make_rng(d * 100 + chunk)
-    for _ in range(5):
-        X = rng.standard_normal((d, 2))
-        perm = rng.permutation(d)
-        expected = X[perm]
-        learn._permute_rows(X, perm, chunk)
-        assert np.array_equal(X, expected)
+def test_holdout_split_is_views_of_the_leading_and_trailing_rows():
+    for d, frac in [(3, 0.2), (3, 0.5), (3, 0.34), (1000, 0.2), (1000, 0.34),
+                    (87_380, 0.2), (87_380, 0.5), (87_381, 0.2), (87_381, 0.34)]:
+        data = make_rng(d)
+        X0 = data.standard_normal((d, 3))
+        y0 = (data.random(d) < 0.5).astype(float)
+        ds = learn.Dataset(X0.copy(), y0.copy(), ((0, d),))
+        rng = make_rng(5)
+        train, hold = learn.holdout_split(ds, frac, rng)
+        n_hold = int(round(frac * d))
+        for split, rows in ((train, slice(n_hold, d)), (hold, slice(0, n_hold))):
+            assert np.array_equal(split.X, X0[rows]) and np.array_equal(split.y, y0[rows])
+            assert split.partition_bounds == ((0, len(y0[rows])),)
+            assert np.shares_memory(split.X, ds.X) and np.shares_memory(split.y, ds.y)
+        # The split draws nothing from the generator it is given.
+        assert rng.random() == make_rng(5).random()
+        assert np.array_equal(ds.X, X0) and np.array_equal(ds.y, y0)
 
 
 def test_holdout_split_scratch_memory_is_a_fraction_of_the_data():
@@ -475,10 +449,10 @@ def test_holdout_split_scratch_memory_is_a_fraction_of_the_data():
     finally:
         tracemalloc.stop()
     # A copying split allocates a whole second X (30.5 MB here).
-    assert peak < 0.35 * ds.X.nbytes
+    assert peak <= 64 * 1024
 
 
-def test_holdout_split_scratch_is_the_index_vectors_and_two_blocks():
+def test_holdout_split_scratch_is_the_two_views():
     rng = make_rng(8)
     d, p = 100_000, 100
     ds = learn.Dataset(rng.standard_normal((d, p)), (rng.random(d) < 0.5).astype(float), ((0, d),))
@@ -488,10 +462,8 @@ def test_holdout_split_scratch_is_the_index_vectors_and_two_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The permutation and the shuffle's two position indexes, two blocks
-    # of _GROUP_BYTES of rows, and a little for the per-block indexes.
-    index_vectors = 3 * d * np.dtype(np.intp).itemsize
-    assert peak <= index_vectors + 2 * learn._GROUP_BYTES + 256 * 1024
+    # Two Datasets of views, their bounds tuples: no array of any size.
+    assert peak <= 64 * 1024
 
 
 def test_auc_frozen_and_edge_values():

@@ -32,14 +32,17 @@ def _tree(path, exit_code, line, csv_rows):
 
 
 def test_each_differing_exit_code_line_and_file_is_reported(tmp_path):
-    old = _tree(tmp_path / "old", 0, "run naive: loss=1.5", ["a,b", "1,2.5"])
-    new = _tree(tmp_path / "new", 3, "run naive: loss=1.25", ["a,b", "1,2.25"])
+    old = _tree(tmp_path / "old", 0, "run naive: loss=1.5", ["a,b,c", "1,2.5,x", "2,3,y"])
+    new = _tree(tmp_path / "new", 3, "run naive: loss=1.25", ["a,b,c", "1,2.25,x", "2,3,z"])
     (new / "extra.csv").write_text("x\n")
+    for tree, header in ((old, "a,b"), (new, "a,c")):
+        (tree / "other.csv").write_text(header + "\n1,2\n")
     assert parity.differences(old, new) == [
         "run: exit 0 != 3",
         "run output: line 1: 'run naive: loss=1.5' != 'run naive: loss=1.25'",
         "extra.csv: written by NEW only",
-        "run.csv: line 2: '1,2.5' != '1,2.25'",
+        "other.csv: line 1: 'a,b' != 'a,c'",
+        "run.csv: columns b, c differ; line 2: '1,2.5,x' != '1,2.25,x'",
     ]
     assert parity.differences(old, old) == []
 

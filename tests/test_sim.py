@@ -10,6 +10,7 @@ be asserted with ==.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -51,9 +52,8 @@ def small_config(strategy, **kw):
 
 def rebuild_datasets(config):
     """The simulator's data pipeline, replicated for replay oracles."""
-    rng = make_rng(config.seeds.data)
-    ds, _ = learn.gen_synthetic(rng, config.d, config.p)
-    train, holdout = learn.holdout_split(ds, config.holdout_frac, rng)
+    ds, _ = learn.gen_synthetic(make_rng(config.seeds.data), config.d, config.p)
+    train, holdout = learn.holdout_split(ds, config.holdout_frac)
     return learn.with_partitions(train, config.strategy.partition_count), holdout
 
 
@@ -540,6 +540,34 @@ def test_zero_jitter_round_times_over_a_grid(n, s):
             coded = _one_round_durations(sim.Coded(code), EXACT_LAT, policy, d)
             assert coded == (s + 1) * c + comm
             assert (coded < naive) == (extra > s * c)
+
+
+@pytest.mark.parametrize("n, s", [(12, 2), (24, 3)])
+def test_zero_jitter_closed_forms_under_random_delays(n, s):
+    # sim.schedule alone at the desk latency constants without jitter:
+    # s random workers a round are delayed by delta. Naive waits for them,
+    # ignore-s does not, and a code's workers each compute s + 1 partitions.
+    c, comm = 1.0, 0.05
+    latency = sim.LatencyModel(compute_time_per_partition=c, comm_time=comm, jitter_sigma=None)
+    rows = 100 * n
+    train = learn.with_partitions(
+        learn.Dataset(np.zeros((rows, 1)), np.zeros(rows), ((0, rows),)), n)
+    seeds = sim.SeedBundle(scheme=0, data=0, latency=1, straggler=2)
+    for delta in (0.5 * s * c, 5.0, 2.0 * s * c):
+        policy = sim.StragglerPolicy(mode="random", count=s, kind="delay", extra=delta)
+        forms = {
+            "naive": (sim.Naive(n), c + comm + delta),
+            "ignore": (sim.IgnoreStragglers(n, s), c + comm),
+            "frac": (sim.Coded(codec.build_frac(n, s)), (s + 1) * c + comm),
+            "cyc": (sim.Coded(codec.build_cyc(n, s, seed=n + s)), (s + 1) * c + comm),
+        }
+        durations = {}
+        for name, (strategy, expected) in forms.items():
+            durations[name] = sim.schedule(strategy, train, latency, policy, seeds, 50).durations
+            assert np.allclose(durations[name], expected, rtol=1e-12, atol=0), (name, delta)
+        # So coding beats naive exactly when s * c < delta.
+        for name in ("frac", "cyc"):
+            assert (durations[name] < durations["naive"]).all() == (s * c < delta)
 
 
 @pytest.mark.parametrize("n, s", [(4, 1), (6, 1), (6, 2), (8, 3)])
@@ -1039,12 +1067,38 @@ def test_comparison_csvs(tmp_path):
     assert len(rows) == 12
     assert "naive_loss" in rows[0] and "frac_n4_s1_sim_time_s" in rows[0]
     assert float(rows[3]["naive_loss"]) == cmp_.runs[0].loss[3]
-    assert len(trows) == len(cmp_.thresholds)
+    assert len(trows) == len(cmp_.thresholds) == 9
     assert float(trows[0]["loss_threshold"]) == cmp_.thresholds[0].threshold
-    # A milestone a run never reaches leaves both of its cells empty.
-    unreached = sim.ThresholdRow(0.0, {"naive": None, "frac_n4_s1": (3, 1.5)})
-    _, [row] = comparison_tables(tmp_path, sim.Comparison(cmp_.runs, (unreached,)))
-    assert list(row.values()) == ["0.0", "", "", "3", "1.5"]
+
+
+def test_a_run_that_stops_short_misses_the_last_loss_targets(tmp_path):
+    short = sim.run_training(small_config(sim.Naive(4), iterations=3))
+    long = sim.run_training(small_config(sim.Coded(codec.build_frac(4, 1)), iterations=15))
+    _, trows = comparison_tables(tmp_path, sim.compare_runs([short, long]))
+    # Nine fixed fractions of the way from the highest first loss to the
+    # lowest final loss; exact strategies share their first-round loss.
+    top, bottom = max(short.loss[0], long.loss[0]), long.final_loss
+    assert bottom < short.final_loss
+    thr = [float(row["loss_threshold"]) for row in trows]
+    assert thr == [top - k * (top - bottom) / 10 for k in range(1, 10)]
+    missed = [row for row, target in zip(trows, thr) if short.final_loss > target]
+    assert missed and all(
+        row["naive_iteration"] == row["naive_sim_time_s"] == "" for row in missed)
+    assert all(row["frac_n4_s1_iteration"] != "" for row in trows)
+    for row, target in zip(trows, thr):
+        for r in (short, long):
+            it = row[f"{r.label}_iteration"]
+            if it:
+                t = int(it)
+                assert r.loss[t - 1] <= target < min(r.loss[: t - 1], default=math.inf)
+                assert float(row[f"{r.label}_sim_time_s"]) == r.sim_time_s[t - 1]
+
+
+def test_loss_targets_skip_non_finite_losses():
+    run = sim.run_training(small_config(sim.Naive(4), iterations=6))
+    bad = dataclasses.replace(run, loss=(math.nan,) * 6)
+    assert sim._pick_thresholds([run, bad]) == sim._pick_thresholds([run])
+    assert sim._pick_thresholds([bad]) == []
 
 
 def test_label_override():

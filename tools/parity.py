@@ -41,7 +41,9 @@ thread count the benchmark measures.
 
 Then it prints every CSV, config echo, exit code or output line that
 differs between the two trees, output paths stripped, and exits 1 if
-any does (0 if none). ``--small`` runs the same invocations at sizes
+any does (0 if none). A differing CSV whose header is unchanged is
+reported with the header name of every column that has a differing cell,
+then its first differing line. ``--small`` runs the same invocations at sizes
 that finish in about a second; ``--seed`` (default 0) moves every seed.
 The full run holds the paper-scale data, about 450 MB, in one
 subprocess at a time.
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -201,8 +204,24 @@ def differences(old_dir: Path, new_dir: Path) -> list[str]:
         old_text = (old_dir / name).read_text().splitlines()
         new_text = (new_dir / name).read_text().splitlines()
         if old_text != new_text:
-            found.append(f"{name}: {_first_difference(old_text, new_text)}")
+            columns = _differing_columns(old_text, new_text) if name.endswith(".csv") else []
+            where = f"columns {', '.join(columns)} differ; " if columns else ""
+            found.append(f"{name}: {where}{_first_difference(old_text, new_text)}")
     return found
+
+
+def _differing_columns(old: list[str], new: list[str]) -> list[str]:
+    """The header names of the CSV columns with a differing cell, or none
+    when the headers themselves differ."""
+    old_rows, new_rows = list(csv.reader(old)), list(csv.reader(new))
+    if old_rows[:1] != new_rows[:1]:
+        return []
+
+    def column(rows, i):
+        return [row[i] if i < len(row) else None for row in rows[1:]]
+
+    return [name for i, name in enumerate(old_rows[0])
+            if column(old_rows, i) != column(new_rows, i)]
 
 
 def subprocess_env() -> dict[str, str]:
