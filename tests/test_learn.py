@@ -419,23 +419,28 @@ def test_holdout_split_deterministic_and_partitioning():
         learn.holdout_split(ds, 0.0)
 
 
-def test_holdout_split_is_views_of_the_leading_and_trailing_rows():
-    for d, frac in [(3, 0.2), (3, 0.5), (3, 0.34), (1000, 0.2), (1000, 0.34),
-                    (87_380, 0.2), (87_380, 0.5), (87_381, 0.2), (87_381, 0.34)]:
-        data = make_rng(d)
-        X0 = data.standard_normal((d, 3))
-        y0 = (data.random(d) < 0.5).astype(float)
-        ds = learn.Dataset(X0.copy(), y0.copy(), ((0, d),))
-        rng = make_rng(5)
-        train, hold = learn.holdout_split(ds, frac, rng)
-        n_hold = int(round(frac * d))
-        for split, rows in ((train, slice(n_hold, d)), (hold, slice(0, n_hold))):
-            assert np.array_equal(split.X, X0[rows]) and np.array_equal(split.y, y0[rows])
-            assert split.partition_bounds == ((0, len(y0[rows])),)
-            assert np.shares_memory(split.X, ds.X) and np.shares_memory(split.y, ds.y)
-        # The split draws nothing from the generator it is given.
-        assert rng.random() == make_rng(5).random()
-        assert np.array_equal(ds.X, X0) and np.array_equal(ds.y, y0)
+@pytest.mark.parametrize(
+    "d, frac",
+    [(3, 0.2), (3, 0.5), (3, 0.34), (1000, 0.2), (1000, 0.34),
+     (87_380, 0.2), (87_380, 0.5), (87_381, 0.2), (87_381, 0.34)],
+)
+def test_holdout_split_in_place_matches_fancy_index_split(d, frac):
+    data = make_rng(d)
+    X0 = data.standard_normal((d, 3))
+    y0 = (data.random(d) < 0.5).astype(float)
+    ds = learn.Dataset(X0.copy(), y0.copy(), ((0, d),))
+    rng = make_rng(5)
+    train, hold = learn.holdout_split(ds, frac, rng)
+    # Reference: the leading and trailing rows copied out by fancy index.
+    n_hold = int(round(frac * d))
+    for split, idx in ((train, np.arange(n_hold, d)), (hold, np.arange(n_hold))):
+        assert np.array_equal(split.X, X0[idx]) and np.array_equal(split.y, y0[idx])
+        assert split.partition_bounds == ((0, len(idx)),)
+        assert np.shares_memory(split.X, ds.X) and np.shares_memory(split.y, ds.y)
+    # The split draws nothing from the generator it is given.
+    assert rng.random() == make_rng(5).random()
+    # ds is left as generated: each row in place with its label.
+    assert np.array_equal(ds.X, X0) and np.array_equal(ds.y, y0)
 
 
 def test_holdout_split_scratch_memory_is_a_fraction_of_the_data():
