@@ -266,7 +266,7 @@ def build_cyc(n: int, s: int, seed: int) -> GradientCode:
 
 def normalize_survivors(survivors, n: int, size: int) -> SurvivorSet:
     """Sort, deduplicate-check, and range-check a survivor index set."""
-    idx = tuple(sorted(int(i) for i in survivors))
+    idx = tuple(sorted(map(int, survivors)))
     if len(set(idx)) != len(idx):
         raise DimensionMismatch(f"survivor set has duplicates: {idx}")
     if len(idx) != size:
@@ -286,7 +286,7 @@ def decode_row(code: GradientCode, survivors, cache: DecodeCache | None = None) 
     I = normalize_survivors(survivors, code.n, code.survivors_needed)
     if cache is not None and I in cache:
         return cache[I]
-    x, res = solve_right(code.B[list(I), :], np.ones(code.k))
+    x, res = solve_right(code.B.take(I, axis=0), np.ones(code.k))
     if res > RESIDUAL_TOL:
         raise SpanFailure(
             f"survivors {I} cannot reconstruct the full gradient "
@@ -312,7 +312,7 @@ def verify_bspan(code: GradientCode, *, budget: int = DEFAULT_ENUMERATION_BUDGET
     failures: list[SurvivorSet] = []
     max_res = 0.0
     for I in combinations(range(n), n - s):
-        x, res = solve_right(code.B[list(I), :], ones)
+        x, res = solve_right(code.B.take(I, axis=0), ones)
         max_res = max(max_res, res)
         if res > RESIDUAL_TOL:
             failures.append(I)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,6 +75,13 @@ class Dataset:
     @property
     def partitions(self) -> int:
         return len(self.partition_bounds)
+
+    @cached_property
+    def gradient_plan(self) -> tuple[_Group, ...]:
+        """``partition_gradients``' groups of partitions, built from
+        ``partition_bounds`` and ``_GROUP_BYTES`` on first use and kept:
+        a run's partitioned dataset builds its plan once, in round 1."""
+        return _plan_groups(self)
 
 
 def make_partition_bounds(d: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -155,6 +163,8 @@ def holdout_split(
 # partitions). A 29.6 MB paper-scale partition is its own group under 1
 # or 2 MiB; 12 of them took 44.6, 44.8 and 44.2 ms, fastest of 20, so one
 # group saves nothing there. A group always holds at least one partition.
+# The groups are fixed once per partitioned dataset (Dataset.gradient_plan),
+# so a test that changes the budget must build its dataset afterwards.
 _GROUP_BYTES = 1 << 20
 
 
@@ -257,6 +267,50 @@ def _equal_runs(bounds, first: int, last: int, wanted: set[int] | None):
         j += m
 
 
+class _Group(NamedTuple):
+    """Partitions ``first`` to ``last - 1``, rows ``lo`` to ``hi - 1``:
+    their labels and, for each run of equal partitions, (j, m, row offset
+    in the group, rows, the run's ``(m, rows, dim)`` view of X)."""
+
+    lo: int
+    hi: int
+    first: int
+    last: int
+    y: np.ndarray
+    runs: tuple[tuple[int, int, int, int, np.ndarray], ...]
+
+
+def _stacked_runs(ds: Dataset, lo: int, first: int, last: int, wanted: set[int] | None):
+    # Splitting a slice's row axis gives a view, never a copy, so the
+    # stacked products read X in place.
+    return tuple(
+        (j, m, a - lo, rows, ds.X[a : a + m * rows].reshape(m, rows, ds.dim))
+        for j, m, a, rows in _equal_runs(ds.partition_bounds, first, last, wanted)
+    )
+
+
+def _plan_groups(ds: Dataset) -> tuple[_Group, ...]:
+    """Consecutive partitions grouped up to ``_GROUP_BYTES`` of rows."""
+    bounds = ds.partition_bounds
+    row_bytes = ds.X.itemsize * ds.dim
+    groups = []
+    first = 0
+    while first < len(bounds):
+        lo, hi = bounds[first]
+        last = first + 1
+        while (
+            last < len(bounds)
+            and bounds[last][0] == hi
+            and (bounds[last][1] - lo) * row_bytes <= _GROUP_BYTES
+        ):
+            hi = bounds[last][1]
+            last += 1
+        groups.append(_Group(lo, hi, first, last, ds.y[lo:hi],
+                             _stacked_runs(ds, lo, first, last, None)))
+        first = last
+    return tuple(groups)
+
+
 def partition_gradients(
     ds: Dataset,
     beta: np.ndarray,
@@ -266,6 +320,10 @@ def partition_gradients(
     """Every partition's gradient: row j equals ``partial_gradient(ds, j, beta)``.
 
     Consecutive partitions are grouped up to ``_GROUP_BYTES`` of rows.
+    The groups are fixed per partitioned dataset: ``ds.gradient_plan``
+    builds them, with each run's stacked view of X, on the first call and
+    every later call reuses them, so a test that changes the budget must
+    build its dataset afterwards.
     Within a group, each run of consecutive partitions of one size takes
     its products in one stacked ``np.matmul`` call: its logits as the
     ``(m, rows, dim)`` view of its rows times ``beta``, written into one
@@ -283,38 +341,22 @@ def partition_gradients(
     ``logits``, when given, is a buffer of ``ds.rows`` entries that the
     groups' logits are written into, so it ends up holding every
     partition's ``X_j @ beta``. With ``wanted`` given, only those
-    partitions take the second product; the other rows are NaN, so a
-    gradient that reads one is non-finite, though their logits are
-    still computed.
+    partitions take the second product, in runs that the holes split;
+    the other rows are NaN, so a gradient that reads one is non-finite,
+    though their logits are still computed.
     """
-    bounds = ds.partition_bounds
-    X = ds.X
-    p = ds.dim
-    row_bytes = X.itemsize * p
-    G = np.full((len(bounds), p), np.nan)
-    first = 0
-    while first < len(bounds):
-        lo, hi = bounds[first]
-        last = first + 1
-        while (
-            last < len(bounds)
-            and bounds[last][0] == hi
-            and (bounds[last][1] - lo) * row_bytes <= _GROUP_BYTES
-        ):
-            hi = bounds[last][1]
-            last += 1
+    shape = (ds.partitions, ds.dim)
+    G = np.empty(shape) if wanted is None else np.full(shape, np.nan)
+    for lo, hi, first, last, y, runs in ds.gradient_plan:
         z = np.empty(hi - lo) if logits is None else logits[lo:hi]
-        # Splitting a slice's row axis gives a view, never a copy, so the
-        # stacked products read X in place and write into z and G.
-        for _, m, a, rows in _equal_runs(bounds, first, last, None):
-            np.matmul(X[a : a + m * rows].reshape(m, rows, p), beta,
-                      out=z[a - lo : a - lo + m * rows].reshape(m, rows))
+        for _, m, at, rows, X in runs:
+            np.matmul(X, beta, out=z[at : at + m * rows].reshape(m, rows))
         r = sigmoid(z)
-        r -= ds.y[lo:hi]
-        for j, m, a, rows in _equal_runs(bounds, first, last, wanted):
-            np.matmul(r[a - lo : a - lo + m * rows].reshape(m, 1, rows),
-                      X[a : a + m * rows].reshape(m, rows, p), out=G[j : j + m, None])
-        first = last
+        r -= y
+        if wanted is not None:
+            runs = _stacked_runs(ds, lo, first, last, wanted)
+        for j, m, at, rows, X in runs:
+            np.matmul(r[at : at + m * rows].reshape(m, 1, rows), X, out=G[j : j + m, None])
     return G
 
 

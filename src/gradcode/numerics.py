@@ -48,9 +48,9 @@ def _check_system(M: np.ndarray, target: np.ndarray) -> None:
         raise DimensionMismatch(
             f"target length {target.shape[0]} does not match system size {M.shape[1]}"
         )
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NonFinite("matrix contains non-finite entries")
-    if not np.all(np.isfinite(target)):
+    if not np.isfinite(target).all():
         raise NonFinite("target contains non-finite entries")
 
 
@@ -66,4 +66,4 @@ def solve_right(M: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     target = np.asarray(target, dtype=float)
     _check_system(M, target)
     x, *_ = np.linalg.lstsq(M.T, target, rcond=None)
-    return x, float(np.max(np.abs(x @ M - target)))
+    return x, float(np.abs(x @ M - target).max())

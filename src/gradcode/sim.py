@@ -19,7 +19,11 @@ gives every message's arrival time, each round's duration and its
 survivors, so a clock that can never finish fails before any gradient.
 A round takes its survivors from the clock and aggregates in a few array
 operations, with no loop over messages; only the partitions the used
-messages read take a gradient. A round's training loss is
+messages read take a gradient. Naive, a code and a two-stage plan read
+every partition from any n - s survivors, since each of their last-stage
+partitions has more than s holders (one with s = 0, s + 1 in a code) and
+every earlier-stage message is read; ignore-stragglers, whose partitions
+have one holder each, skips its stragglers'. A round's training loss is
 finished in the next round, from the logits that round's gradients
 compute (``run_training``), and the last iterate's by one product over
 the training matrix, so a round passes over X twice, not three times.
@@ -195,6 +199,24 @@ class Strategy:
         """Each stage's message kind: only a decoded last stage is coded."""
         last = "coded" if self.code is not None else "naive"
         return ("naive",) * (len(self.index) - 1) + (last,)
+
+    @cached_property
+    def reads_every_partition(self) -> bool:
+        """Whether any n - s survivors' messages read every partition.
+
+        Every message of a stage but the last is read, and a last-stage
+        partition held by more than s workers keeps a holder among any
+        n - s survivors. So naive (s = 0), a code (s + 1 holders each) and
+        a two-stage plan read every partition; ignore-stragglers, whose
+        partitions have one holder each, does not.
+        """
+        k, last = self.partition_count, self.index[-1]
+        holders = np.zeros((self.n, k), dtype=bool)
+        holders[np.arange(self.n)[:, None], last] = True
+        read = holders.sum(axis=0) > self.s
+        for index in self.index[:-1]:
+            read[index.ravel()] = True
+        return bool(read.all())
 
 
 def _plain_stage(index) -> tuple[np.ndarray, np.ndarray]:
@@ -438,7 +460,11 @@ def _sequential_sum(parts: np.ndarray) -> np.ndarray:
 
 
 def _messages(G: np.ndarray, index: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Row i is the message whose terms are ``index[i]`` and ``coef[i]``."""
+    """Row i is the message whose terms are ``index[i]`` and ``coef[i]``.
+
+    A one-term message is summed too, not gathered: ``np.add.reduce``
+    starts from +0.0, so its sum of one row turns a -0.0 into +0.0.
+    """
     return _sequential_sum(G[index.T] * coef.T[..., None])
 
 
@@ -463,7 +489,8 @@ def run_iteration(
     ``logits``, when given, receives every partition's ``X_j @ point``
     (see ``learn.partition_gradients``). Only the partitions the used
     messages read take a gradient, unless ``verify_decode`` checks a
-    decode against all of them.
+    decode against all of them; a strategy that reads every partition
+    (``Strategy.reads_every_partition``) asks for all of them at once.
     """
     survivors = tuple(clock.survivors[t].tolist())
     events = tuple(
@@ -471,17 +498,18 @@ def run_iteration(
         for kind, times in zip(strategy.kinds, clock.finish[t].tolist())
         for w, at in enumerate(times)
     )
-    rows = list(survivors)
+    rows = clock.survivors[t]
     used = [*zip(strategy.index[:-1], strategy.coef[:-1]),
             (strategy.index[-1][rows], strategy.coef[-1][rows])]
     check = verify_decode and strategy.code is not None
-    wanted = None if check else set(np.concatenate([i.ravel() for i, _ in used]).tolist())
+    every = check or strategy.reads_every_partition
+    wanted = None if every else set(np.concatenate([i.ravel() for i, _ in used]).tolist())
     G = learn.partition_gradients(train, point, logits, wanted)
     parts = [_messages(G, index, coef) for index, coef in used]
     if strategy.code is not None:
         # The coded messages are the last stage's, one per survivor.
         parts[-1] *= decode_row(strategy.code, survivors, cache).coeffs[:, None]
-    gradient = _sequential_sum(np.concatenate(parts))
+    gradient = _sequential_sum(parts[0] if len(parts) == 1 else np.concatenate(parts))
     if check:
         _check_exact(gradient, G, survivors)
     kind = EXACT if strategy.code is not None or strategy.s == 0 else PARTIAL_SUM

@@ -177,6 +177,60 @@ def test_stacked_products_equal_partial_gradient_bit_for_bit(monkeypatch, d, k, 
             assert np.array_equal(G[j], learn.partial_gradient(ds, j, beta))
 
 
+def test_gradient_plan_is_built_once_per_partitioned_dataset(monkeypatch):
+    builds = []
+    plan_groups = learn._plan_groups
+    monkeypatch.setattr(learn, "_plan_groups", lambda ds: builds.append(ds) or plan_groups(ds))
+    data = small_problem(5, 997, 37)
+    beta = make_rng(6).standard_normal(data.dim)
+    ds = learn.with_partitions(data, 7)
+    every = learn.partition_gradients(ds, beta)
+    plan = ds.gradient_plan
+    holed = learn.partition_gradients(ds, beta, np.empty(ds.rows), {0, 3, 6})
+    assert builds == [ds] and ds.gradient_plan is plan
+    for j in (0, 3, 6):
+        assert np.array_equal(holed[j], every[j])
+    other = learn.with_partitions(data, 7)
+    learn.partition_gradients(other, beta)
+    assert builds == [ds, other] and other.gradient_plan is not plan
+
+
+@pytest.mark.parametrize("budget, groups", [
+    # 24 partitions of 333 x 100 rows, the last 341: 1 MiB holds three,
+    # 8 x 341 rows' bytes eight, one byte one.
+    (None, 8), (8 * 341 * 800, 3), (1, 24),
+])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_gradient_plan_groups_by_the_budget_it_was_built_under(monkeypatch, budget, groups,
+                                                               order):
+    if budget is not None:
+        monkeypatch.setattr(learn, "_GROUP_BYTES", budget)
+    ds = learn.with_partitions(small_problem(11, 8000, 100), 24)
+    if order == "F":
+        ds = learn.Dataset(np.asfortranarray(ds.X), ds.y, ds.partition_bounds)
+    beta = make_rng(12).standard_normal(ds.dim)
+    G = learn.partition_gradients(ds, beta)
+    plan = ds.gradient_plan
+    assert len(plan) == groups
+    covered = []
+    for group in plan:
+        assert np.shares_memory(group.y, ds.y)
+        for j, m, at, rows, X in group.runs:
+            # A view of the run's rows, never a copy.
+            assert np.shares_memory(X, ds.X) and X.shape == (m, rows, ds.dim)
+            lo = ds.partition_bounds[j][0]
+            assert lo == group.lo + at
+            assert np.array_equal(X.reshape(m * rows, ds.dim), ds.X[lo : lo + m * rows])
+            covered += range(j, j + m)
+    assert covered == list(range(24))
+    for j in range(24):
+        assert np.array_equal(G[j], learn.partial_gradient(ds, j, beta))
+    # The plan stays as built: a budget changed afterwards moves nothing.
+    monkeypatch.setattr(learn, "_GROUP_BYTES", 1 << 30)
+    assert np.array_equal(learn.partition_gradients(ds, beta), G)
+    assert ds.gradient_plan is plan
+
+
 class _CountingNumpy:
     """numpy, with each ``matmul`` call counted."""
 

@@ -11,6 +11,7 @@ be asserted with ==.
 
 import csv
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -388,6 +389,61 @@ def test_stage_arrays_hold_each_messages_terms(name):
         assert not index.flags.writeable and not coef.flags.writeable
         assert index.tolist() == [[j for j, _ in msg] for msg in terms]
         assert coef.tolist() == [[1.0 if c is None else c for _, c in msg] for msg in terms]
+
+
+def _hand_built(last, earlier=()):
+    """A strategy with s = 1 whose stages are plain ``index`` lists."""
+    index = tuple(np.array(stage, dtype=np.intp) for stage in (*earlier, last))
+    return sim.Strategy("hand", 1, index, tuple(np.ones(i.shape) for i in index))
+
+
+def _reads_every_partition_by_brute_force(strategy):
+    read_first = {int(j) for index in strategy.index[:-1] for j in index.ravel()}
+    return all(
+        read_first | {int(j) for w in survivors for j in strategy.index[-1][w]}
+        == set(range(strategy.partition_count))
+        for survivors in itertools.combinations(range(strategy.n), strategy.n - strategy.s)
+    )
+
+
+@pytest.mark.parametrize("make, every", [
+    (lambda: sim.Naive(6), True),
+    (lambda: sim.IgnoreStragglers(6, 2), False),
+    (lambda: sim.Coded(codec.build_frac(6, 2)), True),
+    (lambda: sim.Coded(codec.build_cyc(6, 2, 3)), True),
+    (lambda: sim.Coded(codec.build_naive(6)), True),
+    (lambda: sim.PartialCoded(partial.plan_partial(6, 2, 2.0, kind=codec.FRAC, seed=3)), True),
+    (lambda: sim.PartialCoded(partial.plan_partial(6, 2, 2.0, kind=codec.CYC, seed=3)), True),
+    # Three workers, s = 1: every partition has two holders, ...
+    (lambda: _hand_built([[0, 1], [1, 2], [2, 0]]), True),
+    # ... partition 0 only one (s), so survivors 1 and 2 never read it, ...
+    (lambda: _hand_built([[0, 1], [1, 2], [2, 1]]), False),
+    # ... unless a stage before the last, whose messages are all read, holds it.
+    (lambda: _hand_built([[0, 1], [1, 2], [2, 1]], earlier=[[[0], [3], [3]]]), True),
+], ids=["naive", "ignore", "frac", "cyc", "naive_code", "partial_frac", "partial_cyc",
+        "two_holders", "s_holders", "s_holders_read_early"])
+def test_a_strategy_reads_every_partition_when_each_has_more_than_s_holders(make, every):
+    strategy = make()
+    assert strategy.reads_every_partition is every
+    assert _reads_every_partition_by_brute_force(strategy) is every
+
+
+@pytest.mark.parametrize("p", [1, 5])
+def test_a_one_term_plain_message_is_its_row_summed_not_gathered(p):
+    # 1.0 * g == g bit for bit, signed zeros included, but numpy's sum of
+    # one row is 0.0 + g: a -0.0 comes out +0.0, so gathering the rows in
+    # place of the sum would change bits.
+    rng = make_rng(60 + p)
+    G = rng.standard_normal((6, p)) * 10.0 ** rng.integers(-8, 9, (6, p))
+    G[1] = -0.0
+    G[4, 0] = -0.0
+    index = np.array([[2], [1], [4], [0], [1]], dtype=np.intp)
+    ones = np.ones(index.shape)
+    gathered = G[index[:, 0]]
+    assert (G[index.T] * ones.T[..., None])[0].tobytes() == gathered.tobytes()
+    messages = sim._messages(G, index, ones)
+    assert np.array_equal(messages, gathered)
+    assert messages.tobytes() == (gathered + 0.0).tobytes() != gathered.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1210,9 +1266,11 @@ def test_a_run_reads_only_the_gradient_of_each_round(monkeypatch, make):
 
 
 @pytest.mark.parametrize("make, verify, wanted", [
-    (lambda: sim.Naive(4), False, lambda survivors: {0, 1, 2, 3}),
+    # Naive and a code read every partition from any n - s survivors, so
+    # they ask for all of them (None) without building the set.
+    (lambda: sim.Naive(4), False, lambda survivors: None),
     (lambda: sim.IgnoreStragglers(4, 1), False, lambda survivors: survivors),
-    (lambda: sim.Coded(codec.build_frac(4, 1)), False, lambda survivors: {0, 1, 2, 3}),
+    (lambda: sim.Coded(codec.build_frac(4, 1)), False, lambda survivors: None),
     (lambda: sim.Coded(codec.build_frac(4, 1)), True, lambda survivors: None),
 ], ids=["naive", "ignore", "coded", "coded_verified"])
 def test_only_partitions_a_used_message_reads_take_a_gradient(monkeypatch, make, verify, wanted):
