@@ -339,6 +339,8 @@ def cmd_scheme_build(args: argparse.Namespace) -> int:
         raise _UsageError(f"--s is required for kind {kind!r}")
     if kind == codec.CYC and args.seed is None:
         raise _UsageError("cyclic schemes draw H at random; give an explicit --seed")
+    if kind != codec.CYC and args.seed is not None:
+        raise _UsageError(f"{kind} schemes draw nothing at random; drop --seed")
     if args.alpha is not None:
         if kind == codec.NAIVE:
             raise _UsageError("two-stage plans need a frac or cyc stage-two code")
@@ -596,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--kind", required=True, choices=list(codec.KINDS))
     build.add_argument("--n", required=True, type=int)
     build.add_argument("--s", type=int)
-    build.add_argument("--seed", type=int, help="H draw seed (required for cyc)")
+    build.add_argument("--seed", type=int, help="H draw seed (cyc only, and required there)")
     build.add_argument("--alpha", type=float,
                        help="build a two-stage plan for this slowdown factor")
     build.add_argument("--out", required=True)

@@ -246,51 +246,20 @@ def partial_gradient(ds: Dataset, j: int, beta: np.ndarray) -> np.ndarray:
     return _gradient_rows(ds, lo, hi, beta)
 
 
-def _equal_runs(bounds, first: int, last: int, wanted: set[int] | None):
-    """(j, m, a, rows) for each longest run of partitions j to j + m - 1
-    in [first, last), all wanted, that hold ``rows`` rows each from row
-    ``a`` on (partitions in a group are contiguous)."""
-    j = first
-    while j < last:
-        if wanted is not None and j not in wanted:
-            j += 1
-            continue
-        a, b = bounds[j]
-        m = 1
-        while (
-            j + m < last
-            and bounds[j + m][1] - bounds[j + m][0] == b - a
-            and (wanted is None or j + m in wanted)
-        ):
-            m += 1
-        yield j, m, a, b - a
-        j += m
-
-
 class _Group(NamedTuple):
-    """Partitions ``first`` to ``last - 1``, rows ``lo`` to ``hi - 1``:
-    their labels and, for each run of equal partitions, (j, m, row offset
-    in the group, rows, the run's ``(m, rows, dim)`` view of X)."""
+    """Rows ``lo`` to ``hi - 1``: their labels and, for each run of m
+    equal partitions from j on, (j, m, row offset in the group, rows per
+    partition, the run's ``(m, rows, dim)`` view of X)."""
 
     lo: int
     hi: int
-    first: int
-    last: int
     y: np.ndarray
     runs: tuple[tuple[int, int, int, int, np.ndarray], ...]
 
 
-def _stacked_runs(ds: Dataset, lo: int, first: int, last: int, wanted: set[int] | None):
-    # Splitting a slice's row axis gives a view, never a copy, so the
-    # stacked products read X in place.
-    return tuple(
-        (j, m, a - lo, rows, ds.X[a : a + m * rows].reshape(m, rows, ds.dim))
-        for j, m, a, rows in _equal_runs(ds.partition_bounds, first, last, wanted)
-    )
-
-
 def _plan_groups(ds: Dataset) -> tuple[_Group, ...]:
-    """Consecutive partitions grouped up to ``_GROUP_BYTES`` of rows."""
+    """Consecutive partitions grouped up to ``_GROUP_BYTES`` of rows, each
+    group split into its runs of equal partitions."""
     bounds = ds.partition_bounds
     row_bytes = ds.X.itemsize * ds.dim
     groups = []
@@ -305,17 +274,24 @@ def _plan_groups(ds: Dataset) -> tuple[_Group, ...]:
         ):
             hi = bounds[last][1]
             last += 1
-        groups.append(_Group(lo, hi, first, last, ds.y[lo:hi],
-                             _stacked_runs(ds, lo, first, last, None)))
+        runs = []
+        j = first
+        while j < last:
+            a, b = bounds[j]
+            rows, m = b - a, 1
+            while j + m < last and bounds[j + m][1] - bounds[j + m][0] == rows:
+                m += 1
+            # Splitting a slice's row axis gives a view, never a copy, so
+            # the stacked products read X in place.
+            runs.append((j, m, a - lo, rows, ds.X[a : a + m * rows].reshape(m, rows, ds.dim)))
+            j += m
+        groups.append(_Group(lo, hi, ds.y[lo:hi], tuple(runs)))
         first = last
     return tuple(groups)
 
 
 def partition_gradients(
-    ds: Dataset,
-    beta: np.ndarray,
-    logits: np.ndarray | None = None,
-    wanted: set[int] | None = None,
+    ds: Dataset, beta: np.ndarray, logits: np.ndarray | None = None
 ) -> np.ndarray:
     """Every partition's gradient: row j equals ``partial_gradient(ds, j, beta)``.
 
@@ -338,23 +314,23 @@ def partition_gradients(
     bit-identical. That is how numpy runs it, not a documented guarantee;
     ``test_stacked_products_equal_partial_gradient_bit_for_bit`` pins it.
 
+    Every round takes every partition's gradient, whatever its strategy
+    reads, so one plan serves every round; ignore-stragglers' straggler
+    rows are computed and left unused. With 2 of 12 paper-scale
+    partitions unread, a pass took 42.9 ms against 39.4 ms skipping them
+    (medians; 2-core host, numpy 2.4.6, scipy-openblas 0.3.31).
+
     ``logits``, when given, is a buffer of ``ds.rows`` entries that the
     groups' logits are written into, so it ends up holding every
-    partition's ``X_j @ beta``. With ``wanted`` given, only those
-    partitions take the second product, in runs that the holes split;
-    the other rows are NaN, so a gradient that reads one is non-finite,
-    though their logits are still computed.
+    partition's ``X_j @ beta``.
     """
-    shape = (ds.partitions, ds.dim)
-    G = np.empty(shape) if wanted is None else np.full(shape, np.nan)
-    for lo, hi, first, last, y, runs in ds.gradient_plan:
+    G = np.empty((ds.partitions, ds.dim))
+    for lo, hi, y, runs in ds.gradient_plan:
         z = np.empty(hi - lo) if logits is None else logits[lo:hi]
         for _, m, at, rows, X in runs:
             np.matmul(X, beta, out=z[at : at + m * rows].reshape(m, rows))
         r = sigmoid(z)
         r -= y
-        if wanted is not None:
-            runs = _stacked_runs(ds, lo, first, last, wanted)
         for j, m, at, rows, X in runs:
             np.matmul(r[at : at + m * rows].reshape(m, 1, rows), X, out=G[j : j + m, None])
     return G

@@ -17,13 +17,12 @@ no gradient work): from each worker's stage rows over the run's
 partitioned training set and the latency and straggler streams alone, it
 gives every message's arrival time, each round's duration and its
 survivors, so a clock that can never finish fails before any gradient.
-A round takes its survivors from the clock and aggregates in a few array
-operations, with no loop over messages; only the partitions the used
-messages read take a gradient. Naive, a code and a two-stage plan read
-every partition from any n - s survivors, since each of their last-stage
-partitions has more than s holders (one with s = 0, s + 1 in a code) and
-every earlier-stage message is read; ignore-stragglers, whose partitions
-have one holder each, skips its stragglers'. A round's training loss is
+A round takes its survivors from the clock, takes every partition's
+gradient whatever the strategy, and aggregates in a few array
+operations, with no loop over messages. Ignore-stragglers reads only
+its survivors' partitions: its stragglers' gradients are computed and
+left unused (about 3.5 ms of a 43 ms paper-scale pass, 2 of 12
+partitions). A round's training loss is
 finished in the next round, from the logits that round's gradients
 compute (``run_training``), and the last iterate's by one product over
 the training matrix, so a round passes over X twice, not three times.
@@ -199,24 +198,6 @@ class Strategy:
         """Each stage's message kind: only a decoded last stage is coded."""
         last = "coded" if self.code is not None else "naive"
         return ("naive",) * (len(self.index) - 1) + (last,)
-
-    @cached_property
-    def reads_every_partition(self) -> bool:
-        """Whether any n - s survivors' messages read every partition.
-
-        Every message of a stage but the last is read, and a last-stage
-        partition held by more than s workers keeps a holder among any
-        n - s survivors. So naive (s = 0), a code (s + 1 holders each) and
-        a two-stage plan read every partition; ignore-stragglers, whose
-        partitions have one holder each, does not.
-        """
-        k, last = self.partition_count, self.index[-1]
-        holders = np.zeros((self.n, k), dtype=bool)
-        holders[np.arange(self.n)[:, None], last] = True
-        read = holders.sum(axis=0) > self.s
-        for index in self.index[:-1]:
-            read[index.ravel()] = True
-        return bool(read.all())
 
 
 def _plain_stage(index) -> tuple[np.ndarray, np.ndarray]:
@@ -445,17 +426,18 @@ def schedule(strategy: Strategy, train: learn.Dataset, latency: LatencyModel,
 
 
 def _sequential_sum(parts: np.ndarray) -> np.ndarray:
-    """The sum over the first axis of a C-ordered array, left to right,
-    so reruns and test oracles match bit for bit."""
+    """The sum over the first axis of a C-ordered array, from +0.0 and
+    left to right, so reruns and test oracles match bit for bit."""
     # np.add.reduce adds whole rows in order when the summed axis is not
     # the fast one in memory, and sums pairwise along the fast one, which
     # a row of one entry makes it. np.add.accumulate is sequential for
     # any shape, but summing a (4, 21, 100) array took it 60 us to
     # reduce's 5 us. The row order is how numpy iterates, not a documented
     # guarantee: it was checked on numpy 2.4.6, and
-    # test_sequential_sum_adds_rows_left_to_right pins it.
+    # test_sequential_sum_adds_rows_left_to_right pins it. accumulate
+    # starts from the first row, reduce from +0.0: adding +0.0 maps only -0.0.
     if parts[0].size == 1:
-        return np.add.accumulate(parts, axis=0)[-1]
+        return np.add.accumulate(parts, axis=0)[-1] + 0.0
     return np.add.reduce(parts, axis=0)
 
 
@@ -486,11 +468,11 @@ def run_iteration(
     from the strategy. They stay in the result only for observers, the
     benchmark's round probe (``bench/spans.py``) and the tests' ``recorded``
     fixture, until the benchmark reads the clock instead.
-    ``logits``, when given, receives every partition's ``X_j @ point``
-    (see ``learn.partition_gradients``). Only the partitions the used
-    messages read take a gradient, unless ``verify_decode`` checks a
-    decode against all of them; a strategy that reads every partition
-    (``Strategy.reads_every_partition``) asks for all of them at once.
+    Every round takes every partition's gradient
+    (``learn.partition_gradients``), whichever messages it uses, so
+    ``verify_decode`` checks a decode against all of them at no extra
+    cost; ignore-stragglers' straggler rows are computed and left unused.
+    ``logits``, when given, receives every partition's ``X_j @ point``.
     """
     survivors = tuple(clock.survivors[t].tolist())
     events = tuple(
@@ -501,16 +483,13 @@ def run_iteration(
     rows = clock.survivors[t]
     used = [*zip(strategy.index[:-1], strategy.coef[:-1]),
             (strategy.index[-1][rows], strategy.coef[-1][rows])]
-    check = verify_decode and strategy.code is not None
-    every = check or strategy.reads_every_partition
-    wanted = None if every else set(np.concatenate([i.ravel() for i, _ in used]).tolist())
-    G = learn.partition_gradients(train, point, logits, wanted)
+    G = learn.partition_gradients(train, point, logits)
     parts = [_messages(G, index, coef) for index, coef in used]
     if strategy.code is not None:
         # The coded messages are the last stage's, one per survivor.
         parts[-1] *= decode_row(strategy.code, survivors, cache).coeffs[:, None]
     gradient = _sequential_sum(parts[0] if len(parts) == 1 else np.concatenate(parts))
-    if check:
+    if verify_decode and strategy.code is not None:
         _check_exact(gradient, G, survivors)
     kind = EXACT if strategy.code is not None or strategy.s == 0 else PARTIAL_SUM
     return gradient, float(clock.durations[t]), survivors, kind, events

@@ -82,6 +82,11 @@ def test_build_cyc_without_seed_is_usage_error(tmp_path):
     (["--kind", "cyc", "--seed", 1], "--s is required for kind 'cyc'"),
     (["--kind", "naive", "--alpha", 2.0], "two-stage plans need a frac or cyc stage-two code"),
     (["--kind", "naive", "--s", 2], "the naive scheme has no straggler tolerance"),
+    # Only a cyclic code draws from --seed; the other kinds would ignore it.
+    (["--kind", "frac", "--s", 1, "--seed", 3], "frac schemes draw nothing at random"),
+    (["--kind", "naive", "--seed", 3], "naive schemes draw nothing at random"),
+    (["--kind", "frac", "--s", 1, "--alpha", 2.0, "--seed", 3],
+     "frac schemes draw nothing at random"),
 ])
 def test_build_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "s.json"

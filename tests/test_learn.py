@@ -121,39 +121,14 @@ def test_partition_gradients_write_every_partitions_logits(monkeypatch, group):
         assert np.array_equal(g, plain)
 
 
-@pytest.mark.parametrize("group", ["default", "one_byte"])
-def test_partition_gradients_skip_unwanted_second_products(monkeypatch, group):
-    if group == "one_byte":
-        monkeypatch.setattr(learn, "_GROUP_BYTES", 1)
-    ds = learn.with_partitions(small_problem(5, 997, 37), 7)
-    beta = make_rng(6).standard_normal(ds.dim)
-    full = np.empty(ds.rows)
-    every = learn.partition_gradients(ds, beta, full)
-    logits = np.empty(ds.rows)
-    G = learn.partition_gradients(ds, beta, logits, {0, 3, 6})
-    assert np.array_equal(logits, full)
-    for j, (g, plain) in enumerate(zip(G, every)):
-        if j in (0, 3, 6):
-            assert np.array_equal(g, plain)
-        else:
-            assert np.isnan(g).all()
-
-
-# An ignore-s survivor pattern: three partitions missing, each inside a
-# run of equal partitions at 24 and at 120 partitions of 8,000 rows.
-HOLES = {1, 10, 22}
-
-
 @pytest.mark.parametrize("d, k, budget", [
     (8000, 24, None), (8000, 120, None),
     # One group of four 20,000-row partitions: OpenBLAS threads each
     # matrix-vector product at this size.
     (80_000, 4, 80_000 * 100 * 8),
 ])
-@pytest.mark.parametrize("holed", [False, True])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_stacked_products_equal_partial_gradient_bit_for_bit(monkeypatch, d, k, budget,
-                                                             holed, order):
+def test_stacked_products_equal_partial_gradient_bit_for_bit(monkeypatch, d, k, budget, order):
     # p = 100 and 8,000 training rows are the desk workload's shapes, 24
     # and 120 partitions its cyclic and two-stage runs. numpy computes a
     # stacked matmul one BLAS call per stack item, on each item's own
@@ -164,17 +139,12 @@ def test_stacked_products_equal_partial_gradient_bit_for_bit(monkeypatch, d, k, 
     ds = learn.with_partitions(small_problem(11, d, 100), k)
     if order == "F":  # the stacked views split the row axis of any layout
         ds = learn.Dataset(np.asfortranarray(ds.X), ds.y, ds.partition_bounds)
-    holes = (HOLES if k > 4 else {1}) if holed else set()
-    wanted = set(range(k)) - holes if holes else None
     beta = make_rng(12).standard_normal(ds.dim)
     logits = np.empty(ds.rows)
-    G = learn.partition_gradients(ds, beta, logits, wanted)
+    G = learn.partition_gradients(ds, beta, logits)
     for j, (lo, hi) in enumerate(ds.partition_bounds):
         assert np.array_equal(logits[lo:hi], ds.X[lo:hi] @ beta)
-        if j in holes:
-            assert np.isnan(G[j]).all()
-        else:
-            assert np.array_equal(G[j], learn.partial_gradient(ds, j, beta))
+        assert np.array_equal(G[j], learn.partial_gradient(ds, j, beta))
 
 
 def test_gradient_plan_is_built_once_per_partitioned_dataset(monkeypatch):
@@ -186,10 +156,9 @@ def test_gradient_plan_is_built_once_per_partitioned_dataset(monkeypatch):
     ds = learn.with_partitions(data, 7)
     every = learn.partition_gradients(ds, beta)
     plan = ds.gradient_plan
-    holed = learn.partition_gradients(ds, beta, np.empty(ds.rows), {0, 3, 6})
+    again = learn.partition_gradients(ds, beta, np.empty(ds.rows))
     assert builds == [ds] and ds.gradient_plan is plan
-    for j in (0, 3, 6):
-        assert np.array_equal(holed[j], every[j])
+    assert np.array_equal(again, every)
     other = learn.with_partitions(data, 7)
     learn.partition_gradients(other, beta)
     assert builds == [ds, other] and other.gradient_plan is not plan
@@ -245,31 +214,21 @@ class _CountingNumpy:
         return np.matmul(*args, **kwargs)
 
 
-@pytest.mark.parametrize("k, wanted, calls", [
+@pytest.mark.parametrize("k, calls", [
     # 24 partitions of 333 rows (the last 341) make groups of 3: two runs
     # in the last group, one in every other, and a call per run and
     # direction. 120 of 66 rows (the last 146) make groups of 19 and a
     # last group of 6. One call per partition and direction made 48 and
-    # 240 (45 and 237 without the holes' second products).
-    (24, None, 18),
-    (120, None, 16),
-    (24, set(range(24)) - HOLES, 20),
-    (120, set(range(120)) - HOLES, 19),
+    # 240.
+    (24, 18),
+    (120, 16),
 ])
-def test_one_matmul_per_run_of_equal_partitions(monkeypatch, k, wanted, calls):
+def test_one_matmul_per_run_of_equal_partitions(monkeypatch, k, calls):
     ds = learn.with_partitions(small_problem(13, 8000, 100), k)
     counting = _CountingNumpy()
     monkeypatch.setattr(learn, "np", counting)
-    learn.partition_gradients(ds, make_rng(14).standard_normal(ds.dim), None, wanted)
+    learn.partition_gradients(ds, make_rng(14).standard_normal(ds.dim))
     assert counting.matmuls == calls
-
-
-def test_a_gradient_that_reads_an_unwanted_row_fails_the_optimizer():
-    ds = learn.with_partitions(small_problem(5, 997, 37), 7)
-    G = learn.partition_gradients(ds, make_rng(6).standard_normal(ds.dim), None, {0, 3})
-    learn.make_optimizer(learn.OptimizerConfig(eta=0.1), ds.dim).step(G[0] + G[3])
-    with pytest.raises(NonFinite):
-        learn.make_optimizer(learn.OptimizerConfig(eta=0.1), ds.dim).step(G[0] + G[1])
 
 
 def test_partition_gradients_never_group_across_a_gap():

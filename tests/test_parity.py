@@ -20,7 +20,7 @@ def test_one_tree_twice_shows_no_difference():
     done = subprocess.run([sys.executable, str(TOOL), src, src, "--small"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines() == ["parity: 0 differences over 37 invocations"]
+    assert done.stdout.splitlines() == ["parity: 0 differences over 38 invocations"]
 
 
 def _tree(path, exit_code, line, csv_rows):

@@ -22,8 +22,10 @@ directory:
 * one simulate for each way the aggregation rule can end a round or a
   run: naive under fixed finite delays, naive starved by an infinite one
   (exit 4), a two-stage plan whose naive stage it starves (exit 4),
-  ignore-stragglers over its tolerance (exit 3), and frac under infinite
-  delays within its tolerance;
+  ignore-stragglers over its tolerance (exit 3), ignore-stragglers whose
+  fixed stragglers 1, 10 and 22 never arrive, leaving unread partitions
+  inside runs of equal partitions, and frac under infinite delays within
+  its tolerance;
 * a p=1 bundle without jitter, where arrival ties are common;
 * a ``compare --config`` of three runs with their own labels and
   different iteration counts, so the comparison pads the shorter runs;
@@ -91,8 +93,8 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                *stragglers(3, "slowdown", "2"), "--seed-all", str(seed + 10),
                "--out", "partial.csv"]
 
-    def delayed(strategy, mode, extra, offset, out):
-        chosen = ["--straggler-workers", "2,5"] if mode == "fixed" else \
+    def delayed(strategy, mode, extra, offset, out, workers="2,5"):
+        chosen = ["--straggler-workers", workers] if mode == "fixed" else \
             ["--straggler-count", "3"]
         return ["simulate", "--strategy", *strategy, "--n", "24", *desk,
                 "--straggler-mode", mode, *chosen, "--straggler-kind", "delay",
@@ -127,6 +129,8 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                                     "fixed", "inf", 55, "partial-starved.csv")),
         ("ignore over tolerance", delayed(["ignore", "--s", "2"], "random", "5", 60,
                                           "over.csv")),
+        ("ignore with holes", delayed(["ignore", "--s", "3"], "fixed", "inf", 65, "holes.csv",
+                                      workers="1,10,22")),
         ("frac infinite delay", delayed(["coded", "--kind", "frac", "--s", "3"], "random",
                                         "inf", 70, "frac.csv")),
         ("p=1 bundle without jitter", [*bundle("still", 12, 2, thin, 80),
