@@ -1,17 +1,17 @@
 """Command-line interface: build and verify schemes, run simulations.
 
-Exit codes: 0 success, 2 usage (bad flags, missing seeds), 3 validation
-(violated preconditions, bad configuration values), 4 numerical (span
-or decode failures, divergence, starved rounds), 5 I/O (unreadable or
-malformed files).
+Exit codes: 0 success, 2 usage (bad flags, missing or negative seeds),
+3 validation (violated preconditions, bad configuration values),
+4 numerical (span or decode failures, divergence, starved rounds), 5 I/O
+(unreadable or malformed files).
 
 Run parameters resolve as defaults < config file (a compare config's
 ``shared`` block) < command-line flags < a compare run entry's own fields.
-Every simulation must be explicitly seeded: give the four sub-seeds or
-``--seed-all N``, which derives scheme, data, latency, and straggler
-seeds as N, N+1, N+2, N+3 (individual flags still override). The
-effective merged configuration is echoed next to each output file so a
-run can be reproduced from its artifacts alone.
+Every simulation must be explicitly seeded, with non-negative seeds: give
+the four sub-seeds or ``--seed-all N``, which derives scheme, data,
+latency, and straggler seeds as N, N+1, N+2, N+3 (individual flags still
+override). The effective merged configuration is echoed next to each
+output file so a run can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 
 from . import codec, learn, partial, sim
 from .errors import (
+    BudgetExceeded,
     ConfigError,
     IO_ERRORS,
     NUMERICAL_ERRORS,
@@ -182,15 +183,28 @@ def _merge_run(config: dict, overrides: dict) -> dict:
     return merged
 
 
+def _seed_flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_seed(flag: str, seed: int | None) -> None:
+    # numpy's generators take no negative seed.
+    if seed is not None and seed < 0:
+        raise _UsageError(f"seeds must be non-negative integers; got {flag} {seed}")
+
+
 def _resolve_seeds(merged: dict) -> None:
     base = merged["seed_all"]
+    _check_seed("--seed-all", base)
     if base is not None:
         for offset, name in enumerate(_SEED_NAMES):
             if merged[name] is None:
                 merged[name] = base + offset
+    for name in _SEED_NAMES:
+        _check_seed(_seed_flag(name), merged[name])
     missing = [name for name in _SEED_NAMES if merged[name] is None]
     if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        flags = ", ".join(_seed_flag(name) for name in missing)
         raise _UsageError(
             f"explicit seeds are required for reproducible runs; give --seed-all or {flags}"
         )
@@ -207,6 +221,13 @@ def _load_scheme_or_plan(path):
     if "alpha" in raw:
         return partial.import_plan(path)
     return codec.import_code(path)
+
+
+def _partial_strategy(merged: dict, plan: partial.TwoStagePlan) -> sim.Strategy:
+    # A plan's partition count grows as 1/(alpha - 1): check it against the
+    # training rows before its stage arrays are built, not after.
+    sim.check_training_rows(merged["d"], merged["holdout_frac"], plan.total_partitions)
+    return sim.PartialCoded(plan)
 
 
 def _build_strategy(merged: dict) -> sim.Strategy:
@@ -233,7 +254,7 @@ def _build_strategy(merged: dict) -> sim.Strategy:
                 raise ConfigError(
                     f"{key}={merged[key]!r} contradicts {path}, which holds {key}={value!r}"
                 )
-        return sim.PartialCoded(loaded) if is_plan else sim.Coded(loaded)
+        return _partial_strategy(merged, loaded) if is_plan else sim.Coded(loaded)
     kind = _need(merged, "kind", "to build a scheme inline (or give --scheme-file)")
     if kind not in (codec.FRAC, codec.CYC):
         raise ConfigError(f"coded and partial strategies need kind frac or cyc, got {kind!r}")
@@ -241,8 +262,8 @@ def _build_strategy(merged: dict) -> sim.Strategy:
     s = _need(merged, "s", "to build a scheme inline")
     if name == "partial":
         alpha = _need(merged, "alpha", "for a two-stage plan")
-        return sim.PartialCoded(
-            partial.plan_partial(n, s, alpha, kind=kind, seed=merged["seed_scheme"])
+        return _partial_strategy(
+            merged, partial.plan_partial(n, s, alpha, kind=kind, seed=merged["seed_scheme"])
         )
     if kind == codec.FRAC:
         return sim.Coded(codec.build_frac(n, s))
@@ -341,10 +362,17 @@ def cmd_scheme_build(args: argparse.Namespace) -> int:
         raise _UsageError("cyclic schemes draw H at random; give an explicit --seed")
     if kind != codec.CYC and args.seed is not None:
         raise _UsageError(f"{kind} schemes draw nothing at random; drop --seed")
+    _check_seed("--seed", args.seed)
     if args.alpha is not None:
         if kind == codec.NAIVE:
             raise _UsageError("two-stage plans need a frac or cyc stage-two code")
         plan = partial.plan_partial(args.n, args.s, args.alpha, kind=kind, seed=args.seed)
+        # The plan file lists every naive partition index.
+        if plan.naive_partitions_total > codec.DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceeded(
+                f"alpha={_fmt(plan.alpha)} gives {plan.naive_partitions_total} naive partitions, "
+                f"more than the budget of {codec.DEFAULT_ENUMERATION_BUDGET}"
+            )
         partial.export_plan(plan, args.out)
         print(
             f"wrote {args.out}: two-stage kind={kind} n={plan.n} s={plan.s} "

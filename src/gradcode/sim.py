@@ -248,6 +248,21 @@ class SeedBundle:
     straggler: int
 
 
+def check_training_rows(d: int, holdout_frac: float, partitions: int) -> None:
+    """ConfigError unless ``holdout_frac`` is in (0, 1) and the training
+    split of ``d`` rows, which a run partitions, fills ``partitions``
+    partitions. The CLI calls it before building a two-stage strategy,
+    whose naive stage arrays can be far larger than any training split."""
+    if not 0.0 < holdout_frac < 1.0:
+        raise ConfigError(f"holdout fraction must be in (0, 1), got {holdout_frac}")
+    train_rows = d - learn.holdout_rows(d, holdout_frac)
+    if train_rows < partitions:
+        raise ConfigError(
+            f"{train_rows} training rows (d={d} less the holdout) "
+            f"cannot fill {partitions} partitions"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class TrainingConfig:
     strategy: Strategy
@@ -268,15 +283,7 @@ class TrainingConfig:
             raise ConfigError(f"need at least one iteration, got {self.iterations}")
         if self.auc_interval < 1:
             raise ConfigError(f"auc interval must be >= 1, got {self.auc_interval}")
-        if not 0.0 < self.holdout_frac < 1.0:
-            raise ConfigError(f"holdout fraction must be in (0, 1), got {self.holdout_frac}")
-        # The run partitions the training split, not all d rows.
-        train_rows = self.d - learn.holdout_rows(self.d, self.holdout_frac)
-        if train_rows < self.strategy.partition_count:
-            raise ConfigError(
-                f"{train_rows} training rows (d={self.d} less the holdout) "
-                f"cannot fill {self.strategy.partition_count} partitions"
-            )
+        check_training_rows(self.d, self.holdout_frac, self.strategy.partition_count)
         n, s = self.strategy.n, self.strategy.s
         bad = [w for w in self.policy.workers if not 0 <= w < n]
         if bad:
@@ -578,6 +585,10 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     the whole matrix, so a round's loss may differ from ``learn.log_loss``
     of its iterate: measured at d=10,000, p=100 over 100 iterations, by
     at most 3.5e-16 relative under NAG and not at all under ``gd_decay``.
+    No round follows the last iterate, so its loss is ``learn.log_loss``,
+    with the product over the whole matrix written into the run's own
+    ``logits`` buffer: the last loss allocates nothing the size of the
+    training split.
     """
     if data is None:
         data = prepare_data(config)
@@ -621,8 +632,8 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
             # logistic link is monotone.
             auc_val = learn.auc(data.holdout.X @ beta, data.holdout.y)
         aucs.append(auc_val)
-    # No later round reads the last iterate's logits.
-    losses.append(learn.log_loss(train, opt.beta))
+    # No later round reads ``logits``: the last iterate's product goes there.
+    losses.append(learn.log_loss(train, opt.beta, out=logits))
     return RunResult(config, clock, tuple(losses), tuple(aucs), opt.beta)
 
 

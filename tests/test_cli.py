@@ -225,6 +225,50 @@ def test_simulate_without_seeds_demands_them(tmp_path, capsys):
     assert "explicit seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, given", [
+    (["compare", "--bundle", "--n", 4, "--s", 1, "--seed-all", -1, "--out-prefix", "x"],
+     "--seed-all -1"),
+    (["simulate", "--strategy", "naive", "--n", 4, "--seed-all", 70, "--seed-straggler", -2,
+      "--out", "x.csv"], "--seed-straggler -2"),
+    (["simulate", "--strategy", "coded", "--kind", "cyc", "--n", 4, "--s", 1,
+      "--seed-all", 70, "--seed-scheme", -9, "--out", "x.csv"], "--seed-scheme -9"),
+    (["scheme", "build", "--kind", "cyc", "--n", 4, "--s", 1, "--seed", -1,
+      "--out", "x.json"], "--seed -1"),
+], ids=["compare-seed-all", "simulate-seed-straggler", "simulate-seed-scheme", "scheme-build"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, given):
+    # numpy's generators reject a negative seed with a bare ValueError.
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert f"got {given}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+NEAR_ONE = "1.0000000001"  # r = ceil(2 / 1e-10): about 2e10 naive partitions a worker
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--strategy", "partial", "--kind", "frac", "--n", 4, "--s", 1,
+      "--alpha", NEAR_ONE, "--d", 400, "--p", 5, "--seed-all", 70, "--out", "x.csv"],
+     "320 training rows (d=400 less the holdout) cannot fill 79999993384 partitions"),
+    (["compare", "--config", "runs.json", "--out-prefix", "x"],
+     "320 training rows (d=400 less the holdout) cannot fill 79999993384 partitions"),
+    (["scheme", "build", "--kind", "frac", "--n", 4, "--s", 1, "--alpha", NEAR_ONE,
+      "--out", "x.json"],
+     "gives 79999993380 naive partitions, more than the budget of 1000000"),
+], ids=["simulate", "compare", "scheme-build"])
+def test_a_plan_too_large_to_lay_out_is_a_validation_error(tmp_path, monkeypatch, capsys,
+                                                          argv, message):
+    # Each fails before the plan's naive stage is listed, not with a MemoryError.
+    monkeypatch.chdir(tmp_path)
+    runs = [{"strategy": "naive"},
+            {"strategy": "partial", "kind": "frac", "s": 1, "alpha": float(NEAR_ONE)}]
+    config = {"shared": {"n": 4, "d": 400, "p": 5, "seed_all": 70}, "runs": runs}
+    (tmp_path / "runs.json").write_text(json.dumps(config))
+    assert run(*argv) == 3
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["runs.json"]
+
+
 def test_simulate_config_file_with_flag_override(tmp_path):
     config = {
         "strategy": "ignore", "n": 4, "s": 1, "d": 480, "p": 6,

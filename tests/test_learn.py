@@ -373,6 +373,25 @@ def test_logits_loss_into_a_buffer_allocates_at_most_the_budget():
     assert peak <= 1 << 20
 
 
+def test_log_loss_into_a_buffer_is_bit_identical_and_allocates_at_most_the_budget():
+    rng = make_rng(32)
+    rows = 443_520
+    ds = learn.Dataset(rng.standard_normal((rows, 3)), (rng.random(rows) < 0.5).astype(float),
+                       ((0, rows),))
+    beta = 10.0 * rng.standard_normal(3)
+    expected = learn.log_loss(ds, beta)
+    buf = np.empty(rows)
+    tracemalloc.start()
+    try:
+        got = learn.log_loss(ds, beta, out=buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    # Without the buffer, the product alone is 3.5 MB here.
+    assert peak <= learn._GROUP_BYTES
+
+
 def test_gen_synthetic_matches_dense_mean_expression():
     # The masked in-place adds give the same X as adding a dense
     # (d, p) array of cluster means, on the same draws.
@@ -555,6 +574,22 @@ def test_auc_group_sums_match_the_rank_scatter_at_holdout_size():
     scores[::7] = np.round(scores[::7], 2)
     labels = rng.random(scores.size) < 0.5
     assert learn.auc(scores, labels) == mergesort_auc(scores, labels)
+
+
+def test_auc_scratch_at_holdout_size():
+    # 110,880 scores, a paper-scale holdout, with a few ties.
+    rng = make_rng(212)
+    scores = rng.standard_normal(110_880)
+    scores[::7] = np.round(scores[::7], 2)
+    labels = rng.random(scores.size) < 0.5
+    tracemalloc.start()
+    try:
+        learn.auc(scores, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Per-tie-group arrays cost about 8x the scores' bytes.
+    assert peak <= 3 * scores.nbytes
 
 
 def reduceat_auc(scores, labels) -> float:

@@ -1193,12 +1193,17 @@ def test_carried_loss_matches_log_loss_of_every_iterate(method, d, p, strategy, 
 def test_log_loss_runs_once_per_run(monkeypatch, method, make):
     calls = []
     log_loss = learn.log_loss
-    monkeypatch.setattr(learn, "log_loss", lambda ds, beta: calls.append(1) or log_loss(ds, beta))
+    monkeypatch.setattr(
+        learn, "log_loss",
+        lambda ds, beta, out=None: calls.append((ds, out)) or log_loss(ds, beta, out),
+    )
     cfg = small_config(make(), d=960, iterations=12,
                        optimizer=learn.OptimizerConfig(method=method))
     res = sim.run_training(cfg)
     assert len(res.loss) == 12
-    assert calls == [1]
+    [(train, out)] = calls
+    # The last loss reuses the run's logits buffer, one entry a training row.
+    assert out.shape == (train.rows,)
 
 
 def test_run_training_looks_up_run_iteration_each_round(monkeypatch):

@@ -27,6 +27,8 @@ directory:
   inside runs of equal partitions, and frac under infinite delays within
   its tolerance;
 * a p=1 bundle without jitter, where arrival ties are common;
+* a desk-size simulate with ``--auc-interval 1``, so that every round's
+  holdout AUC is compared, not every tenth;
 * a ``compare --config`` of three runs with their own labels and
   different iteration counts, so the comparison pads the shorter runs;
   each tree's directory gets the config file (``UNEVEN``) first;
@@ -135,6 +137,9 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                                         "inf", 70, "frac.csv")),
         ("p=1 bundle without jitter", [*bundle("still", 12, 2, thin, 80),
                                        "--jitter-sigma", "none"]),
+        ("auc every round", ["simulate", "--strategy", "naive", "--n", "24", *desk,
+                             "--auc-interval", "1", "--seed-all", str(seed + 85),
+                             "--out", "auc.csv"]),
         ("uneven compare", ["compare", "--config", UNEVEN, "--out-prefix", "uneven"]),
         *(build(f"cyc{n}-{s}-seed{seed + i}", "cyc", n, "--s", str(s), "--seed", str(seed + i))
           for n, s, draws in ((24, 4, 10), (30, 5, 5)) for i in range(draws)),
