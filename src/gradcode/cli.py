@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple
 
 from . import codec, learn, partial, sim
 from .errors import (
-    BudgetExceeded,
     ConfigError,
     IO_ERRORS,
     NUMERICAL_ERRORS,
@@ -74,8 +73,10 @@ def _parse_jitter(text: str) -> float | None:
 
 
 # Everything a run can configure, one flag each, with the library's
-# defaults and choices. Paths are flag-only so config files stay
-# relocatable.
+# defaults and choices. A config file may set any of them: the output
+# paths and --config are flag-only, but scheme_file is not, and a
+# relative scheme_file resolves against the working directory, not the
+# config file's.
 _RUN_SCHEMA: dict[str, _Field] = {
     "strategy": _Field(str, None, ("naive", "ignore", "coded", "partial")),
     "scheme_file": _Field(str, None),
@@ -223,13 +224,6 @@ def _load_scheme_or_plan(path):
     return codec.import_code(path)
 
 
-def _partial_strategy(merged: dict, plan: partial.TwoStagePlan) -> sim.Strategy:
-    # A plan's partition count grows as 1/(alpha - 1): check it against the
-    # training rows before its stage arrays are built, not after.
-    sim.check_training_rows(merged["d"], merged["holdout_frac"], plan.total_partitions)
-    return sim.PartialCoded(plan)
-
-
 def _build_strategy(merged: dict) -> sim.Strategy:
     name = _need(merged, "strategy", "(naive, ignore, coded, or partial)")
     why = f"for the {name} strategy"
@@ -254,7 +248,7 @@ def _build_strategy(merged: dict) -> sim.Strategy:
                 raise ConfigError(
                     f"{key}={merged[key]!r} contradicts {path}, which holds {key}={value!r}"
                 )
-        return _partial_strategy(merged, loaded) if is_plan else sim.Coded(loaded)
+        return sim.PartialCoded(loaded) if is_plan else sim.Coded(loaded)
     kind = _need(merged, "kind", "to build a scheme inline (or give --scheme-file)")
     if kind not in (codec.FRAC, codec.CYC):
         raise ConfigError(f"coded and partial strategies need kind frac or cyc, got {kind!r}")
@@ -262,8 +256,8 @@ def _build_strategy(merged: dict) -> sim.Strategy:
     s = _need(merged, "s", "to build a scheme inline")
     if name == "partial":
         alpha = _need(merged, "alpha", "for a two-stage plan")
-        return _partial_strategy(
-            merged, partial.plan_partial(n, s, alpha, kind=kind, seed=merged["seed_scheme"])
+        return sim.PartialCoded(
+            partial.plan_partial(n, s, alpha, kind=kind, seed=merged["seed_scheme"])
         )
     if kind == codec.FRAC:
         return sim.Coded(codec.build_frac(n, s))
@@ -367,12 +361,6 @@ def cmd_scheme_build(args: argparse.Namespace) -> int:
         if kind == codec.NAIVE:
             raise _UsageError("two-stage plans need a frac or cyc stage-two code")
         plan = partial.plan_partial(args.n, args.s, args.alpha, kind=kind, seed=args.seed)
-        # The plan file lists every naive partition index.
-        if plan.naive_partitions_total > codec.DEFAULT_ENUMERATION_BUDGET:
-            raise BudgetExceeded(
-                f"alpha={_fmt(plan.alpha)} gives {plan.naive_partitions_total} naive partitions, "
-                f"more than the budget of {codec.DEFAULT_ENUMERATION_BUDGET}"
-            )
         partial.export_plan(plan, args.out)
         print(
             f"wrote {args.out}: two-stage kind={kind} n={plan.n} s={plan.s} "
@@ -456,8 +444,8 @@ def cmd_scheme_inspect(args: argparse.Namespace) -> int:
         plan = loaded
         print(f"two-stage plan: n={plan.n} s={plan.s} alpha={_fmt(plan.alpha)}")
         print(
-            f"partitions: naive={plan.naive_partitions_total} "
-            f"coded={plan.coded_partitions_total} total={plan.total_partitions}"
+            f"partitions: naive={plan.naive_stage.size} "
+            f"coded={plan.n} total={plan.total_partitions}"
         )
         print(
             f"per-worker load: naive={plan.naive_per_worker} "
@@ -553,21 +541,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         merged.update((key, _coerce(key, value)) for key, value in entry.items())
         merged_runs.append(merged)
 
-    run_configs = []
-    seen_labels = set()
     # Flags and shared values apply to the runs that read them; a run
     # entry's own settings must be read by that run.
-    for merged, entry in zip(merged_runs, entries):
-        run_config = _training_config(merged, set(entry))
-        if run_config.run_label in seen_labels:
-            raise ConfigError(
-                f"duplicate run label {run_config.run_label!r}; set distinct --label values"
-            )
-        seen_labels.add(run_config.run_label)
-        run_configs.append(run_config)
-    # Every run trains on one build of the data, so a mismatch is
-    # rejected before any of them starts.
-    sim.check_shared_data(run_configs)
+    run_configs = [_training_config(merged, set(entry))
+                   for merged, entry in zip(merged_runs, entries)]
+    # Every run trains on one build of the data, so a comparison that
+    # cannot be aligned is rejected before any of them starts.
+    sim.check_comparison(run_configs)
     data = sim.prepare_data(run_configs[0])
 
     results = []

@@ -64,7 +64,7 @@ class StarvedIteration(GradientCodingError):
 
 
 class MismatchedConfigs(GradientCodingError):
-    """Runs being compared do not share the data they were trained on."""
+    """Runs being compared are none, repeat a label, or differ in their data."""
 
 
 class ConfigError(GradientCodingError):

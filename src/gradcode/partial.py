@@ -24,8 +24,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .codec import (
     CYC,
+    DEFAULT_ENUMERATION_BUDGET,
     FRAC,
     GradientCode,
     build_cyc,
@@ -35,6 +38,7 @@ from .codec import (
     read_json_object,
 )
 from .errors import (
+    BudgetExceeded,
     ConfigError,
     DimensionMismatch,
     GradientCodingError,
@@ -82,7 +86,9 @@ class TwoStagePlan:
 
     The slowdown factor and the stage-two code determine everything
     else: n and s are the code's, and the naive stage is r contiguous
-    partitions per worker with r = ceil((s+1)/(alpha-1)).
+    partitions per worker with r = ceil((s+1)/(alpha-1)). Raises
+    BudgetExceeded when the naive stage would hold more than
+    ``DEFAULT_ENUMERATION_BUDGET`` partitions, as alpha close to 1 gives.
     """
 
     alpha: float
@@ -92,6 +98,12 @@ class TwoStagePlan:
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if self.code.kind not in (FRAC, CYC):
             raise DimensionMismatch(f"stage two needs a coded scheme, got {self.code.kind!r}")
+        naive = self.n * self.naive_per_worker
+        if naive > DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceeded(
+                f"alpha={self.alpha} gives {naive} naive partitions, "
+                f"more than the budget of {DEFAULT_ENUMERATION_BUDGET}"
+            )
 
     @property
     def n(self) -> int:
@@ -106,27 +118,15 @@ class TwoStagePlan:
         return naive_partition_count(self.s, self.alpha)
 
     @property
-    def naive_assignment(self) -> tuple[tuple[int, ...], ...]:
-        """Worker w's naive partitions: w*r, ..., (w+1)*r - 1."""
+    def naive_stage(self) -> np.ndarray:
+        """The (n, r) naive partition indices: worker w's are w*r, ...,
+        (w+1)*r - 1, and the code's n partitions follow them."""
         r = self.naive_per_worker
-        return tuple(tuple(range(w * r, (w + 1) * r)) for w in range(self.n))
-
-    @property
-    def naive_partitions_total(self) -> int:
-        return self.n * self.naive_per_worker
-
-    @property
-    def coded_partitions_total(self) -> int:
-        return self.n
+        return np.arange(self.n * r).reshape(self.n, r)
 
     @property
     def total_partitions(self) -> int:
-        return self.naive_partitions_total + self.coded_partitions_total
-
-    @property
-    def coded_offset(self) -> int:
-        """Global partition index where the coded block starts."""
-        return self.naive_partitions_total
+        return self.n * (self.naive_per_worker + 1)
 
 
 def plan_partial(
@@ -177,7 +177,7 @@ def export_plan(plan: TwoStagePlan, path) -> None:
     out = code_to_dict(plan.code)
     out["alpha"] = float(plan.alpha)
     out["naive_per_worker"] = plan.naive_per_worker
-    out["naive_assignment"] = [list(row) for row in plan.naive_assignment]
+    out["naive_assignment"] = plan.naive_stage.tolist()
     Path(path).write_text(json.dumps(out, indent=1) + "\n")
 
 
@@ -210,7 +210,7 @@ def import_plan(path) -> TwoStagePlan:
             f"plan violates its invariants: naive_per_worker={r} inconsistent with "
             f"ceil((s+1)/(alpha-1))={plan.naive_per_worker}"
         )
-    if rows != [list(row) for row in plan.naive_assignment]:
+    if rows != plan.naive_stage.tolist():
         raise ParseError(
             "plan violates its invariants: naive assignment must be contiguous by worker"
         )

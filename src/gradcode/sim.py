@@ -236,7 +236,8 @@ def Coded(code: GradientCode) -> Strategy:
 
 def PartialCoded(plan: TwoStagePlan) -> Strategy:
     """Two-stage plan: all naive sums plus any n - s coded messages."""
-    stages = (_plain_stage(plan.naive_assignment), _coded_stage(plan.code, plan.coded_offset))
+    naive = plan.naive_stage
+    stages = (_plain_stage(naive), _coded_stage(plan.code, naive.size))
     return Strategy(f"partial_{plan.code.kind}_a{plan.alpha:g}", plan.s, *zip(*stages), plan.code)
 
 
@@ -246,21 +247,6 @@ class SeedBundle:
     data: int
     latency: int
     straggler: int
-
-
-def check_training_rows(d: int, holdout_frac: float, partitions: int) -> None:
-    """ConfigError unless ``holdout_frac`` is in (0, 1) and the training
-    split of ``d`` rows, which a run partitions, fills ``partitions``
-    partitions. The CLI calls it before building a two-stage strategy,
-    whose naive stage arrays can be far larger than any training split."""
-    if not 0.0 < holdout_frac < 1.0:
-        raise ConfigError(f"holdout fraction must be in (0, 1), got {holdout_frac}")
-    train_rows = d - learn.holdout_rows(d, holdout_frac)
-    if train_rows < partitions:
-        raise ConfigError(
-            f"{train_rows} training rows (d={d} less the holdout) "
-            f"cannot fill {partitions} partitions"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +269,15 @@ class TrainingConfig:
             raise ConfigError(f"need at least one iteration, got {self.iterations}")
         if self.auc_interval < 1:
             raise ConfigError(f"auc interval must be >= 1, got {self.auc_interval}")
-        check_training_rows(self.d, self.holdout_frac, self.strategy.partition_count)
+        if not 0.0 < self.holdout_frac < 1.0:
+            raise ConfigError(f"holdout fraction must be in (0, 1), got {self.holdout_frac}")
+        train_rows = self.d - learn.holdout_rows(self.d, self.holdout_frac)
+        partitions = self.strategy.partition_count
+        if train_rows < partitions:
+            raise ConfigError(
+                f"{train_rows} training rows (d={self.d} less the holdout) "
+                f"cannot fill {partitions} partitions"
+            )
         n, s = self.strategy.n, self.strategy.s
         bad = [w for w in self.policy.workers if not 0 <= w < n]
         if bad:
@@ -559,8 +553,14 @@ def prepare_data(config: TrainingConfig) -> TrainingData:
     return TrainingData(data_key(config), train, holdout)
 
 
-def check_shared_data(configs: list[TrainingConfig]) -> None:
-    """Raise MismatchedConfigs unless every config trains on the same data."""
+def check_comparison(configs: list[TrainingConfig]) -> None:
+    """Raise MismatchedConfigs unless there are runs, their labels are
+    unique, and they all train on the same data."""
+    if not configs:
+        raise MismatchedConfigs("no runs to compare")
+    labels = [c.run_label for c in configs]
+    if len(set(labels)) != len(labels):
+        raise MismatchedConfigs(f"run labels must be unique, got {labels}")
     first = configs[0]
     for c in configs[1:]:
         if data_key(c) != data_key(first):
@@ -681,17 +681,12 @@ def _pick_thresholds(results: list[RunResult]) -> list[float]:
 def compare_runs(results: list[RunResult]) -> Comparison:
     """The runs, with the first iteration and sim time at which each
     reaches each loss target (``_pick_thresholds``), None where it never
-    does. Raises MismatchedConfigs unless they trained on the same data
-    under unique labels.
+    does. Raises MismatchedConfigs unless ``check_comparison`` accepts
+    their configs.
 
     A single run yields a degenerate one-run comparison.
     """
-    if not results:
-        raise MismatchedConfigs("no runs to compare")
-    labels = [r.label for r in results]
-    if len(set(labels)) != len(labels):
-        raise MismatchedConfigs(f"run labels must be unique, got {labels}")
-    check_shared_data([r.config for r in results])
+    check_comparison([r.config for r in results])
     return Comparison(
         runs=tuple(results),
         thresholds=tuple(

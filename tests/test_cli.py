@@ -244,28 +244,49 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, g
 
 
 NEAR_ONE = "1.0000000001"  # r = ceil(2 / 1e-10): about 2e10 naive partitions a worker
+BUDGET_MESSAGE = ("alpha=1.0000000001 gives 79999993380 naive partitions, "
+                  "more than the budget of 1000000")
+
+
+def _partial_runs_config(tmp_path, alpha):
+    runs = [{"strategy": "naive"},
+            {"strategy": "partial", "kind": "frac", "s": 1, "alpha": float(alpha)}]
+    config = {"shared": {"n": 4, "d": 400, "p": 5, "seed_all": 70}, "runs": runs}
+    (tmp_path / "runs.json").write_text(json.dumps(config))
 
 
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--strategy", "partial", "--kind", "frac", "--n", 4, "--s", 1,
       "--alpha", NEAR_ONE, "--d", 400, "--p", 5, "--seed-all", 70, "--out", "x.csv"],
-     "320 training rows (d=400 less the holdout) cannot fill 79999993384 partitions"),
-    (["compare", "--config", "runs.json", "--out-prefix", "x"],
-     "320 training rows (d=400 less the holdout) cannot fill 79999993384 partitions"),
+     BUDGET_MESSAGE),
+    (["compare", "--config", "runs.json", "--out-prefix", "x"], BUDGET_MESSAGE),
     (["scheme", "build", "--kind", "frac", "--n", 4, "--s", 1, "--alpha", NEAR_ONE,
-      "--out", "x.json"],
-     "gives 79999993380 naive partitions, more than the budget of 1000000"),
+      "--out", "x.json"], BUDGET_MESSAGE),
 ], ids=["simulate", "compare", "scheme-build"])
 def test_a_plan_too_large_to_lay_out_is_a_validation_error(tmp_path, monkeypatch, capsys,
                                                           argv, message):
     # Each fails before the plan's naive stage is listed, not with a MemoryError.
     monkeypatch.chdir(tmp_path)
-    runs = [{"strategy": "naive"},
-            {"strategy": "partial", "kind": "frac", "s": 1, "alpha": float(NEAR_ONE)}]
-    config = {"shared": {"n": 4, "d": 400, "p": 5, "seed_all": 70}, "runs": runs}
-    (tmp_path / "runs.json").write_text(json.dumps(config))
+    _partial_runs_config(tmp_path, NEAR_ONE)
     assert run(*argv) == 3
     assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["runs.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--strategy", "partial", "--kind", "frac", "--n", 4, "--s", 1,
+     "--alpha", "1.01", "--d", 400, "--p", 5, "--seed-all", 70, "--out", "x.csv"],
+    ["compare", "--config", "runs.json", "--out-prefix", "x"],
+], ids=["simulate", "compare"])
+def test_a_plan_with_more_partitions_than_training_rows_is_a_validation_error(
+        tmp_path, monkeypatch, capsys, argv):
+    # alpha = 1.01 plans 200 naive partitions a worker: 804 in all, within
+    # the budget but more than the 320 training rows.
+    monkeypatch.chdir(tmp_path)
+    _partial_runs_config(tmp_path, 1.01)
+    assert run(*argv) == 3
+    assert "320 training rows (d=400 less the holdout) cannot fill 804 partitions" in \
+        capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["runs.json"]
 
 
@@ -947,14 +968,32 @@ def test_compare_builds_data_once_per_invocation(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def test_compare_duplicate_labels_rejected(tmp_path):
-    config = {
-        "shared": {"d": 480, "p": 6, "iterations": 3, "seed_all": 5},
-        "runs": [{"strategy": "naive", "n": 4}, {"strategy": "naive", "n": 4}],
-    }
+def _rejects_duplicate_labels(tmp_path, monkeypatch, capsys, runs, labels):
+    # Nothing is trained or written: no data is drawn, no run line is
+    # printed and no file but the config exists.
+    prepared = []
+    monkeypatch.setattr(sim, "prepare_data", lambda *a: prepared.append(a))
+    config = {"shared": {"n": 4, "d": 480, "p": 6, "iterations": 3, "seed_all": 5},
+              "runs": runs}
     cfg_path = tmp_path / "cmp.json"
     cfg_path.write_text(json.dumps(config))
     assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / "x") == 3
+    out, err = capsys.readouterr()
+    assert f"run labels must be unique, got {labels}" in err
+    assert not any(line.startswith("run ") for line in out.splitlines())
+    assert prepared == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cmp.json"]
+
+
+def test_compare_duplicate_labels_rejected(tmp_path, monkeypatch, capsys):
+    runs = [{"strategy": "naive"}, {"strategy": "naive"}]
+    _rejects_duplicate_labels(tmp_path, monkeypatch, capsys, runs, ["naive", "naive"])
+
+
+def test_compare_duplicate_label_fields_rejected(tmp_path, monkeypatch, capsys):
+    runs = [{"strategy": "naive", "label": "same"},
+            {"strategy": "ignore", "s": 1, "label": "same"}]
+    _rejects_duplicate_labels(tmp_path, monkeypatch, capsys, runs, ["same", "same"])
 
 
 def test_compare_needs_bundle_or_config(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 
 from gradcode import codec, partial
 from gradcode.errors import (
+    BudgetExceeded,
     ConfigError,
     DimensionMismatch,
     DivisibilityError,
@@ -76,13 +77,13 @@ def test_worked_plan_three_workers():
     # (s+1) does not divide 3, so stage two must be the cyclic code.
     plan = partial.plan_partial(3, 1, 2.0, kind=codec.CYC, seed=5)
     assert plan.naive_per_worker == 2
-    assert plan.naive_partitions_total == 6
-    assert plan.coded_partitions_total == 3
+    assert plan.naive_stage.shape == (3, 2)
+    assert plan.naive_stage.size == 6
+    assert plan.total_partitions - plan.naive_stage.size == 3
     assert plan.total_partitions == 9
-    assert plan.naive_assignment == ((0, 1), (2, 3), (4, 5))
-    assert plan.coded_offset == 6
+    assert plan.naive_stage.tolist() == [[0, 1], [2, 3], [4, 5]]
     # Every naive partition is owned exactly once.
-    flat = [i for row in plan.naive_assignment for i in row]
+    flat = [i for row in plan.naive_stage.tolist() for i in row]
     assert sorted(flat) == list(range(6))
     assert partial.load_fraction(3, 1, 2.0) == pytest.approx(4 / 9)
     assert partial.realized_load_fraction(plan) == pytest.approx(4 / 9)
@@ -137,6 +138,28 @@ def test_naive_stage_two_code_gets_the_kind_message():
         partial.TwoStagePlan(2.0, codec.build_naive(4))
 
 
+NEAR_ONE = 1.0000000001  # r = ceil(2 / 1e-10): about 2e10 naive partitions a worker
+BUDGET_MESSAGE = "gives 79999993380 naive partitions, more than the budget of 1000000"
+
+
+def test_a_naive_stage_over_the_budget_is_refused_before_it_is_laid_out():
+    # Neither lays out the naive stage, which would not fit in memory.
+    with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
+        partial.TwoStagePlan(NEAR_ONE, codec.build_frac(4, 1))
+    with pytest.raises(BudgetExceeded, match=BUDGET_MESSAGE):
+        partial.plan_partial(4, 1, NEAR_ONE)
+
+
+def test_a_naive_stage_of_exactly_the_budget_builds():
+    # (s+1)/(alpha-1) snaps to r = 250,000, so n*r is the budget itself.
+    plan = partial.TwoStagePlan(1 + 2 / 250000, codec.build_frac(4, 1))
+    assert plan.naive_stage.shape == (4, 250000)
+    assert plan.naive_stage.size == codec.DEFAULT_ENUMERATION_BUDGET
+    assert plan.total_partitions == codec.DEFAULT_ENUMERATION_BUDGET + 4
+    with pytest.raises(BudgetExceeded, match="1000004 naive partitions"):
+        partial.TwoStagePlan(1 + 2 / 250001, codec.build_frac(4, 1))
+
+
 def test_plan_export_import_round_trip(tmp_path):
     for plan in (
         partial.plan_partial(6, 2, 1.5),
@@ -147,7 +170,7 @@ def test_plan_export_import_round_trip(tmp_path):
         loaded = partial.import_plan(path)
         assert (loaded.n, loaded.s, loaded.alpha) == (plan.n, plan.s, plan.alpha)
         assert loaded.naive_per_worker == plan.naive_per_worker
-        assert loaded.naive_assignment == plan.naive_assignment
+        assert loaded.naive_stage.tolist() == plan.naive_stage.tolist()
         assert loaded.code.kind == plan.code.kind
         assert loaded.code.h_seed == plan.code.h_seed
         import numpy as np
@@ -163,10 +186,11 @@ def test_plan_holds_only_alpha_and_code(tmp_path):
     path = tmp_path / "plan.json"
     partial.export_plan(plan, path)
     loaded = partial.import_plan(path)
-    derived = ("n", "s", "naive_per_worker", "naive_assignment", "total_partitions")
+    derived = ("n", "s", "naive_per_worker", "total_partitions")
     assert [getattr(loaded, name) for name in derived] == [
         getattr(plan, name) for name in derived
     ]
+    assert loaded.naive_stage.tolist() == plan.naive_stage.tolist()
     assert (plan.n, plan.s, plan.naive_per_worker, plan.total_partitions) == (6, 2, 5, 36)
 
 
@@ -212,6 +236,9 @@ def test_plan_import_rejections(tmp_path):
         partial.import_plan(dump({**raw, "alpha": 2.0}))
     with pytest.raises(ParseError, match="unknown fields"):
         partial.import_plan(dump({**raw, "mystery": True}))
+    # The budget is checked before the stored assignment is compared.
+    with pytest.raises(ParseError, match=f"invariants: alpha={NEAR_ONE} {BUDGET_MESSAGE}"):
+        partial.import_plan(dump({**raw, "alpha": NEAR_ONE}))
     # A plan file is not a plain scheme file.
     with pytest.raises(ParseError, match="unknown fields"):
         codec.import_code(path)

@@ -18,6 +18,7 @@ import pytest
 
 from gradcode import codec, learn, partial, sim
 from gradcode.errors import (
+    BudgetExceeded,
     ConfigError,
     IndexOutOfRange,
     InvalidAlpha,
@@ -257,13 +258,13 @@ def test_partial_two_stage_replay_bit_exact():
     policy = sim.StragglerPolicy(mode="random", count=1, kind="slowdown", alpha=1.4)
     cfg = small_config(sim.PartialCoded(plan), policy=policy, d=1056, iterations=15)
     res = sim.run_training(cfg)
-    code, off = plan.code, plan.coded_offset
+    code, off = plan.code, plan.naive_stage.size
     cache = {}
 
     def two_stage(train, point, survivors):
         G = [learn.partial_gradient(train, j, point) for j in range(train.partitions)]
         naive = [
-            seq_sum([G[j] for j in plan.naive_assignment[w]]) for w in range(plan.n)
+            seq_sum([G[j] for j in plan.naive_stage[w].tolist()]) for w in range(plan.n)
         ]
         row = codec.decode_row(code, survivors, cache)
         coded = [
@@ -305,8 +306,8 @@ def _reference_layout(name):
         return sim.Coded(code), [_coded_terms(code)]
     kind = name.split("_")[1]
     plan = partial.plan_partial(12, 2, 2.0, kind=kind, seed=6)
-    naive = [tuple((j, None) for j in supp) for supp in plan.naive_assignment]
-    return sim.PartialCoded(plan), [naive, _coded_terms(plan.code, plan.coded_offset)]
+    naive = [tuple((j, None) for j in supp) for supp in plan.naive_stage.tolist()]
+    return sim.PartialCoded(plan), [naive, _coded_terms(plan.code, plan.naive_stage.size)]
 
 
 def _reference_gradient(strategy, stages, G, survivors):
@@ -381,6 +382,19 @@ def test_size_and_message_kinds_derive_from_the_stages(n, s, alpha):
         assert strategy.n == workers
         assert strategy.partition_count == partitions
         assert strategy.kinds == kinds
+
+
+def test_a_two_stage_strategy_is_as_large_as_the_plan_budget_allows():
+    # Near alpha = 1 the plan refuses its naive stage before PartialCoded
+    # lays it out; at the budget the coded block follows the naive stage.
+    with pytest.raises(BudgetExceeded, match="more than the budget of 1000000"):
+        sim.PartialCoded(partial.plan_partial(4, 1, 1.0000000001))
+    strategy = sim.PartialCoded(partial.plan_partial(4, 1, 1 + 2 / 250000))
+    naive, coded = strategy.index
+    assert naive.shape == (4, 250000)
+    assert naive.size == codec.DEFAULT_ENUMERATION_BUDGET
+    assert coded.min() == naive.size
+    assert strategy.partition_count == naive.size + 4
 
 
 @pytest.mark.parametrize(

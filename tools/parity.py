@@ -35,7 +35,12 @@ directory:
 * ``scheme build`` of cyclic schemes at (n, s) = (24, 4), seeds 0-9, and
   (30, 5), seeds 0-4, of a frac and a naive scheme and of a cyclic
   two-stage plan, each file compared byte for byte. These keep their
-  sizes under ``--small``: each takes milliseconds.
+  sizes under ``--small``: each takes milliseconds;
+* three runs refused before any training (exit 3), at one size under
+  ``--small`` too: a two-stage simulate whose plan has more partitions
+  than training rows, one whose naive stage is over the 10^6 partition
+  budget, and a ``compare --config`` whose runs share a label (the
+  config file ``DUPLICATE``).
 
 Each subprocess runs with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` set to the number of cores this process may use,
@@ -68,6 +73,7 @@ from pathlib import Path
 
 MANIFEST = "parity-manifest.json"
 UNEVEN = "uneven.json"
+DUPLICATE = "duplicate.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -105,6 +111,11 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
     def build(name, kind, n, *flags):
         return name, ["scheme", "build", "--kind", kind, "--n", str(n), *flags,
                       "--out", name + ".json"]
+
+    def refused_plan(alpha, out):
+        return ["simulate", "--strategy", "partial", "--kind", "frac", "--n", "4", "--s", "1",
+                "--alpha", alpha, "--d", "400", "--p", "5", "--seed-all", str(seed + 95),
+                "--out", out]
 
     return [
         ("desk bundle", bundle("desk", 24, 3, desk, 0)),
@@ -147,6 +158,9 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
         build("naive8", "naive", 8),
         build("cyc12-2-plan", "cyc", 12, "--s", "2", "--seed", str(seed + 90),
               "--alpha", "1.5"),
+        ("plan over the training rows", refused_plan("1.01", "rows.csv")),
+        ("plan over the budget", refused_plan("1.0000000001", "budget.csv")),
+        ("duplicate labels", ["compare", "--config", DUPLICATE, "--out-prefix", "duplicate"]),
     ]
 
 
@@ -165,6 +179,14 @@ def uneven_config(small: bool, seed: int) -> dict:
     }
 
 
+def duplicate_config(seed: int) -> dict:
+    """The ``compare --config`` file whose two runs share a label."""
+    runs = [{"strategy": "naive", "label": "same"},
+            {"strategy": "ignore", "s": 1, "label": "same"}]
+    return {"shared": {"n": 4, "d": 480, "p": 6, "iterations": 3, "seed_all": seed + 110},
+            "runs": runs}
+
+
 def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
     """Run every invocation with ``src``'s gradcode, in ``workdir``.
 
@@ -176,6 +198,7 @@ def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
 
     os.chdir(workdir)
     Path(UNEVEN).write_text(json.dumps(uneven_config(small, seed)) + "\n")
+    Path(DUPLICATE).write_text(json.dumps(duplicate_config(seed)) + "\n")
     records = []
     for name, argv in invocations(small, seed):
         out, err = io.StringIO(), io.StringIO()
