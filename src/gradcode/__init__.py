@@ -16,7 +16,6 @@ from .codec import (
     build_naive,
     cyc_h_matrix,
     decode_row,
-    density_check,
     export_code,
     import_code,
     mds_check,
@@ -86,7 +85,6 @@ __all__ = [
     "compare_runs",
     "cyc_h_matrix",
     "decode_row",
-    "density_check",
     "export_code",
     "export_plan",
     "gen_synthetic",

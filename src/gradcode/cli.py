@@ -10,8 +10,10 @@ Run parameters resolve as defaults < config file (a compare config's
 Every simulation must be explicitly seeded, with non-negative seeds: give
 the four sub-seeds or ``--seed-all N``, which derives scheme, data,
 latency, and straggler seeds as N, N+1, N+2, N+3 (individual flags still
-override). The effective merged configuration is echoed next to each
-output file so a run can be reproduced from its artifacts alone.
+override). The scheme seed draws only a cyclic code built inline, alone
+or as a plan's stage two; the run itself draws from the other three.
+The effective merged configuration is echoed next to each output file
+so a run can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -314,7 +316,11 @@ def _training_config(merged: dict, given: set[str]) -> sim.TrainingConfig:
         extra=merged["straggler_extra"],
         alpha=merged["straggler_alpha"],
     )
-    seeds = sim.SeedBundle(*(merged[name] for name in _SEED_NAMES))
+    seeds = sim.SeedBundle(
+        data=merged["seed_data"],
+        latency=merged["seed_latency"],
+        straggler=merged["seed_straggler"],
+    )
     return sim.TrainingConfig(
         strategy=strategy,
         optimizer=optimizer,
@@ -379,11 +385,7 @@ def cmd_scheme_build(args: argparse.Namespace) -> int:
     else:
         code = codec.build_cyc(args.n, args.s, args.seed)
     codec.export_code(code, args.out)
-    report = codec.density_check(code)
-    print(
-        f"wrote {args.out}: kind={code.kind} n={code.n} k={code.k} s={code.s} "
-        f"density_bound={report.bound} equality={report.meets_bound_with_equality}"
-    )
+    print(f"wrote {args.out}: kind={code.kind} n={code.n} s={code.s}")
     return EXIT_OK
 
 
@@ -398,11 +400,6 @@ def _verify_code(code: codec.GradientCode, budget: int) -> bool:
             f"bspan: FAIL failures={len(span.failures)}/{span.checked} "
             f"first={span.failures[0]} max_residual={_fmt(span.max_residual)}"
         )
-    dens = codec.density_check(code)
-    print(
-        f"density: bound={dens.bound} equality={dens.meets_bound_with_equality} "
-        f"min={dens.min_row_density}"
-    )
     if code.kind == codec.CYC:
         if code.h_seed is None:
             print("mds: skipped (no recorded h_seed)")
@@ -455,18 +452,13 @@ def cmd_scheme_inspect(args: argparse.Namespace) -> int:
         )
         print(f"timing slack: {_fmt(partial.timing_slack(plan))}")
         code = plan.code
-        print(f"stage-two code: kind={code.kind} n={code.n} k={code.k} s={code.s}")
+        print(f"stage-two code: kind={code.kind} n={code.n} s={code.s}")
         return EXIT_OK
     code = loaded
-    dens = codec.density_check(code)
-    print(f"scheme: kind={code.kind} n={code.n} k={code.k} s={code.s}")
+    print(f"scheme: kind={code.kind} n={code.n} s={code.s}")
     if code.h_seed is not None:
         print(f"h_seed: {code.h_seed}")
     print(f"survivors needed: {code.survivors_needed}")
-    print(
-        f"row density: bound={dens.bound} min={dens.min_row_density} "
-        f"equality={dens.meets_bound_with_equality}"
-    )
     for w in range(code.n):
         supp = codec.assignment(code, w)
         print(f"worker {w}: partitions={supp}")

@@ -1,14 +1,21 @@
 """Gradient coding schemes for straggler-tolerant aggregation.
 
-A scheme assigns each of n workers a sparse row b_i over the k data
-partitions. Worker i sends the single vector sum(B[i, j] * g_j) over
-its support, and the aggregator recovers the full gradient sum from any
-n - s of those messages by solving for combination coefficients x with
-x @ B[I, :] = all-ones. Robustness to every straggler pattern is
-exactly the requirement that the all-ones row lies in the span of every
-(n - s)-row submatrix of B.
+A scheme assigns each of n workers a sparse row b_i over the data
+partitions. The paper writes B as n x k; this package fixes k = n, one
+partition per worker. Worker i sends the single vector
+sum(B[i, j] * g_j) over its support, and the aggregator recovers the
+full gradient sum from any n - s of those messages by solving for
+combination coefficients x with x @ B[I, :] = all-ones. Robustness to
+every straggler pattern is exactly the requirement that the all-ones row
+lies in the span of every (n - s)-row submatrix of B.
 
-Two constructions are provided with minimum per-row density s + 1:
+The paper's lower bound: to survive any s stragglers, every partition
+must be held by at least s + 1 workers, so B has at least n(s + 1)
+non-zeros. ``_validate_code`` requires exactly s + 1 non-zeros in every
+coded row (one in a naive row), so an accepted code meets the bound with
+equality. It does not count columns: a file whose partition has fewer
+holders imports, and only ``verify_bspan`` finds the survivor sets it
+fails. Both constructions hold every partition exactly s + 1 times:
 
 * ``build_frac``: 0/1 scheme from s + 1 stacked copies of a disjoint
   block layout; needs (s + 1) | n. Its decode splits each block's
@@ -59,7 +66,7 @@ SurvivorSet = tuple[int, ...]
 
 @dataclass(frozen=True, eq=False)
 class GradientCode:
-    """An (n, k, s) scheme with its coefficient matrix B.
+    """An (n, s) scheme with its n x n coefficient matrix B.
 
     Immutable after construction; B is stored as a read-only copy.
     ``h_seed`` records the accepted draw for cyclic codes so a scheme
@@ -68,7 +75,6 @@ class GradientCode:
 
     kind: str
     n: int
-    k: int
     s: int
     B: np.ndarray
     h_seed: int | None = None
@@ -110,14 +116,6 @@ class BspanReport:
 
 
 @dataclass(frozen=True)
-class DensityReport:
-    bound: int
-    row_density: tuple[int, ...]
-    min_row_density: int
-    meets_bound_with_equality: bool
-
-
-@dataclass(frozen=True)
 class MdsReport:
     ok: bool
     checked: int
@@ -125,26 +123,16 @@ class MdsReport:
     min_singular: float
 
 
-def _row_densities(B: np.ndarray) -> np.ndarray:
-    return np.count_nonzero(B, axis=1)
-
-
 def _validate_code(code: GradientCode) -> None:
     if code.kind not in KINDS:
         raise DimensionMismatch(f"unknown scheme kind {code.kind!r}")
     if code.n < 1:
         raise DimensionMismatch(f"need at least one worker, got n={code.n}")
-    if code.k != code.n:
-        raise DimensionMismatch(
-            f"partition count k={code.k} must equal worker count n={code.n}"
-        )
-    if code.B.ndim != 2 or code.B.shape != (code.n, code.k):
-        raise DimensionMismatch(
-            f"B has shape {code.B.shape}, expected ({code.n}, {code.k})"
-        )
+    if code.B.shape != (code.n, code.n):
+        raise DimensionMismatch(f"B has shape {code.B.shape}, expected ({code.n}, {code.n})")
     if not np.all(np.isfinite(code.B)):
         raise NonFinite("B contains non-finite entries")
-    dens = _row_densities(code.B)
+    dens = np.count_nonzero(code.B, axis=1)
     if code.kind == NAIVE:
         if code.s != 0:
             raise DimensionMismatch(f"naive schemes tolerate no stragglers, got s={code.s}")
@@ -180,7 +168,7 @@ def build_naive(n: int) -> GradientCode:
     """Uncoded baseline: worker i holds partition i, no redundancy."""
     if n < 1:
         raise DimensionMismatch(f"need at least one worker, got n={n}")
-    return GradientCode(NAIVE, n, n, 0, np.eye(n))
+    return GradientCode(NAIVE, n, 0, np.eye(n))
 
 
 def build_frac(n: int, s: int) -> GradientCode:
@@ -201,7 +189,7 @@ def build_frac(n: int, s: int) -> GradientCode:
     block = np.zeros((groups, n))
     for j in range(groups):
         block[j, j * (s + 1) : (j + 1) * (s + 1)] = 1.0
-    return GradientCode(FRAC, n, n, s, np.tile(block, (s + 1, 1)))
+    return GradientCode(FRAC, n, s, np.tile(block, (s + 1, 1)))
 
 
 def _cyc_rows(H: np.ndarray, n: int, s: int) -> np.ndarray:
@@ -257,7 +245,7 @@ def build_cyc(n: int, s: int, seed: int) -> GradientCode:
         except SpanFailure as err:
             last = err
             continue
-        return GradientCode(CYC, n, n, s, B, h_seed=h_seed)
+        return GradientCode(CYC, n, s, B, h_seed=h_seed)
     raise RetryExhausted(
         f"no acceptable H draw for n={n}, s={s} in {MAX_CONSTRUCTION_DRAWS} "
         f"attempts starting at seed {seed}: {last}"
@@ -286,7 +274,7 @@ def decode_row(code: GradientCode, survivors, cache: DecodeCache | None = None) 
     I = normalize_survivors(survivors, code.n, code.survivors_needed)
     if cache is not None and I in cache:
         return cache[I]
-    x, res = solve_right(code.B.take(I, axis=0), np.ones(code.k))
+    x, res = solve_right(code.B.take(I, axis=0), np.ones(code.n))
     if res > RESIDUAL_TOL:
         raise SpanFailure(
             f"survivors {I} cannot reconstruct the full gradient "
@@ -308,7 +296,7 @@ def verify_bspan(code: GradientCode, *, budget: int = DEFAULT_ENUMERATION_BUDGET
         raise BudgetExceeded(
             f"checking all C({n},{s}) = {total} survivor sets exceeds budget {budget}"
         )
-    ones = np.ones(code.k)
+    ones = np.ones(code.n)
     failures: list[SurvivorSet] = []
     max_res = 0.0
     for I in combinations(range(n), n - s):
@@ -317,18 +305,6 @@ def verify_bspan(code: GradientCode, *, budget: int = DEFAULT_ENUMERATION_BUDGET
         if res > RESIDUAL_TOL:
             failures.append(I)
     return BspanReport(not failures, total, tuple(failures), max_res)
-
-
-def density_check(code: GradientCode) -> DensityReport:
-    """Per-row non-zero counts against the ceil(k(s+1)/n) lower bound."""
-    bound = -(-code.k * (code.s + 1) // code.n)
-    dens = tuple(int(d) for d in _row_densities(code.B))
-    return DensityReport(
-        bound=bound,
-        row_density=dens,
-        min_row_density=min(dens),
-        meets_bound_with_equality=all(d == bound for d in dens),
-    )
 
 
 def mds_check(H: np.ndarray, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> MdsReport:
@@ -372,8 +348,9 @@ def assignment(code: GradientCode, worker: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Scheme files: JSON with fixed field order (version, kind, n, k, s,
-# h_seed when present, B). Floats are written in Python repr form, the
-# shortest text that round-trips the exact binary value.
+# h_seed when present, B); k is the partition count, written as n and
+# refused on import unless it equals n. Floats are written in Python
+# repr form, the shortest text that round-trips the exact binary value.
 
 
 def code_to_dict(code: GradientCode) -> dict:
@@ -381,7 +358,7 @@ def code_to_dict(code: GradientCode) -> dict:
         "version": SCHEME_FORMAT_VERSION,
         "kind": code.kind,
         "n": code.n,
-        "k": code.k,
+        "k": code.n,
         "s": code.s,
     }
     if code.h_seed is not None:
@@ -424,6 +401,10 @@ def code_from_dict(raw: dict, extra_fields: tuple[str, ...] = ()) -> GradientCod
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}, expected one of {list(KINDS)}")
     n, k, s = (_expect_int(raw, name) for name in ("n", "k", "s"))
+    if k != n:
+        raise ParseError(
+            f"scheme violates its invariants: partition count k={k} must equal worker count n={n}"
+        )
     h_seed = raw.get("h_seed")
     if h_seed is not None and (not isinstance(h_seed, int) or isinstance(h_seed, bool)):
         raise ParseError(f"field 'h_seed' must be an integer, got {h_seed!r}")
@@ -431,13 +412,13 @@ def code_from_dict(raw: dict, extra_fields: tuple[str, ...] = ()) -> GradientCod
     if not isinstance(B, list) or len(B) != n:
         raise ParseError(f"field 'B' must be a list of {n} rows")
     for i, r in enumerate(B):
-        if not isinstance(r, list) or len(r) != k:
-            raise ParseError(f"B row {i} must be a list of {k} numbers")
+        if not isinstance(r, list) or len(r) != n:
+            raise ParseError(f"B row {i} must be a list of {n} numbers")
         for v in r:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ParseError(f"B row {i} contains a non-numeric entry {v!r}")
     try:
-        return GradientCode(kind, n, k, s, np.array(B, dtype=float), h_seed=h_seed)
+        return GradientCode(kind, n, s, np.array(B, dtype=float), h_seed=h_seed)
     except GradientCodingError as err:
         raise ParseError(f"scheme violates its invariants: {err}") from err
 

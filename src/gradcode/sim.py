@@ -243,7 +243,9 @@ def PartialCoded(plan: TwoStagePlan) -> Strategy:
 
 @dataclass(frozen=True)
 class SeedBundle:
-    scheme: int
+    """The seeds a run draws from. A cyclic code is drawn before the run
+    and records its own draw as ``h_seed``."""
+
     data: int
     latency: int
     straggler: int

@@ -69,7 +69,7 @@ def test_criterion_1_worked_example_decode():
     A = np.array([[2.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]])
     assert float(np.max(np.abs(A @ B - np.ones((3, 3))))) < 1e-12
 
-    code = codec.GradientCode(codec.CYC, 3, 3, 1, B)
+    code = codec.GradientCode(codec.CYC, 3, 1, B)
     expected = {(0, 1): (2.0, -1.0), (0, 2): (1.0, 1.0), (1, 2): (1.0, 2.0)}
     for survivors, coeffs in expected.items():
         row = codec.decode_row(code, survivors)
@@ -94,7 +94,7 @@ def test_criterion_2_exhaustive_robustness():
 
         # Recovery drill: decode random per-partition gradients from a
         # handful of random survivor sets and compare with the plain sum.
-        G = rng.standard_normal((code.k, 5))
+        G = rng.standard_normal((code.n, 5))
         messages = code.B @ G
         target = G.sum(axis=0)
         scale = float(np.max(np.abs(target)))
@@ -109,10 +109,11 @@ def test_criterion_2_exhaustive_robustness():
 def test_criterion_3_density_equality_and_weak_scheme(tmp_path):
     t0 = time.monotonic()
     for code in _grid_codes():
-        report = codec.density_check(code)
-        assert report.bound == code.s + 1
-        assert report.meets_bound_with_equality
-        assert all(density == code.s + 1 for density in report.row_density)
+        # The paper's bound, met with equality: each worker holds s + 1
+        # partitions and each partition is held by s + 1 workers.
+        assert code.B.shape == (code.n, code.n)
+        assert np.count_nonzero(code.B, axis=1).tolist() == [code.s + 1] * code.n
+        assert np.count_nonzero(code.B, axis=0).tolist() == [code.s + 1] * code.n
 
     # One partition column touching only s workers: imports cleanly but
     # cannot serve every straggler pattern.
@@ -156,7 +157,7 @@ def test_criterion_5_trajectory_equivalence(recorded):
         codec.FRAC: codec.build_frac(12, 2),
         codec.CYC: codec.build_cyc(12, 2, seed=301),
     }
-    train, _ = _rebuild_train(sim.SeedBundle(301, 302, 303, 304), d, p)
+    train, _ = _rebuild_train(sim.SeedBundle(302, 303, 304), d, p)
     reference = _single_node_iterates(train, p, iterations)
 
     for kind, code in codes.items():
@@ -165,7 +166,7 @@ def test_criterion_5_trajectory_equivalence(recorded):
             config = sim.TrainingConfig(
                 strategy=sim.Coded(code),
                 optimizer=learn.OptimizerConfig(),
-                seeds=sim.SeedBundle(301, 302, 303, 304 + i),
+                seeds=sim.SeedBundle(302, 303, 304 + i),
                 d=d,
                 p=p,
                 iterations=iterations,
@@ -190,7 +191,7 @@ def test_criterion_6_delay_injection():
     # Deterministic timing (no jitter) so the thresholds bind exactly:
     # each worker's base compute is 1.0 per iteration.
     latency = sim.LatencyModel(1.0, 0.05, None)
-    seeds = sim.SeedBundle(601, 602, 603, 604)
+    seeds = sim.SeedBundle(602, 603, 604)
 
     def total_time(strategy, extra):
         policy = sim.NO_STRAGGLERS
@@ -232,7 +233,7 @@ def test_criterion_7_random_straggler_convergence():
     code = codec.build_frac(12, 2)
     wins = 0
     for base in range(201, 206):
-        seeds = sim.SeedBundle(base, base + 1, base + 2, base + 3)
+        seeds = sim.SeedBundle(base + 1, base + 2, base + 3)
         policy = sim.StragglerPolicy(mode="random", count=2, kind="delay", extra=5.0)
         coded = sim.run_training(
             sim.TrainingConfig(

@@ -26,6 +26,16 @@ WEAK_B = [
     [1.0, 1.0, 0.0, 0.0],
     [0.0, 0.0, 1.0, 1.0],
 ]
+# Four workers' rows over three partitions: files whose k=3 is not n=4.
+B_FOUR_BY_THREE = [
+    [1.0, 1.0, 0.0],
+    [0.0, 1.0, 1.0],
+    [1.0, 0.0, 1.0],
+    [1.0, 1.0, 0.0],
+]
+K_MISMATCH_SCHEME = {"version": 1, "kind": "frac", "n": 4, "k": 3, "s": 1, "B": B_FOUR_BY_THREE}
+K_MISMATCH_PLAN = {**K_MISMATCH_SCHEME, "alpha": 2.0, "naive_per_worker": 2,
+                   "naive_assignment": [[0, 1], [2, 3], [4, 5], [6, 7]]}
 
 
 def run(*argv):
@@ -45,14 +55,14 @@ def test_build_frac_and_verify(tmp_path, capsys):
     out = tmp_path / "frac62.json"
     assert run("scheme", "build", "--kind", "frac", "--n", 6, "--s", 2, "--out", out) == 0
     text = capsys.readouterr().out
-    assert "density_bound=3 equality=True" in text
+    assert text == f"wrote {out}: kind=frac n=6 s=2\n"
     code = codec.import_code(out)
     assert (code.kind, code.n, code.s) == (codec.FRAC, 6, 2)
 
     assert run("scheme", "verify", str(out)) == 0
     text = capsys.readouterr().out
     assert "bspan: ok checked=15" in text
-    assert "density: bound=3 equality=True" in text
+    assert [line.split()[0] for line in text.splitlines()] == ["bspan:", "verify:"]
     assert "verify: ok" in text
 
 
@@ -98,7 +108,7 @@ def test_build_usage_errors(tmp_path, capsys, argv, message):
 def test_build_naive_writes_the_identity(tmp_path, capsys):
     out = tmp_path / "naive.json"
     assert run("scheme", "build", "--kind", "naive", "--n", 4, "--out", out) == 0
-    assert "kind=naive n=4 k=4 s=0" in capsys.readouterr().out
+    assert "kind=naive n=4 s=0\n" in capsys.readouterr().out
     code = codec.import_code(out)
     assert (code.kind, code.s) == ("naive", 0)
     assert np.array_equal(code.B, np.eye(4))
@@ -129,6 +139,25 @@ def test_verify_weak_scheme_fails_numerically(tmp_path, capsys):
     assert run("scheme", "verify", str(path)) == 4
     text = capsys.readouterr().out
     assert "bspan: FAIL" in text and "verify: FAIL" in text
+
+
+@pytest.mark.parametrize("raw, strategy", [(K_MISMATCH_SCHEME, "coded"),
+                                           (K_MISMATCH_PLAN, "partial")],
+                         ids=["scheme", "plan"])
+@pytest.mark.parametrize("command", ["verify", "inspect", "simulate"])
+def test_a_file_whose_k_is_not_n_is_a_file_error(tmp_path, capsys, raw, strategy, command):
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "run.csv"
+    argv = ["scheme", command, path] if command != "simulate" else [
+        "simulate", "--strategy", strategy, "--scheme-file", path, "--d", 480, "--p", 6,
+        "--seed-all", 3, "--out", out]
+    assert run(*argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("file error: scheme violates its invariants: "
+                            "partition count k=3 must equal worker count n=4\n")
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_malformed_scheme_file_is_io_error(tmp_path, capsys):
@@ -180,7 +209,7 @@ def test_simulate_matches_library_run(tmp_path):
     cfg = sim.TrainingConfig(
         strategy=sim.Naive(4),
         optimizer=learn.OptimizerConfig(),
-        seeds=sim.SeedBundle(70, 71, 72, 73),
+        seeds=sim.SeedBundle(71, 72, 73),
         d=480,
         p=6,
         iterations=6,
@@ -608,6 +637,54 @@ def test_naive_kind_for_a_coded_strategy_is_a_validation_error(tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_trusts_a_scheme_file_until_a_survivor_set_fails(tmp_path, capsys):
+    # Only scheme verify checks survivor sets; a run meets the weak set
+    # (0, 1, 2) when worker 3 never answers, and ends there.
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps({"version": 1, "kind": "frac", "n": 4, "k": 4, "s": 1,
+                                "B": WEAK_B}))
+    for straggler, code in ((3, 4), (0, 0)):
+        out = tmp_path / f"run{straggler}.csv"
+        assert run("simulate", "--strategy", "coded", "--scheme-file", path,
+                   "--d", 480, "--p", 6, "--iterations", 5, "--seed-all", 1,
+                   "--straggler-mode", "fixed", "--straggler-workers", straggler,
+                   "--straggler-kind", "delay", "--straggler-extra", "inf",
+                   "--out", out) == code
+        assert out.exists() == (code == 0)
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: survivors (0, 1, 2) cannot reconstruct")
+    assert len(read_csv(tmp_path / "run0.csv")) == 5
+
+
+@pytest.mark.parametrize("kind", ["frac", "cyc"])
+def test_the_scheme_seed_reaches_only_the_code(tmp_path, monkeypatch, kind):
+    codes = []
+    train = sim.run_training
+
+    def run_training(config, *args):
+        codes.append(config.strategy.code)
+        return train(config, *args)
+
+    monkeypatch.setattr(sim, "run_training", run_training)
+    csvs = []
+    for seed in (5, 9):
+        out = tmp_path / f"seed{seed}.csv"
+        assert run("simulate", "--strategy", "coded", "--kind", kind, "--n", 6, "--s", 1,
+                   "--d", 480, "--p", 6, "--iterations", 8, "--seed-all", 70,
+                   "--seed-scheme", seed, "--straggler-mode", "random",
+                   "--straggler-count", 1, "--straggler-extra", 5.0, "--out", out) == 0
+        csvs.append(out)
+    if kind == "frac":
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+        assert [code.h_seed for code in codes] == [None, None]
+    else:
+        first, second = (read_csv(path) for path in csvs)
+        for column in ("sim_time_s", "survivors"):
+            assert [row[column] for row in first] == [row[column] for row in second]
+        assert codes[0].h_seed != codes[1].h_seed
+        assert not np.array_equal(codes[0].B, codes[1].B)
+
+
 def test_simulate_starved_iteration_exit_code(tmp_path, capsys):
     code = run("simulate", "--strategy", "naive", "--n", 4, "--d", 480, "--p", 6,
                "--iterations", 3, "--seed-all", 5,
@@ -942,7 +1019,7 @@ def test_compare_bundle_matches_independent_runs(tmp_path):
         cfg = sim.TrainingConfig(
             strategy=strategy,
             optimizer=learn.OptimizerConfig(),
-            seeds=sim.SeedBundle(40, 41, 42, 43),
+            seeds=sim.SeedBundle(41, 42, 43),
             d=480,
             p=6,
             iterations=5,

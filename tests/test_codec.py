@@ -53,6 +53,17 @@ B_COLUMN_DEFICIENT = [
     [0.0, 0.0, 1.0, 1.0],
 ]
 
+# Four workers' rows over three partitions: a scheme file with k=3, n=4.
+B_FOUR_BY_THREE = [
+    [1.0, 1.0, 0.0],
+    [0.0, 1.0, 1.0],
+    [1.0, 0.0, 1.0],
+    [1.0, 1.0, 0.0],
+]
+K_MISMATCH_MESSAGE = (
+    "scheme violates its invariants: partition count k=3 must equal worker count n=4"
+)
+
 
 def spans_all_ones(B_I: np.ndarray) -> bool:
     """Rank-based oracle: is the all-ones row in the span of B_I's rows?"""
@@ -70,7 +81,7 @@ def brute_force_bspan(B: np.ndarray, s: int) -> list[tuple[int, ...]]:
 
 
 def test_worked_example_decodes_to_frozen_coefficients():
-    code = codec.GradientCode(codec.CYC, 3, 3, 1, B3)
+    code = codec.GradientCode(codec.CYC, 3, 1, B3)
     cache: codec.DecodeCache = {}
     for I, expect in B3_DECODE.items():
         row = codec.decode_row(code, I, cache)
@@ -244,7 +255,7 @@ def test_verify_bspan_matches_rank_oracle(make, args):
 
 def test_column_deficient_matrix_fails_exactly_where_oracle_says():
     B = np.array(B_COLUMN_DEFICIENT)
-    code = codec.GradientCode(codec.FRAC, 4, 4, 1, B)
+    code = codec.GradientCode(codec.FRAC, 4, 1, B)
     report = codec.verify_bspan(code)
     assert not report.ok
     assert report.checked == 4
@@ -273,11 +284,20 @@ def test_verify_budget():
         (codec.build_cyc(10, 4, 4), 5),
     ],
 )
-def test_density_meets_lower_bound_with_equality(code, bound):
-    report = codec.density_check(code)
-    assert report.bound == bound == -(-code.k * (code.s + 1) // code.n)
-    assert report.min_row_density == bound
-    assert report.meets_bound_with_equality
+def test_every_row_and_column_holds_s_plus_1_nonzeros(code, bound):
+    # The paper's bound ceil(k(s+1)/n) with k = n partitions, met with
+    # equality by every worker's row and every partition's column.
+    assert code.B.shape == (code.n, code.n)
+    assert bound == code.s + 1 == -(-code.n * (code.s + 1) // code.n)
+    assert np.count_nonzero(code.B, axis=1).tolist() == [bound] * code.n
+    assert np.count_nonzero(code.B, axis=0).tolist() == [bound] * code.n
+    # A row with s or with s + 2 non-zeros is refused.
+    held, free = np.flatnonzero(code.B[0]), np.flatnonzero(code.B[0] == 0)
+    for col, value in ((held[0], 0.0), (free[0], 1.0)):
+        B = code.B.copy()
+        B[0, col] = value
+        with pytest.raises(DimensionMismatch, match="non-zero"):
+            codec.GradientCode(code.kind, code.n, code.s, B, h_seed=code.h_seed)
 
 
 def test_assignment_range_check():
@@ -305,16 +325,24 @@ def test_recovery_from_random_partial_gradients(seed):
     assert err < 1e-6
 
 
-def test_invariant_validation_at_construction():
+def test_invariant_validation_at_construction(tmp_path):
     with pytest.raises(DimensionMismatch):
-        codec.GradientCode(codec.NAIVE, 3, 3, 1, np.eye(3))  # naive cannot tolerate loss
+        codec.GradientCode(codec.NAIVE, 3, 1, np.eye(3))  # naive cannot tolerate loss
     with pytest.raises(DimensionMismatch):
-        codec.GradientCode(codec.CYC, 3, 3, 1, np.array(B_COLUMN_DEFICIENT)[:3, :3])
-    with pytest.raises(DimensionMismatch):
-        codec.GradientCode(codec.FRAC, 4, 3, 1, np.eye(4))  # k must equal n
+        codec.GradientCode(codec.CYC, 3, 1, np.array(B_COLUMN_DEFICIENT)[:3, :3])
+    with pytest.raises(DimensionMismatch, match=r"expected \(4, 4\)"):
+        codec.GradientCode(codec.FRAC, 4, 1, np.array(B_FOUR_BY_THREE))  # B must be n x n
+    # A file's partition count k must equal n.
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(
+        {"version": 1, "kind": "frac", "n": 4, "k": 3, "s": 1, "B": B_FOUR_BY_THREE}
+    ))
+    with pytest.raises(ParseError) as exc:
+        codec.import_code(path)
+    assert str(exc.value) == K_MISMATCH_MESSAGE
     bad_density = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     with pytest.raises(DimensionMismatch):
-        codec.GradientCode(codec.FRAC, 3, 3, 1, bad_density)
+        codec.GradientCode(codec.FRAC, 3, 1, bad_density)
 
 
 def test_code_matrix_is_read_only():
@@ -328,13 +356,13 @@ def test_export_import_round_trip(tmp_path):
         path = tmp_path / f"{code.kind}.json"
         codec.export_code(code, path)
         loaded = codec.import_code(path)
-        assert (loaded.kind, loaded.n, loaded.k, loaded.s, loaded.h_seed) == (
+        assert (loaded.kind, loaded.n, loaded.s, loaded.h_seed) == (
             code.kind,
             code.n,
-            code.k,
             code.s,
             code.h_seed,
         )
+        assert json.loads(path.read_text())["k"] == code.n
         assert np.array_equal(loaded.B, code.B)
         # Re-export must be byte-identical: float text round-trips.
         codec.export_code(loaded, tmp_path / "again.json")

@@ -28,7 +28,7 @@ from gradcode.errors import (
 )
 from gradcode.numerics import make_rng
 
-SEEDS = sim.SeedBundle(scheme=11, data=21, latency=31, straggler=41)
+SEEDS = sim.SeedBundle(data=21, latency=31, straggler=41)
 NAG_CFG = learn.OptimizerConfig(method=learn.NAG)
 
 # comm 2^-5, compute 2^-1: exact float arithmetic in the timing tests
@@ -108,7 +108,7 @@ def test_run_on_prepared_data_matches_private_build():
 @pytest.mark.parametrize(
     "change",
     [
-        {"seeds": sim.SeedBundle(11, 22, 31, 41)},
+        {"seeds": sim.SeedBundle(22, 31, 41)},
         {"d": 520},
         {"p": 7},
         {"holdout_frac": 0.25},
@@ -236,7 +236,7 @@ def test_coded_decode_replay_bit_exact():
     cache = {}
 
     def decoded(train, point, survivors):
-        G = [learn.partial_gradient(train, j, point) for j in range(code.k)]
+        G = [learn.partial_gradient(train, j, point) for j in range(code.n)]
         row = codec.decode_row(code, survivors, cache)
         msgs = [
             seq_sum([code.B[w, j] * G[j] for j in codec.assignment(code, w)])
@@ -248,7 +248,7 @@ def test_coded_decode_replay_bit_exact():
     assert np.array_equal(beta, res.beta)
     # and the decoded update is the exact full-data gradient
     g_full = learn.full_gradient(train, np.zeros(cfg.p))
-    G0 = [learn.partial_gradient(train, j, np.zeros(cfg.p)) for j in range(code.k)]
+    G0 = [learn.partial_gradient(train, j, np.zeros(cfg.p)) for j in range(code.n)]
     scale = np.max(np.abs(g_full))
     assert np.max(np.abs(seq_sum(G0) - g_full)) / scale < 1e-12
 
@@ -336,7 +336,7 @@ def test_array_aggregation_matches_the_term_loop(name, p, verify):
     train = learn.with_partitions(ds, strategy.partition_count)
     policy = sim.StragglerPolicy(mode="random", count=2, kind="delay", extra=5.0)
     clock = sim.schedule(strategy, train, sim.LatencyModel(), policy,
-                         sim.SeedBundle(scheme=0, data=0, latency=1, straggler=2), 6)
+                         sim.SeedBundle(data=0, latency=1, straggler=2), 6)
     for t in range(6):
         point = rng.standard_normal(p)
         gradient, _, survivors, _, _ = sim.run_iteration(
@@ -373,7 +373,7 @@ def test_size_and_message_kinds_derive_from_the_stages(n, s, alpha):
     cases = [
         (sim.Naive(n), n, n, ("naive",)),
         (sim.IgnoreStragglers(n, s), n, n, ("naive",)),
-        (sim.Coded(frac), frac.n, frac.k, ("coded",)),
+        (sim.Coded(frac), frac.n, frac.B.shape[1], ("coded",)),
         (sim.Coded(codec.build_cyc(n, s, 3)), n, n, ("coded",)),
         (sim.Coded(codec.build_naive(n)), n, n, ("coded",)),
     ] + [(sim.PartialCoded(plan), plan.n, plan.total_partitions, ("naive", "coded"))
@@ -477,7 +477,7 @@ def test_coded_model_ignores_straggler_pattern():
         (99, sim.StragglerPolicy(mode="random", count=2, kind="delay", extra=40.0)),
         (7, sim.StragglerPolicy(mode="fixed", workers=(0, 3), kind="slowdown", alpha=3.0)),
     ]:
-        seeds = sim.SeedBundle(11, 21, 31, straggler_seed)
+        seeds = sim.SeedBundle(21, 31, straggler_seed)
         cfg = small_config(sim.Coded(code), seeds=seeds, policy=policy, **base)
         runs.append(sim.run_training(cfg))
     losses = [r.loss for r in runs]
@@ -590,7 +590,7 @@ def test_zero_jitter_closed_forms_under_random_delays(n, s):
     rows = 100 * n
     train = learn.with_partitions(
         learn.Dataset(np.zeros((rows, 1)), np.zeros(rows), ((0, rows),)), n)
-    seeds = sim.SeedBundle(scheme=0, data=0, latency=1, straggler=2)
+    seeds = sim.SeedBundle(data=0, latency=1, straggler=2)
     for delta in (0.5 * s * c, 5.0, 2.0 * s * c):
         policy = sim.StragglerPolicy(mode="random", count=s, kind="delay", extra=delta)
         forms = {
@@ -970,7 +970,7 @@ def test_rerun_is_bit_identical():
 
 def test_latency_seed_changes_times_not_model():
     cfg1 = small_config(sim.Naive(4))
-    cfg2 = small_config(sim.Naive(4), seeds=sim.SeedBundle(11, 21, 99, 41))
+    cfg2 = small_config(sim.Naive(4), seeds=sim.SeedBundle(21, 99, 41))
     r1, r2 = sim.run_training(cfg1), sim.run_training(cfg2)
     assert r1.loss == r2.loss
     assert np.array_equal(r1.beta, r2.beta)
@@ -979,7 +979,7 @@ def test_latency_seed_changes_times_not_model():
 
 def test_data_seed_changes_model():
     cfg1 = small_config(sim.Naive(4))
-    cfg2 = small_config(sim.Naive(4), seeds=sim.SeedBundle(11, 22, 31, 41))
+    cfg2 = small_config(sim.Naive(4), seeds=sim.SeedBundle(22, 31, 41))
     r1, r2 = sim.run_training(cfg1), sim.run_training(cfg2)
     assert r1.loss != r2.loss
 
@@ -1049,7 +1049,7 @@ def test_compare_runs_aligns_series(tmp_path):
 def test_compare_rejects_mismatched_data():
     runs = make_pair()
     other = sim.run_training(
-        small_config(sim.Naive(4), seeds=sim.SeedBundle(11, 77, 31, 41))
+        small_config(sim.Naive(4), seeds=sim.SeedBundle(77, 31, 41))
     )
     with pytest.raises(MismatchedConfigs):
         sim.compare_runs([runs[0], other])

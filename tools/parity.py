@@ -40,7 +40,12 @@ directory:
   ``--small`` too: a two-stage simulate whose plan has more partitions
   than training rows, one whose naive stage is over the 10^6 partition
   budget, and a ``compare --config`` whose runs share a label (the
-  config file ``DUPLICATE``).
+  config file ``DUPLICATE``);
+* two hand-written scheme files, each written to the tree's directory
+  first, at one size under ``--small`` too: a ``scheme verify`` of one
+  whose partition count k is not its worker count n (``K_MISMATCH``,
+  exit 5), and a ``simulate`` of a column-deficient one (``WEAK``) whose
+  fixed straggler 3 leaves a survivor set it cannot decode (exit 4).
 
 Each subprocess runs with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` set to the number of cores this process may use,
@@ -74,6 +79,8 @@ from pathlib import Path
 MANIFEST = "parity-manifest.json"
 UNEVEN = "uneven.json"
 DUPLICATE = "duplicate.json"
+K_MISMATCH = "k-mismatch.json"
+WEAK = "weak.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -161,6 +168,12 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
         ("plan over the training rows", refused_plan("1.01", "rows.csv")),
         ("plan over the budget", refused_plan("1.0000000001", "budget.csv")),
         ("duplicate labels", ["compare", "--config", DUPLICATE, "--out-prefix", "duplicate"]),
+        ("k not n", ["scheme", "verify", K_MISMATCH]),
+        ("weak file", ["simulate", "--strategy", "coded", "--scheme-file", WEAK,
+                       "--d", "400", "--p", "5", "--straggler-mode", "fixed",
+                       "--straggler-workers", "3", "--straggler-kind", "delay",
+                       "--straggler-extra", "inf", "--seed-all", str(seed + 120),
+                       "--out", "weak.csv"]),
     ]
 
 
@@ -187,6 +200,16 @@ def duplicate_config(seed: int) -> dict:
             "runs": runs}
 
 
+def hand_written_schemes() -> dict[str, dict]:
+    """``K_MISMATCH`` (n=4 rows over k=3 partitions) and ``WEAK`` (two
+    partitions held by one worker only), by file name."""
+    four_by_three = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    weak = [[1.0, 1.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 1.0, 1.0]]
+    head = {"version": 1, "kind": "frac", "n": 4, "s": 1}
+    return {K_MISMATCH: {**head, "k": 3, "B": four_by_three},
+            WEAK: {**head, "k": 4, "B": weak}}
+
+
 def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
     """Run every invocation with ``src``'s gradcode, in ``workdir``.
 
@@ -199,6 +222,8 @@ def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
     os.chdir(workdir)
     Path(UNEVEN).write_text(json.dumps(uneven_config(small, seed)) + "\n")
     Path(DUPLICATE).write_text(json.dumps(duplicate_config(seed)) + "\n")
+    for name, raw in hand_written_schemes().items():
+        Path(name).write_text(json.dumps(raw) + "\n")
     records = []
     for name, argv in invocations(small, seed):
         out, err = io.StringIO(), io.StringIO()
