@@ -9,11 +9,9 @@ comparing strategies on synthetic logistic-regression workloads.
 from .codec import (
     CYC,
     FRAC,
-    NAIVE,
     GradientCode,
     build_cyc,
     build_frac,
-    build_naive,
     cyc_h_matrix,
     decode_row,
     export_code,
@@ -63,7 +61,6 @@ __all__ = [
     "FRAC",
     "GD_DECAY",
     "NAG",
-    "NAIVE",
     "NO_STRAGGLERS",
     "Coded",
     "Dataset",
@@ -81,7 +78,6 @@ __all__ = [
     "TwoStagePlan",
     "build_cyc",
     "build_frac",
-    "build_naive",
     "compare_runs",
     "cyc_h_matrix",
     "decode_row",

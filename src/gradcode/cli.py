@@ -8,10 +8,12 @@ Exit codes: 0 success, 2 usage (bad flags, missing or negative seeds),
 Run parameters resolve as defaults < config file (a compare config's
 ``shared`` block) < command-line flags < a compare run entry's own fields.
 Every simulation must be explicitly seeded, with non-negative seeds: give
-the four sub-seeds or ``--seed-all N``, which derives scheme, data,
+the data, latency and straggler seeds, which every run draws from, and
+the scheme seed when the run builds a cyclic code inline, alone or as a
+plan's stage two; or give ``--seed-all N``, which derives scheme, data,
 latency, and straggler seeds as N, N+1, N+2, N+3 (individual flags still
-override). The scheme seed draws only a cyclic code built inline, alone
-or as a plan's stage two; the run itself draws from the other three.
+override). A scheme seed the run does not read is accepted, so that a
+run's echo, which holds all four, reruns it.
 The effective merged configuration is echoed next to each output file
 so a run can be reproduced from its artifacts alone.
 """
@@ -197,6 +199,8 @@ def _check_seed(flag: str, seed: int | None) -> None:
 
 
 def _resolve_seeds(merged: dict) -> None:
+    """Derive the four seeds from ``seed_all`` and demand the three that
+    every run draws from; ``_build_scheme`` demands the scheme seed."""
     base = merged["seed_all"]
     _check_seed("--seed-all", base)
     if base is not None:
@@ -205,7 +209,7 @@ def _resolve_seeds(merged: dict) -> None:
                 merged[name] = base + offset
     for name in _SEED_NAMES:
         _check_seed(_seed_flag(name), merged[name])
-    missing = [name for name in _SEED_NAMES if merged[name] is None]
+    missing = [name for name in _SEED_NAMES[1:] if merged[name] is None]
     if missing:
         flags = ", ".join(_seed_flag(name) for name in missing)
         raise _UsageError(
@@ -226,6 +230,20 @@ def _load_scheme_or_plan(path):
     return codec.import_code(path)
 
 
+def _build_scheme(kind: str, n: int, s: int, alpha: float | None, seed: int | None,
+                  seed_flag: str) -> codec.GradientCode | partial.TwoStagePlan:
+    """The (n, s) code of ``kind``, or the two-stage plan over it when
+    ``alpha`` is given. A cyclic code needs ``seed``, which the command
+    takes as ``seed_flag``."""
+    if kind == codec.CYC and seed is None:
+        raise _UsageError(f"cyclic schemes draw H at random; give an explicit {seed_flag}")
+    if alpha is not None:
+        return partial.plan_partial(n, s, alpha, kind=kind, seed=seed)
+    if kind == codec.FRAC:
+        return codec.build_frac(n, s)
+    return codec.build_cyc(n, s, seed)
+
+
 def _build_strategy(merged: dict) -> sim.Strategy:
     name = _need(merged, "strategy", "(naive, ignore, coded, or partial)")
     why = f"for the {name} strategy"
@@ -235,35 +253,31 @@ def _build_strategy(merged: dict) -> sim.Strategy:
         return sim.IgnoreStragglers(_need(merged, "n", why), _need(merged, "s", why))
     path = merged["scheme_file"]
     if path is not None:
-        loaded = _load_scheme_or_plan(path)
-        is_plan = isinstance(loaded, partial.TwoStagePlan)
+        scheme = _load_scheme_or_plan(path)
+        is_plan = isinstance(scheme, partial.TwoStagePlan)
         if is_plan and name == "coded":
             raise ConfigError(f"{path} holds a two-stage plan; use --strategy partial")
         if not is_plan and name == "partial":
             raise ConfigError(f"{path} holds a plain scheme; the partial strategy needs a plan file")
-        code = loaded.code if is_plan else loaded
+        code = scheme.code if is_plan else scheme
         held = {"n": code.n, "s": code.s, "kind": code.kind}
         if is_plan:
-            held["alpha"] = loaded.alpha
+            held["alpha"] = scheme.alpha
         for key, value in held.items():
             if merged[key] not in (None, value):
                 raise ConfigError(
                     f"{key}={merged[key]!r} contradicts {path}, which holds {key}={value!r}"
                 )
-        return sim.PartialCoded(loaded) if is_plan else sim.Coded(loaded)
-    kind = _need(merged, "kind", "to build a scheme inline (or give --scheme-file)")
-    if kind not in (codec.FRAC, codec.CYC):
-        raise ConfigError(f"coded and partial strategies need kind frac or cyc, got {kind!r}")
-    n = _need(merged, "n", "to build a scheme inline")
-    s = _need(merged, "s", "to build a scheme inline")
-    if name == "partial":
-        alpha = _need(merged, "alpha", "for a two-stage plan")
-        return sim.PartialCoded(
-            partial.plan_partial(n, s, alpha, kind=kind, seed=merged["seed_scheme"])
-        )
-    if kind == codec.FRAC:
-        return sim.Coded(codec.build_frac(n, s))
-    return sim.Coded(codec.build_cyc(n, s, merged["seed_scheme"]))
+    else:
+        inline = "to build a scheme inline"
+        scheme = _build_scheme(
+            _need(merged, "kind", f"{inline} (or give --scheme-file)"),
+            _need(merged, "n", inline), _need(merged, "s", inline),
+            _need(merged, "alpha", "for a two-stage plan") if name == "partial" else None,
+            merged["seed_scheme"], "--seed-scheme")
+    if isinstance(scheme, partial.TwoStagePlan):
+        return sim.PartialCoded(scheme)
+    return sim.Coded(scheme)
 
 
 def _check_read(merged: dict, given: set[str]) -> None:
@@ -355,37 +369,23 @@ def _fmt(value) -> str:
 
 
 def cmd_scheme_build(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind in (codec.FRAC, codec.CYC) and args.s is None:
-        raise _UsageError(f"--s is required for kind {kind!r}")
-    if kind == codec.CYC and args.seed is None:
-        raise _UsageError("cyclic schemes draw H at random; give an explicit --seed")
-    if kind != codec.CYC and args.seed is not None:
-        raise _UsageError(f"{kind} schemes draw nothing at random; drop --seed")
+    if args.kind != codec.CYC and args.seed is not None:
+        raise _UsageError(f"{args.kind} schemes draw nothing at random; drop --seed")
     _check_seed("--seed", args.seed)
-    if args.alpha is not None:
-        if kind == codec.NAIVE:
-            raise _UsageError("two-stage plans need a frac or cyc stage-two code")
-        plan = partial.plan_partial(args.n, args.s, args.alpha, kind=kind, seed=args.seed)
+    scheme = _build_scheme(args.kind, args.n, args.s, args.alpha, args.seed, "--seed")
+    if isinstance(scheme, partial.TwoStagePlan):
+        plan = scheme
         partial.export_plan(plan, args.out)
         print(
-            f"wrote {args.out}: two-stage kind={kind} n={plan.n} s={plan.s} "
+            f"wrote {args.out}: two-stage kind={plan.code.kind} n={plan.n} s={plan.s} "
             f"alpha={_fmt(plan.alpha)} naive_per_worker={plan.naive_per_worker} "
             f"partitions={plan.total_partitions} "
             f"load_fraction={_fmt(partial.load_fraction(plan.n, plan.s, plan.alpha))} "
             f"slack={_fmt(partial.timing_slack(plan))}"
         )
         return EXIT_OK
-    if kind == codec.NAIVE:
-        if args.s not in (None, 0):
-            raise _UsageError("the naive scheme has no straggler tolerance; drop --s")
-        code = codec.build_naive(args.n)
-    elif kind == codec.FRAC:
-        code = codec.build_frac(args.n, args.s)
-    else:
-        code = codec.build_cyc(args.n, args.s, args.seed)
-    codec.export_code(code, args.out)
-    print(f"wrote {args.out}: kind={code.kind} n={code.n} s={code.s}")
+    codec.export_code(scheme, args.out)
+    print(f"wrote {args.out}: kind={scheme.kind} n={scheme.n} s={scheme.s}")
     return EXIT_OK
 
 
@@ -597,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="construct a scheme or two-stage plan")
     build.add_argument("--kind", required=True, choices=list(codec.KINDS))
     build.add_argument("--n", required=True, type=int)
-    build.add_argument("--s", type=int)
+    build.add_argument("--s", required=True, type=int)
     build.add_argument("--seed", type=int, help="H draw seed (cyc only, and required there)")
     build.add_argument("--alpha", type=float,
                        help="build a two-stage plan for this slowdown factor")

@@ -11,11 +11,13 @@ lies in the span of every (n - s)-row submatrix of B.
 
 The paper's lower bound: to survive any s stragglers, every partition
 must be held by at least s + 1 workers, so B has at least n(s + 1)
-non-zeros. ``_validate_code`` requires exactly s + 1 non-zeros in every
-coded row (one in a naive row), so an accepted code meets the bound with
-equality. It does not count columns: a file whose partition has fewer
-holders imports, and only ``verify_bspan`` finds the survivor sets it
-fails. Both constructions hold every partition exactly s + 1 times:
+non-zeros. ``_validate_code`` requires 1 <= s < n and exactly s + 1
+non-zeros in every row, so an accepted code meets the bound with
+equality; the uncoded baseline, s = 0, is the simulator's ``Naive``
+strategy, not a code. It does not count columns: a file whose partition
+has fewer holders imports, and only ``verify_bspan`` finds the survivor
+sets it fails. Both constructions hold every partition exactly s + 1
+times:
 
 * ``build_frac``: 0/1 scheme from s + 1 stacked copies of a disjoint
   block layout; needs (s + 1) | n. Its decode splits each block's
@@ -52,10 +54,9 @@ from .errors import (
 )
 from .numerics import RESIDUAL_TOL, make_rng, solve_right
 
-NAIVE = "naive"
 FRAC = "frac"
 CYC = "cyc"
-KINDS = (NAIVE, FRAC, CYC)
+KINDS = (FRAC, CYC)
 
 SCHEME_FORMAT_VERSION = 1
 MAX_CONSTRUCTION_DRAWS = 5
@@ -126,24 +127,13 @@ class MdsReport:
 def _validate_code(code: GradientCode) -> None:
     if code.kind not in KINDS:
         raise DimensionMismatch(f"unknown scheme kind {code.kind!r}")
-    if code.n < 1:
-        raise DimensionMismatch(f"need at least one worker, got n={code.n}")
+    if not 1 <= code.s < code.n:
+        raise DimensionMismatch(f"need 1 <= s < n, got s={code.s}, n={code.n}")
     if code.B.shape != (code.n, code.n):
         raise DimensionMismatch(f"B has shape {code.B.shape}, expected ({code.n}, {code.n})")
     if not np.all(np.isfinite(code.B)):
         raise NonFinite("B contains non-finite entries")
     dens = np.count_nonzero(code.B, axis=1)
-    if code.kind == NAIVE:
-        if code.s != 0:
-            raise DimensionMismatch(f"naive schemes tolerate no stragglers, got s={code.s}")
-        bad = np.flatnonzero(dens != 1)
-        if bad.size:
-            raise DimensionMismatch(
-                f"naive rows must have exactly 1 non-zero, row {bad[0]} has {dens[bad[0]]}"
-            )
-        return
-    if not 1 <= code.s < code.n:
-        raise DimensionMismatch(f"need 1 <= s < n, got s={code.s}, n={code.n}")
     bad = np.flatnonzero(dens != code.s + 1)
     if bad.size:
         raise DimensionMismatch(
@@ -162,13 +152,6 @@ def _validate_code(code: GradientCode) -> None:
                 raise DimensionMismatch(
                     f"cyclic row {i} has support {sorted(got)}, expected {sorted(want)}"
                 )
-
-
-def build_naive(n: int) -> GradientCode:
-    """Uncoded baseline: worker i holds partition i, no redundancy."""
-    if n < 1:
-        raise DimensionMismatch(f"need at least one worker, got n={n}")
-    return GradientCode(NAIVE, n, 0, np.eye(n))
 
 
 def build_frac(n: int, s: int) -> GradientCode:

@@ -96,8 +96,6 @@ class TwoStagePlan:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
-        if self.code.kind not in (FRAC, CYC):
-            raise DimensionMismatch(f"stage two needs a coded scheme, got {self.code.kind!r}")
         naive = self.n * self.naive_per_worker
         if naive > DEFAULT_ENUMERATION_BUDGET:
             raise BudgetExceeded(

@@ -206,8 +206,8 @@ def _plain_stage(index) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coded_stage(code: GradientCode, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    # A code row has s + 1 non-zeros (one for a naive code), so the
-    # supports stack into one (n, t) array, in increasing partition order.
+    # A code row has s + 1 non-zeros, so the supports stack into one
+    # (n, t) array, in increasing partition order.
     support = np.array([codec.assignment(code, w) for w in range(code.n)], dtype=np.intp)
     return offset + support, np.take_along_axis(code.B, support, axis=1)
 

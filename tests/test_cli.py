@@ -82,19 +82,21 @@ def test_build_divisibility_failure_exit_code(tmp_path):
     assert not out.exists()
 
 
-def test_build_cyc_without_seed_is_usage_error(tmp_path):
+def test_build_cyc_without_seed_is_usage_error(tmp_path, capsys):
     assert run("scheme", "build", "--kind", "cyc", "--n", 4, "--s", 1,
                "--out", tmp_path / "c.json") == 2
+    assert capsys.readouterr().err.endswith("give an explicit --seed\n")
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--kind", "frac"], "--s is required for kind 'frac'"),
-    (["--kind", "cyc", "--seed", 1], "--s is required for kind 'cyc'"),
-    (["--kind", "naive", "--alpha", 2.0], "two-stage plans need a frac or cyc stage-two code"),
-    (["--kind", "naive", "--s", 2], "the naive scheme has no straggler tolerance"),
+    (["--kind", "frac"], "the following arguments are required: --s"),
+    (["--kind", "cyc", "--seed", 1], "the following arguments are required: --s"),
+    # The uncoded baseline is the naive strategy, not a kind of code.
+    (["--kind", "naive", "--alpha", 2.0], "argument --kind: invalid choice: 'naive'"),
+    (["--kind", "naive", "--s", 2], "argument --kind: invalid choice: 'naive'"),
     # Only a cyclic code draws from --seed; the other kinds would ignore it.
     (["--kind", "frac", "--s", 1, "--seed", 3], "frac schemes draw nothing at random"),
-    (["--kind", "naive", "--seed", 3], "naive schemes draw nothing at random"),
+    (["--kind", "naive", "--seed", 3], "argument --kind: invalid choice: 'naive'"),
     (["--kind", "frac", "--s", 1, "--alpha", 2.0, "--seed", 3],
      "frac schemes draw nothing at random"),
 ])
@@ -105,13 +107,21 @@ def test_build_usage_errors(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_build_naive_writes_the_identity(tmp_path, capsys):
-    out = tmp_path / "naive.json"
-    assert run("scheme", "build", "--kind", "naive", "--n", 4, "--out", out) == 0
-    assert "kind=naive n=4 s=0\n" in capsys.readouterr().out
-    code = codec.import_code(out)
-    assert (code.kind, code.s) == ("naive", 0)
-    assert np.array_equal(code.B, np.eye(4))
+@pytest.mark.parametrize("argv", [
+    ["scheme", "verify", "naive.json"],
+    ["scheme", "inspect", "naive.json"],
+    ["simulate", "--strategy", "coded", "--scheme-file", "naive.json", "--d", 480, "--p", 6,
+     "--iterations", 2, "--seed-all", 1, "--out", "x.csv"],
+], ids=["verify", "inspect", "simulate"])
+def test_a_naive_scheme_file_is_malformed(tmp_path, monkeypatch, capsys, argv):
+    # B = I with s = 0 is the naive strategy; no scheme file holds it.
+    monkeypatch.chdir(tmp_path)
+    Path("naive.json").write_text(json.dumps(
+        {"version": 1, "kind": "naive", "n": 4, "k": 4, "s": 0, "B": np.eye(4).tolist()}
+    ))
+    assert run(*argv) == 5
+    assert "unknown kind 'naive'" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["naive.json"]
 
 
 def test_build_plan_and_inspect(tmp_path, capsys):
@@ -252,6 +262,54 @@ def test_simulate_without_seeds_demands_them(tmp_path, capsys):
                "--iterations", 3, "--out", tmp_path / "x.csv")
     assert code == 2
     assert "explicit seeds" in capsys.readouterr().err
+
+
+# The seeds every run draws from; the scheme seed draws only a cyclic code.
+RUN_SEEDS = ["--seed-data", 1, "--seed-latency", 2, "--seed-straggler", 3]
+SMALL_RUN = ["--n", 4, "--d", 480, "--p", 6, "--iterations", 2]
+
+
+@pytest.mark.parametrize("strategy", [
+    ["naive"],
+    ["ignore", "--s", 1],
+    ["coded", "--kind", "frac", "--s", 1],
+    ["partial", "--kind", "frac", "--s", 1, "--alpha", 2.0],
+    ["coded", "--scheme-file", "cyc.json"],
+], ids=["naive", "ignore", "frac", "partial-frac", "cyc-file"])
+def test_a_run_that_draws_no_code_needs_no_scheme_seed(tmp_path, monkeypatch, strategy):
+    monkeypatch.chdir(tmp_path)
+    assert run("scheme", "build", "--kind", "cyc", "--n", 4, "--s", 1, "--seed", 5,
+               "--out", "cyc.json") == 0
+    assert run("simulate", "--strategy", *strategy, *SMALL_RUN, *RUN_SEEDS,
+               "--out", "x.csv") == 0
+    echo = json.loads(Path("x.csv.config.json").read_text())
+    assert [echo[name] for name in cli._SEED_NAMES] == [None, 1, 2, 3]
+
+
+def test_a_compare_without_cyclic_runs_needs_no_scheme_seed(tmp_path):
+    config = tmp_path / "cmp.json"
+    config.write_text(json.dumps({
+        "shared": {"n": 4, "s": 1, "d": 480, "p": 6, "iterations": 2,
+                   "seed_data": 1, "seed_latency": 2, "seed_straggler": 3},
+        "runs": [{"strategy": "naive"}, {"strategy": "ignore"},
+                 {"strategy": "coded", "kind": "frac"}],
+    }))
+    assert run("compare", "--config", config, "--out-prefix", tmp_path / "x") == 0
+    assert len(read_csv(tmp_path / "x_iterations.csv")) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--strategy", "coded", "--kind", "cyc", "--s", 1, *SMALL_RUN],
+    ["simulate", "--strategy", "partial", "--kind", "cyc", "--s", 1, "--alpha", 2.0,
+     *SMALL_RUN],
+    ["compare", "--bundle", "--s", 1, *SMALL_RUN],
+], ids=["coded-cyc", "partial-cyc", "bundle"])
+def test_an_inline_cyclic_code_needs_a_scheme_seed(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    out = ["--out-prefix", "x"] if argv[0] == "compare" else ["--out", "x.csv"]
+    assert run(*argv, *RUN_SEEDS, *out) == 2
+    assert capsys.readouterr().err.endswith("give an explicit --seed-scheme\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, given", [
@@ -629,11 +687,16 @@ def test_compare_flags_and_shared_values_apply_to_the_runs_that_read_them(tmp_pa
 
 @pytest.mark.parametrize("strategy", [["coded"], ["partial", "--alpha", 2.0]])
 def test_naive_kind_for_a_coded_strategy_is_a_validation_error(tmp_path, capsys, strategy):
-    assert run("simulate", "--strategy", *strategy, "--kind", "naive", "--n", 4, "--s", 1,
-               "--d", 480, "--p", 6, "--iterations", 2, "--seed-all", 1,
-               "--out", tmp_path / "x.csv") == 3
+    # The flag's choices refuse it (exit 2), a config file's run schema too (exit 3).
+    argv = ["simulate", "--strategy", *strategy, "--n", 4, "--s", 1, "--d", 480, "--p", 6,
+            "--iterations", 2, "--seed-all", 1, "--out", tmp_path / "x.csv"]
+    assert run(*argv, "--kind", "naive") == 2
+    assert "argument --kind: invalid choice: 'naive'" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"kind": "naive"}))
+    assert run(*argv, "--config", config) == 3
     err = capsys.readouterr().err
-    assert "coded and partial strategies need kind frac or cyc, got 'naive'" in err
+    assert "config field 'kind' must be one of ('frac', 'cyc'), got 'naive'" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -740,23 +803,6 @@ def test_blas_thread_count_moves_only_the_loss_bits(tmp_path):
     for a, b in zip(one, two):
         assert {k: a[k] for k in a if k != "loss"} == {k: b[k] for k in b if k != "loss"}
         assert float(a["loss"]) == pytest.approx(float(b["loss"]), rel=1e-13, abs=0)
-
-
-def test_a_code_of_zero_tolerance_runs_under_stragglers_like_naive(tmp_path):
-    scheme = tmp_path / "naive.json"
-    assert run("scheme", "build", "--kind", "naive", "--n", 4, "--out", scheme) == 0
-    flags = ["--d", 480, "--p", 6, "--iterations", 4, "--seed-all", 5,
-             "--straggler-mode", "random", "--straggler-count", 2,
-             "--straggler-kind", "delay", "--straggler-extra", 9.0]
-    assert run("simulate", "--strategy", "coded", "--scheme-file", scheme, *flags,
-               "--out", tmp_path / "coded.csv") == 0
-    assert run("simulate", "--strategy", "naive", "--n", 4, *flags,
-               "--out", tmp_path / "naive.csv") == 0
-    coded, naive = read_csv(tmp_path / "coded.csv"), read_csv(tmp_path / "naive.csv")
-    assert [row["strategy"] for row in coded] == ["naive_n4_s0"] * 4
-    for row in coded + naive:
-        row.pop("strategy")
-    assert coded == naive
 
 
 @pytest.mark.parametrize("argv", [

@@ -111,14 +111,6 @@ def test_decode_survivor_validation():
         codec.decode_row(code, (0, 1, 4))
 
 
-def test_build_naive_is_identity():
-    code = codec.build_naive(4)
-    assert code.s == 0
-    np.testing.assert_array_equal(code.B, np.eye(4))
-    row = codec.decode_row(code, (0, 1, 2, 3))
-    np.testing.assert_allclose(row.coeffs, np.ones(4), atol=1e-12)
-
-
 def test_build_frac_layout():
     code = codec.build_frac(6, 2)
     # Three replicas of two disjoint blocks, round-robin over workers.
@@ -278,7 +270,7 @@ def test_verify_budget():
 @pytest.mark.parametrize(
     "code,bound",
     [
-        (codec.build_naive(5), 1),
+        (codec.build_frac(4, 1), 2),
         (codec.build_frac(6, 2), 3),
         (codec.build_cyc(5, 2, 3), 3),
         (codec.build_cyc(10, 4, 4), 5),
@@ -326,8 +318,11 @@ def test_recovery_from_random_partial_gradients(seed):
 
 
 def test_invariant_validation_at_construction(tmp_path):
-    with pytest.raises(DimensionMismatch):
-        codec.GradientCode(codec.NAIVE, 3, 1, np.eye(3))  # naive cannot tolerate loss
+    # The uncoded baseline (B = I, s = 0) is the simulator's Naive, not a code.
+    with pytest.raises(DimensionMismatch, match="unknown scheme kind 'naive'"):
+        codec.GradientCode("naive", 3, 1, np.eye(3))
+    with pytest.raises(DimensionMismatch, match="need 1 <= s < n"):
+        codec.GradientCode(codec.FRAC, 3, 0, np.eye(3))
     with pytest.raises(DimensionMismatch):
         codec.GradientCode(codec.CYC, 3, 1, np.array(B_COLUMN_DEFICIENT)[:3, :3])
     with pytest.raises(DimensionMismatch, match=r"expected \(4, 4\)"):
@@ -352,7 +347,7 @@ def test_code_matrix_is_read_only():
 
 
 def test_export_import_round_trip(tmp_path):
-    for code in (codec.build_naive(3), codec.build_frac(6, 2), codec.build_cyc(7, 3, 21)):
+    for code in (codec.build_frac(6, 2), codec.build_cyc(7, 3, 21)):
         path = tmp_path / f"{code.kind}.json"
         codec.export_code(code, path)
         loaded = codec.import_code(path)

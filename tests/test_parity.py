@@ -23,17 +23,17 @@ def test_one_tree_twice_shows_no_difference():
     assert done.stdout.splitlines() == ["parity: 0 differences over 44 invocations"]
 
 
-def _tree(path, exit_code, line, csv_rows):
+def _tree(path, exit_code, lines, csv_rows):
     path.mkdir()
-    records = [{"name": "run", "exit": exit_code, "lines": [line]}]
+    records = [{"name": "run", "exit": exit_code, "lines": lines}]
     (path / parity.MANIFEST).write_text(json.dumps(records))
     (path / "run.csv").write_text("\n".join(csv_rows) + "\n")
     return path
 
 
 def test_each_differing_exit_code_line_and_file_is_reported(tmp_path):
-    old = _tree(tmp_path / "old", 0, "run naive: loss=1.5", ["a,b,c", "1,2.5,x", "2,3,y"])
-    new = _tree(tmp_path / "new", 3, "run naive: loss=1.25", ["a,b,c", "1,2.25,x", "2,3,z"])
+    old = _tree(tmp_path / "old", 0, ["run naive: loss=1.5"], ["a,b,c", "1,2.5,x", "2,3,y"])
+    new = _tree(tmp_path / "new", 3, ["run naive: loss=1.25"], ["a,b,c", "1,2.25,x", "2,3,z"])
     (new / "extra.csv").write_text("x\n")
     for tree, header in ((old, "a,b"), (new, "a,c")):
         (tree / "other.csv").write_text(header + "\n1,2\n")
@@ -45,6 +45,17 @@ def test_each_differing_exit_code_line_and_file_is_reported(tmp_path):
         "run.csv: columns b, c differ; line 2: '1,2.5,x' != '1,2.25,x'",
     ]
     assert parity.differences(old, old) == []
+
+
+def test_every_differing_output_line_is_reported(tmp_path):
+    rows = ["a", "1"]
+    old = _tree(tmp_path / "old", 0, ["k=4", "same", "rows=2", "end"], rows)
+    new = _tree(tmp_path / "new", 0, ["k=3", "same", "rows=1"], rows)
+    assert parity.differences(old, new) == [
+        "run output: line 1: 'k=4' != 'k=3'",
+        "run output: line 3: 'rows=2' != 'rows=1'",
+        "run output: 4 lines != 3 lines",
+    ]
 
 
 def test_each_tree_runs_at_the_benchmarks_blas_thread_count(monkeypatch):

@@ -133,9 +133,9 @@ def test_stage_two_kind_handling():
 
 
 def test_naive_stage_two_code_gets_the_kind_message():
-    # A naive code has s = 0; the plan names its kind, not its s.
-    with pytest.raises(DimensionMismatch, match="stage two needs a coded scheme, got 'naive'"):
-        partial.TwoStagePlan(2.0, codec.build_naive(4))
+    # There is no naive code; the planner names the kind it refuses.
+    with pytest.raises(ConfigError, match="stage-two kind must be 'frac' or 'cyc', got 'naive'"):
+        partial.plan_partial(4, 1, 2.0, kind="naive")
 
 
 NEAR_ONE = 1.0000000001  # r = ceil(2 / 1e-10): about 2e10 naive partitions a worker

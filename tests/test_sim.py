@@ -375,7 +375,6 @@ def test_size_and_message_kinds_derive_from_the_stages(n, s, alpha):
         (sim.IgnoreStragglers(n, s), n, n, ("naive",)),
         (sim.Coded(frac), frac.n, frac.B.shape[1], ("coded",)),
         (sim.Coded(codec.build_cyc(n, s, 3)), n, n, ("coded",)),
-        (sim.Coded(codec.build_naive(n)), n, n, ("coded",)),
     ] + [(sim.PartialCoded(plan), plan.n, plan.total_partitions, ("naive", "coded"))
          for plan in plans]
     for strategy, workers, partitions, kinds in cases:
@@ -895,7 +894,6 @@ def test_policy_validation():
         (sim.IgnoreStragglers(4, 1), False),
         (sim.Coded(codec.build_frac(4, 1)), False),
         (sim.PartialCoded(partial.plan_partial(4, 1, 2.0, kind=codec.FRAC)), False),
-        (sim.Coded(codec.build_naive(4)), True),
     ],
 )
 def test_tolerance_check_follows_the_aggregation_rule(strategy, accepts):

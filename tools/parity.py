@@ -33,9 +33,11 @@ directory:
   different iteration counts, so the comparison pads the shorter runs;
   each tree's directory gets the config file (``UNEVEN``) first;
 * ``scheme build`` of cyclic schemes at (n, s) = (24, 4), seeds 0-9, and
-  (30, 5), seeds 0-4, of a frac and a naive scheme and of a cyclic
-  two-stage plan, each file compared byte for byte. These keep their
-  sizes under ``--small``: each takes milliseconds;
+  (30, 5), seeds 0-4, of a frac scheme and of a cyclic two-stage plan,
+  each file compared byte for byte. These keep their sizes under
+  ``--small``: each takes milliseconds;
+* a naive simulate given only the data, latency and straggler seeds, at
+  one size under ``--small`` too;
 * three runs refused before any training (exit 3), at one size under
   ``--small`` too: a two-stage simulate whose plan has more partitions
   than training rows, one whose naive stage is over the 10^6 partition
@@ -53,12 +55,13 @@ whatever the caller's environment, as ``bench/run.py`` sets them: the
 output bits depend on the BLAS thread count, so a verdict holds at the
 thread count the benchmark measures.
 
-Then it prints every CSV, config echo, exit code or output line that
-differs between the two trees, output paths stripped, and exits 1 if
-any does (0 if none). A differing CSV whose header is unchanged is
-reported with the header name of every column that has a differing cell,
-then its first differing line. ``--small`` runs the same invocations at sizes
-that finish in about a second; ``--seed`` (default 0) moves every seed.
+Then it prints every exit code and output line that differs between the
+two trees, output paths stripped, and each written file that differs,
+and exits 1 if any does (0 if none). A differing file is reported by its
+first differing line, after the header name of every column with a
+differing cell when it is a CSV whose header is unchanged. ``--small``
+runs the same invocations at sizes that finish in about a second;
+``--seed`` (default 0) moves every seed.
 The full run holds the paper-scale data, about 450 MB, in one
 subprocess at a time.
 """
@@ -162,9 +165,14 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
         *(build(f"cyc{n}-{s}-seed{seed + i}", "cyc", n, "--s", str(s), "--seed", str(seed + i))
           for n, s, draws in ((24, 4, 10), (30, 5, 5)) for i in range(draws)),
         build("frac12-2", "frac", 12, "--s", "2"),
-        build("naive8", "naive", 8),
         build("cyc12-2-plan", "cyc", 12, "--s", "2", "--seed", str(seed + 90),
               "--alpha", "1.5"),
+        ("naive without a scheme seed", ["simulate", "--strategy", "naive", "--n", "4",
+                                         "--d", "400", "--p", "5", "--iterations", "3",
+                                         "--seed-data", str(seed + 130),
+                                         "--seed-latency", str(seed + 131),
+                                         "--seed-straggler", str(seed + 132),
+                                         "--out", "unseeded.csv"]),
         ("plan over the training rows", refused_plan("1.01", "rows.csv")),
         ("plan over the budget", refused_plan("1.0000000001", "budget.csv")),
         ("duplicate labels", ["compare", "--config", DUPLICATE, "--out-prefix", "duplicate"]),
@@ -235,11 +243,13 @@ def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
     Path(MANIFEST).write_text(json.dumps(records, indent=1) + "\n")
 
 
-def _first_difference(old: list[str], new: list[str]) -> str:
-    for i, (a, b) in enumerate(zip(old, new)):
-        if a != b:
-            return f"line {i + 1}: {a!r} != {b!r}"
-    return f"{len(old)} lines != {len(new)} lines"
+def _line_differences(old: list[str], new: list[str]) -> list[str]:
+    """Each line that differs, then the line counts if those differ."""
+    found = [f"line {i + 1}: {a!r} != {b!r}"
+             for i, (a, b) in enumerate(zip(old, new)) if a != b]
+    if len(old) != len(new):
+        found.append(f"{len(old)} lines != {len(new)} lines")
+    return found
 
 
 def differences(old_dir: Path, new_dir: Path) -> list[str]:
@@ -250,9 +260,8 @@ def differences(old_dir: Path, new_dir: Path) -> list[str]:
     for old, new in zip(old_runs, new_runs):
         if old["exit"] != new["exit"]:
             found.append(f"{old['name']}: exit {old['exit']} != {new['exit']}")
-        if old["lines"] != new["lines"]:
-            found.append(f"{old['name']} output: "
-                         f"{_first_difference(old['lines'], new['lines'])}")
+        found.extend(f"{old['name']} output: {line}"
+                     for line in _line_differences(old["lines"], new["lines"]))
     old_files = {p.name for p in old_dir.iterdir()} - {MANIFEST}
     new_files = {p.name for p in new_dir.iterdir()} - {MANIFEST}
     for name in sorted(old_files ^ new_files):
@@ -263,7 +272,7 @@ def differences(old_dir: Path, new_dir: Path) -> list[str]:
         if old_text != new_text:
             columns = _differing_columns(old_text, new_text) if name.endswith(".csv") else []
             where = f"columns {', '.join(columns)} differ; " if columns else ""
-            found.append(f"{name}: {where}{_first_difference(old_text, new_text)}")
+            found.append(f"{name}: {where}{_line_differences(old_text, new_text)[0]}")
     return found
 
 
