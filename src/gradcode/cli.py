@@ -5,8 +5,10 @@ Exit codes: 0 success, 2 usage (bad flags, missing or negative seeds),
 4 numerical (span or decode failures, divergence, starved rounds), 5 I/O
 (unreadable or malformed files).
 
-Run parameters resolve as defaults < config file (a compare config's
-``shared`` block) < command-line flags < a compare run entry's own fields.
+A run setting is one ``_RUN_SCHEMA`` entry: its type, target, choices,
+help, read rule and per-run scope. Run parameters resolve as defaults <
+config file (a compare config's ``shared`` block) < command-line flags <
+a compare run entry's own fields.
 Every simulation must be explicitly seeded, with non-negative seeds: give
 the data, latency and straggler seeds, which every run draws from, and
 the scheme seed when the run builds a cyclic code inline, alone or as a
@@ -21,6 +23,7 @@ so a run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -49,15 +52,32 @@ _SEED_NAMES = ("seed_scheme", "seed_data", "seed_latency", "seed_straggler")
 
 
 class _Field(NamedTuple):
-    """One run setting: its type in a config file, its resolved default,
-    and how its flag reads (``parse`` turns flag text into the value
-    when the type alone cannot)."""
+    """One run setting. ``target`` is the config class and field it fills,
+    whose default is the setting's; a setting without one is read by
+    ``_build_strategy`` or ``_resolve_seeds`` and defaults to None.
+    ``parse`` turns flag text into the value when ``type`` alone cannot.
+    ``read_under`` is (the setting that decides, the values under which
+    this one is read); a setting is read only if its decider is read
+    too. A ``per_run`` setting tells a compare's runs apart, so compare
+    reads it from its run entries only, never from flags. ``null_ok``
+    lets a config file set null despite a non-None default."""
 
     type: type
-    default: object
+    target: tuple[type, str] | None = None
     choices: tuple | None = None
     help: str | None = None
     parse: Callable[[str], object] | None = None
+    read_under: tuple[str, tuple] | None = None
+    per_run: bool = False
+    null_ok: bool = False
+
+    @property
+    def default(self):
+        if self.target is None:
+            return None
+        owner, name = self.target
+        default = owner.__dataclass_fields__[name].default
+        return None if default is dataclasses.MISSING else default
 
 
 def _parse_workers(text: str) -> tuple[int, ...]:
@@ -81,73 +101,58 @@ def _parse_jitter(text: str) -> float | None:
 # paths and --config are flag-only, but scheme_file is not, and a
 # relative scheme_file resolves against the working directory, not the
 # config file's.
+_CODED = ("strategy", ("coded", "partial"))
 _RUN_SCHEMA: dict[str, _Field] = {
-    "strategy": _Field(str, None, ("naive", "ignore", "coded", "partial")),
-    "scheme_file": _Field(str, None),
-    "kind": _Field(str, None, codec.KINDS),
-    "n": _Field(int, None),
-    "s": _Field(int, None),
-    "alpha": _Field(float, None),
-    "d": _Field(int, sim.TrainingConfig.d),
-    "p": _Field(int, sim.TrainingConfig.p),
-    "iterations": _Field(int, sim.TrainingConfig.iterations),
-    "optimizer": _Field(str, learn.OptimizerConfig.method, learn.METHODS),
-    "eta": _Field(float, learn.OptimizerConfig.eta),
-    "c1": _Field(float, learn.OptimizerConfig.c1),
-    "c2": _Field(float, learn.OptimizerConfig.c2),
-    "compute_time": _Field(float, sim.LatencyModel.compute_time_per_partition),
-    "comm_time": _Field(float, sim.LatencyModel.comm_time),
-    # Like every field whose default is None, this one may be null in a
-    # config file: no jitter.
-    "jitter_sigma": _Field(float, sim.LatencyModel.jitter_sigma, None,
-                           "number or 'none'", _parse_jitter),
-    "straggler_mode": _Field(str, sim.StragglerPolicy.mode, sim.STRAGGLER_MODES),
-    "straggler_workers": _Field(tuple, sim.StragglerPolicy.workers, None,
+    "strategy": _Field(str, None, ("naive", "ignore", "coded", "partial"), per_run=True),
+    "scheme_file": _Field(str, read_under=_CODED, per_run=True),
+    "kind": _Field(str, None, codec.KINDS, read_under=_CODED, per_run=True),
+    "n": _Field(int),
+    "s": _Field(int, read_under=("strategy", ("ignore", "coded", "partial"))),
+    "alpha": _Field(float, read_under=("strategy", ("partial",)), per_run=True),
+    "d": _Field(int, (sim.TrainingConfig, "d")),
+    "p": _Field(int, (sim.TrainingConfig, "p")),
+    "iterations": _Field(int, (sim.TrainingConfig, "iterations")),
+    "optimizer": _Field(str, (learn.OptimizerConfig, "method"), learn.METHODS),
+    "eta": _Field(float, (learn.OptimizerConfig, "eta"), read_under=("optimizer", (learn.NAG,))),
+    "c1": _Field(float, (learn.OptimizerConfig, "c1"), read_under=("optimizer", (learn.GD_DECAY,))),
+    "c2": _Field(float, (learn.OptimizerConfig, "c2"), read_under=("optimizer", (learn.GD_DECAY,))),
+    "compute_time": _Field(float, (sim.LatencyModel, "compute_time_per_partition")),
+    "comm_time": _Field(float, (sim.LatencyModel, "comm_time")),
+    # null in a config file means no jitter.
+    "jitter_sigma": _Field(float, (sim.LatencyModel, "jitter_sigma"), None, "number or 'none'",
+                           _parse_jitter, null_ok=True),
+    "straggler_mode": _Field(str, (sim.StragglerPolicy, "mode"), sim.STRAGGLER_MODES),
+    "straggler_workers": _Field(tuple, (sim.StragglerPolicy, "workers"), None,
                                 "comma-separated worker indices", _parse_workers),
-    "straggler_count": _Field(int, sim.StragglerPolicy.count),
-    "straggler_kind": _Field(str, sim.StragglerPolicy.kind, sim.STRAGGLER_KINDS),
-    "straggler_extra": _Field(float, sim.StragglerPolicy.extra, None,
-                              "seconds added per message (inf allowed)"),
-    "straggler_alpha": _Field(float, sim.StragglerPolicy.alpha),
-    "holdout_frac": _Field(float, sim.TrainingConfig.holdout_frac),
-    "auc_interval": _Field(int, sim.TrainingConfig.auc_interval),
-    "seed_all": _Field(int, None, None, "derive the four sub-seeds as N, N+1, N+2, N+3"),
-    "seed_scheme": _Field(int, None),
-    "seed_data": _Field(int, None),
-    "seed_latency": _Field(int, None),
-    "seed_straggler": _Field(int, None),
-    "label": _Field(str, sim.TrainingConfig.label),
-    "verify_decode": _Field(bool, sim.TrainingConfig.verify_decode),
+    "straggler_count": _Field(int, (sim.StragglerPolicy, "count")),
+    "straggler_kind": _Field(str, (sim.StragglerPolicy, "kind"), sim.STRAGGLER_KINDS,
+                             read_under=("straggler_mode", ("fixed", "random"))),
+    "straggler_extra": _Field(float, (sim.StragglerPolicy, "extra"), None,
+                              "seconds added per message (inf allowed)",
+                              read_under=("straggler_kind", ("delay",))),
+    "straggler_alpha": _Field(float, (sim.StragglerPolicy, "alpha"),
+                              read_under=("straggler_kind", ("slowdown",))),
+    "holdout_frac": _Field(float, (sim.TrainingConfig, "holdout_frac")),
+    "auc_interval": _Field(int, (sim.TrainingConfig, "auc_interval")),
+    "seed_all": _Field(int, help="derive the four sub-seeds as N, N+1, N+2, N+3"),
+    "seed_scheme": _Field(int),
+    "seed_data": _Field(int, (sim.SeedBundle, "data")),
+    "seed_latency": _Field(int, (sim.SeedBundle, "latency")),
+    "seed_straggler": _Field(int, (sim.SeedBundle, "straggler")),
+    "label": _Field(str, (sim.TrainingConfig, "label"), per_run=True),
+    "verify_decode": _Field(bool, (sim.TrainingConfig, "verify_decode"), read_under=_CODED),
 }
-# What tells a compare's runs apart: compare reads these from its run
-# entries only, never from flags.
-_PER_RUN_KEYS = ("strategy", "scheme_file", "kind", "alpha", "label")
 _RUN_DEFAULTS = {key: field.default for key, field in _RUN_SCHEMA.items()}
-# Settings a run reads only under some strategies, optimizers or
-# straggler settings: key -> (the setting that decides, the values under
-# which the key is read). A key is read only if its decider is read too.
-_READ_ONLY_UNDER = {
-    "alpha": ("strategy", ("partial",)),
-    "s": ("strategy", ("ignore", "coded", "partial")),
-    "kind": ("strategy", ("coded", "partial")),
-    "scheme_file": ("strategy", ("coded", "partial")),
-    "verify_decode": ("strategy", ("coded", "partial")),
-    "eta": ("optimizer", (learn.NAG,)),
-    "c1": ("optimizer", (learn.GD_DECAY,)),
-    "c2": ("optimizer", (learn.GD_DECAY,)),
-    "straggler_kind": ("straggler_mode", ("fixed", "random")),
-    "straggler_extra": ("straggler_kind", ("delay",)),
-    "straggler_alpha": ("straggler_kind", ("slowdown",)),
-}
 
 
 def _coerce(key: str, value):
     """Type-check one config-file value, JSON natives in, run types out."""
     if key not in _RUN_SCHEMA:
         raise ConfigError(f"unknown config field {key!r}")
-    want, default = _RUN_SCHEMA[key][:2]
+    field = _RUN_SCHEMA[key]
+    want = field.type
     if value is None:
-        if default is None or key == "jitter_sigma":
+        if field.default is None or field.null_ok:
             return None
         raise ConfigError(f"config field {key!r} must not be null")
     if want is int:
@@ -287,18 +292,25 @@ def _check_read(merged: dict, given: set[str]) -> None:
     echo, which holds every key, reruns it. The error names the topmost
     decider, along the key's chain of them, that rules the key out.
     """
-    for key in _READ_ONLY_UNDER:
-        if key not in given or merged[key] == _RUN_DEFAULTS[key]:
+    for key, field in _RUN_SCHEMA.items():
+        if field.read_under is None or key not in given or merged[key] == field.default:
             continue
-        unread, by = None, key
-        while by in _READ_ONLY_UNDER:
-            by, readers = _READ_ONLY_UNDER[by]
+        unread, rule = None, field.read_under
+        while rule is not None:
+            by, readers = rule
             if merged[by] not in (None, *readers):
                 unread = by
+            rule = _RUN_SCHEMA[by].read_under
         if unread is not None:
             raise ConfigError(
                 f"the {merged[unread]} {unread} does not read {key}, given {merged[key]!r}"
             )
+
+
+def _filled(owner: type, merged: dict) -> dict:
+    """The fields of ``owner`` that run settings fill, by field name."""
+    return {field.target[1]: merged[key] for key, field in _RUN_SCHEMA.items()
+            if field.target and field.target[0] is owner}
 
 
 def _training_config(merged: dict, given: set[str]) -> sim.TrainingConfig:
@@ -310,45 +322,19 @@ def _training_config(merged: dict, given: set[str]) -> sim.TrainingConfig:
                               f"got {merged[key]!r}")
     _check_read(merged, given)
     _resolve_seeds(merged)
-    strategy = _build_strategy(merged)
-    optimizer = learn.OptimizerConfig(
-        method=merged["optimizer"],
-        eta=merged["eta"],
-        c1=merged["c1"],
-        c2=merged["c2"],
-    )
-    latency = sim.LatencyModel(
-        compute_time_per_partition=merged["compute_time"],
-        comm_time=merged["comm_time"],
-        jitter_sigma=merged["jitter_sigma"],
-    )
-    policy = sim.StragglerPolicy(
-        mode=merged["straggler_mode"],
-        workers=merged["straggler_workers"],
-        count=merged["straggler_count"],
-        kind=merged["straggler_kind"],
-        extra=merged["straggler_extra"],
-        alpha=merged["straggler_alpha"],
-    )
-    seeds = sim.SeedBundle(
-        data=merged["seed_data"],
-        latency=merged["seed_latency"],
-        straggler=merged["seed_straggler"],
-    )
-    return sim.TrainingConfig(
-        strategy=strategy,
-        optimizer=optimizer,
-        seeds=seeds,
-        d=merged["d"],
-        p=merged["p"],
-        iterations=merged["iterations"],
-        latency=latency,
-        policy=policy,
-        holdout_frac=merged["holdout_frac"],
-        auc_interval=merged["auc_interval"],
-        verify_decode=merged["verify_decode"],
-        label=merged["label"],
-    )
+    parts = {"strategy": _build_strategy(merged)}
+    for name, owner in (("optimizer", learn.OptimizerConfig), ("latency", sim.LatencyModel),
+                        ("policy", sim.StragglerPolicy), ("seeds", sim.SeedBundle)):
+        parts[name] = owner(**_filled(owner, merged))
+    return sim.TrainingConfig(**parts, **_filled(sim.TrainingConfig, merged))
+
+
+def _check_out_dirs(*paths) -> None:
+    """Refuse, before any run trains, an output path whose directory is
+    missing."""
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"no directory for output file {path}")
 
 
 def _echo_config(merged: dict, path) -> None:
@@ -482,6 +468,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     overrides = _flag_overrides(args)
     merged = _merge_run(config, overrides)
     run_config = _training_config(merged, {*config, *overrides})
+    _check_out_dirs(args.out)
     result = sim.run_training(run_config)
     sim.write_run_csv(result, args.out)
     echo_path = str(args.out) + ".config.json"
@@ -540,6 +527,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # Every run trains on one build of the data, so a comparison that
     # cannot be aligned is rejected before any of them starts.
     sim.check_comparison(run_configs)
+    prefix = str(args.out_prefix)
+    paths = [f"{prefix}_{run_config.run_label}.csv" for run_config in run_configs]
+    it_path, th_path = f"{prefix}_iterations.csv", f"{prefix}_thresholds.csv"
+    echo_path = f"{prefix}.config.json"
+    _check_out_dirs(echo_path, *paths)
     data = sim.prepare_data(run_configs[0])
 
     results = []
@@ -549,14 +541,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(_summary_line(result))
 
     comparison = sim.compare_runs(results)
-    prefix = str(args.out_prefix)
-    for result in results:
-        path = f"{prefix}_{result.label}.csv"
+    for result, path in zip(results, paths):
         sim.write_run_csv(result, path)
         print(f"wrote {path}")
-    it_path, th_path = f"{prefix}_iterations.csv", f"{prefix}_thresholds.csv"
     sim.write_comparison_csvs(comparison, it_path, th_path)
-    echo_path = f"{prefix}.config.json"
     _echo_config(
         {"shared": {**shared, **overrides}, "runs": [dict(e) for e in entries]},
         echo_path,
@@ -571,10 +559,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_run_flags(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
-    """One flag per run field; a flag not given leaves no attribute."""
+def _add_run_flags(p: argparse.ArgumentParser, per_run: bool = True) -> None:
+    """One flag per run field, the per-run ones only if ``per_run``; a
+    flag not given leaves no attribute."""
     for key, field in _RUN_SCHEMA.items():
-        if key in omit:
+        if field.per_run and not per_run:
             continue
         if field.type is bool:
             how = {"action": "store_true"}
@@ -623,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--config", help="JSON with 'shared' and 'runs'")
     compare.add_argument("--bundle", action="store_true",
                          help="naive, ignore, frac, cyc on one cluster")
-    _add_run_flags(compare, omit=_PER_RUN_KEYS)
+    _add_run_flags(compare, per_run=False)
     compare.add_argument("--out-prefix", dest="out_prefix", required=True)
     compare.set_defaults(func=cmd_compare)
 

@@ -463,6 +463,125 @@ def test_flags_beat_the_config_file_for_every_run_key(key):
     assert merged[key] == from_flag
 
 
+# For each run setting with a target: the settings it needs to be read,
+# and a config-file value other than its default.
+TARGET_CASES = {
+    "d": ({}, 600),
+    "p": ({}, 7),
+    "iterations": ({}, 3),
+    "optimizer": ({}, learn.GD_DECAY),
+    "eta": ({}, 0.5),
+    "c1": ({"optimizer": learn.GD_DECAY}, 0.5),
+    "c2": ({"optimizer": learn.GD_DECAY}, 3.0),
+    "compute_time": ({}, 2.0),
+    "comm_time": ({}, 0.5),
+    "jitter_sigma": ({}, None),
+    "straggler_mode": ({"straggler_count": 1}, "random"),
+    "straggler_workers": ({"straggler_mode": "fixed"}, [1]),
+    "straggler_count": ({"straggler_mode": "random"}, 1),
+    "straggler_kind": ({"straggler_mode": "random", "straggler_count": 1,
+                        "straggler_alpha": 2.0}, "slowdown"),
+    "straggler_extra": ({"straggler_mode": "random", "straggler_count": 1}, 2.0),
+    "straggler_alpha": ({"straggler_mode": "random", "straggler_count": 1,
+                         "straggler_kind": "slowdown"}, 3.0),
+    "holdout_frac": ({}, 0.25),
+    "auc_interval": ({}, 2),
+    "seed_data": ({}, 7),
+    "seed_latency": ({}, 8),
+    "seed_straggler": ({}, 9),
+    "label": ({}, "mine"),
+    "verify_decode": ({}, True),
+}
+
+
+def test_every_targeted_run_setting_has_a_case():
+    assert set(TARGET_CASES) == {k for k, f in cli._RUN_SCHEMA.items() if f.target}
+
+
+@pytest.mark.parametrize("key", list(TARGET_CASES))
+def test_every_run_setting_reaches_the_object_it_configures(tmp_path, monkeypatch, key):
+    needs, value = TARGET_CASES[key]
+    owner, name = cli._RUN_SCHEMA[key].target
+    assert cli._coerce(key, value) != cli._RUN_DEFAULTS[key]
+    seen = []
+    train = sim.run_training
+    monkeypatch.setattr(sim, "run_training",
+                        lambda config, *a: seen.append(config) or train(config, *a))
+    config = {"strategy": "coded", "kind": "frac", "n": 4, "s": 1, "d": 480, "p": 6,
+              "iterations": 2, "seed_all": 1, **needs, key: value}
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("simulate", "--config", cfg_path, "--out", tmp_path / "run.csv") == 0
+    built = seen[0]
+    parts = {sim.TrainingConfig: built, learn.OptimizerConfig: built.optimizer,
+             sim.LatencyModel: built.latency, sim.StragglerPolicy: built.policy,
+             sim.SeedBundle: built.seeds}
+    assert getattr(parts[owner], name) == cli._coerce(key, value)
+
+
+class _ReadKeys(dict):
+    """A run's merged settings that record each key read."""
+
+    def __init__(self, merged):
+        super().__init__(merged)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("key", [k for k, f in cli._RUN_SCHEMA.items() if not f.target])
+def test_every_untargeted_run_setting_is_read_building_the_strategy_or_seeds(key):
+    # A partial run with an inline cyclic plan reads every one of them.
+    merged = _ReadKeys(cli._merge_run({"strategy": "partial", "kind": "cyc", "n": 4, "s": 1,
+                                       "alpha": 2.0, "seed_all": 1}, {}))
+    cli._resolve_seeds(merged)
+    cli._build_strategy(merged)
+    assert key in merged.read
+
+
+def test_the_first_unread_setting_in_schema_order_is_named(tmp_path, capsys):
+    assert run(*sim_args(tmp_path, "--s", 2, "--kind", "cyc")) == 3
+    assert "the naive strategy does not read kind, given 'cyc'" in capsys.readouterr().err
+
+
+def _record_training(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim, "prepare_data", lambda *a: calls.append("prepare_data"))
+    monkeypatch.setattr(sim, "run_training", lambda *a: calls.append("run_training"))
+    return calls
+
+
+def test_simulate_refuses_a_missing_output_directory_before_training(
+    tmp_path, capsys, monkeypatch
+):
+    calls = _record_training(monkeypatch)
+    argv = sim_args(tmp_path)
+    argv[-1] = tmp_path / "nodir" / "run.csv"
+    assert run(*argv) == 5
+    out, err = capsys.readouterr()
+    assert f"no directory for output file {argv[-1]}" in err
+    assert "run " not in out
+    assert calls == []
+
+
+@pytest.mark.parametrize("prefix, label", [("nodir/cmp", "two"), ("cmp", "a/b")])
+def test_compare_refuses_a_missing_output_directory_before_training(
+    tmp_path, capsys, monkeypatch, prefix, label
+):
+    calls = _record_training(monkeypatch)
+    config = {"shared": {"n": 4, "d": 480, "p": 6, "iterations": 2, "seed_all": 1},
+              "runs": [{"strategy": "naive"}, {"strategy": "ignore", "s": 1, "label": label}]}
+    cfg_path = tmp_path / "cmp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("compare", "--config", cfg_path, "--out-prefix", tmp_path / prefix) == 5
+    out, err = capsys.readouterr()
+    assert "no directory for output file" in err
+    assert "run " not in out
+    assert calls == []
+
+
 def test_verify_decode_from_a_config_file_turns_checking_on(tmp_path, monkeypatch):
     seen = []
     train = sim.run_training
@@ -957,7 +1076,7 @@ def test_compare_null_unsets_a_known_run_field(tmp_path):
 @pytest.mark.parametrize(
     "key",
     [key for key, field in cli._RUN_SCHEMA.items()
-     if field.default is not None and key != "jitter_sigma"],
+     if field.default is not None and not field.null_ok],
 )
 def test_compare_null_for_a_field_with_a_default_is_a_validation_error(tmp_path, capsys, key):
     # jitter_sigma is the one such field whose null means something: no jitter.

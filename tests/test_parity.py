@@ -20,7 +20,7 @@ def test_one_tree_twice_shows_no_difference():
     done = subprocess.run([sys.executable, str(TOOL), src, src, "--small"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines() == ["parity: 0 differences over 44 invocations"]
+    assert done.stdout.splitlines() == ["parity: 0 differences over 48 invocations"]
 
 
 def _tree(path, exit_code, lines, csv_rows):
@@ -69,6 +69,7 @@ def test_each_tree_runs_at_the_benchmarks_blas_thread_count(monkeypatch):
     for var in parity.BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "7")
     monkeypatch.setenv("GRADCODE_PARITY_PROBE", "kept")
+    monkeypatch.setenv("COLUMNS", "37")
     src = str(ROOT / "src")
     assert parity.main([src, src, "--small"]) == 0
     threads = str(len(os.sched_getaffinity(0)))
@@ -76,3 +77,4 @@ def test_each_tree_runs_at_the_benchmarks_blas_thread_count(monkeypatch):
     for env in envs:
         assert [env[var] for var in parity.BLAS_THREAD_VARS] == [threads] * 3
         assert env["GRADCODE_PARITY_PROBE"] == "kept"
+        assert env["COLUMNS"] == parity.HELP_COLUMNS

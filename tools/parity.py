@@ -47,13 +47,18 @@ directory:
   first, at one size under ``--small`` too: a ``scheme verify`` of one
   whose partition count k is not its worker count n (``K_MISMATCH``,
   exit 5), and a ``simulate`` of a column-deficient one (``WEAK``) whose
-  fixed straggler 3 leaves a survivor set it cannot decode (exit 4).
+  fixed straggler 3 leaves a survivor set it cannot decode (exit 4);
+* ``simulate --help`` and ``compare --help``, and two simulates refused
+  before any training (exit 3): a naive run given an ``--s`` it never
+  reads, and one given ``--eta -1``. These keep their sizes under
+  ``--small`` too.
 
 Each subprocess runs with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` set to the number of cores this process may use,
 whatever the caller's environment, as ``bench/run.py`` sets them: the
 output bits depend on the BLAS thread count, so a verdict holds at the
-thread count the benchmark measures.
+thread count the benchmark measures. ``COLUMNS`` is set to
+``HELP_COLUMNS``, so that argparse wraps help text alike in both trees.
 
 Then it prints every exit code and output line that differs between the
 two trees, output paths stripped, and each written file that differs,
@@ -85,6 +90,7 @@ DUPLICATE = "duplicate.json"
 K_MISMATCH = "k-mismatch.json"
 WEAK = "weak.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+HELP_COLUMNS = "100"
 
 
 def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
@@ -126,6 +132,10 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
         return ["simulate", "--strategy", "partial", "--kind", "frac", "--n", "4", "--s", "1",
                 "--alpha", alpha, "--d", "400", "--p", "5", "--seed-all", str(seed + 95),
                 "--out", out]
+
+    def refused_naive(*flags):
+        return ["simulate", "--strategy", "naive", "--n", "4", *flags, "--d", "400",
+                "--p", "5", "--seed-all", str(seed + 140), "--out", "refused.csv"]
 
     return [
         ("desk bundle", bundle("desk", 24, 3, desk, 0)),
@@ -182,6 +192,10 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                        "--straggler-workers", "3", "--straggler-kind", "delay",
                        "--straggler-extra", "inf", "--seed-all", str(seed + 120),
                        "--out", "weak.csv"]),
+        ("simulate help", ["simulate", "--help"]),
+        ("compare help", ["compare", "--help"]),
+        ("unread setting", refused_naive("--s", "2")),
+        ("refused optimizer constant", refused_naive("--eta", "-1")),
     ]
 
 
@@ -292,9 +306,10 @@ def _differing_columns(old: list[str], new: list[str]) -> list[str]:
 
 def subprocess_env() -> dict[str, str]:
     """This process's environment with every BLAS thread count set to
-    the number of cores it may use."""
+    the number of cores it may use, and ``COLUMNS`` to ``HELP_COLUMNS``."""
     threads = str(len(os.sched_getaffinity(0)))
-    return {**os.environ, **{var: threads for var in BLAS_THREAD_VARS}}
+    return {**os.environ, **{var: threads for var in BLAS_THREAD_VARS},
+            "COLUMNS": HELP_COLUMNS}
 
 
 def main(argv: list[str] | None = None) -> int:
