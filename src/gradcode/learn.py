@@ -12,7 +12,12 @@ Synthetic data follows a two-cluster mixture: x ~ 0.5 N(mu1, I) +
 y ~ Bernoulli(kappa) with kappa = 1/(exp(2 x.beta_star) + 1), so the
 population minimizer is -2 beta_star. beta_star is drawn standard
 normal scaled by 1/sqrt(p): unit-scale signal keeps the labels noisy
-at any dimension instead of collapsing to a separable problem.
+at any dimension instead of collapsing to a separable problem. The draw
+order: the seed's generator draws mu1, mu2 and beta_star; then each
+block of ``_DRAW_ROWS`` rows draws from its own jumped stream its
+cluster flags, its normals and its label uniforms; then one product
+X @ beta_star gives kappa, and a label is 1 where its uniform is below
+kappa. The data depends on the seed, not on how many cores draw it.
 
 Optimizers count iterations from 1: the decaying schedule is
 c1/(t + c2) and the accelerated momentum is (t - 1)/(t + 2), so the
@@ -22,6 +27,8 @@ first step of either method is a plain gradient step.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -44,6 +51,14 @@ DEFAULT_GD_OFFSET = 10.0
 NAG = "nag"
 GD_DECAY = "gd_decay"
 METHODS = (NAG, GD_DECAY)
+
+# Rows per block of gen_synthetic's draw. Each block draws from its own
+# jumped stream, so this size defines the data; it is not a setting.
+# At d=554,400, p=100 on a 2-core host (numpy 2.4.6; fastest of 7
+# alternating calls) the blocks drew in 560 ms on two threads, against
+# 907 ms for one sequential stream and 965 ms for the same blocks on one
+# thread: the gain is the second core, not the blocking.
+_DRAW_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,23 +113,59 @@ def with_partitions(ds: Dataset, k: int) -> Dataset:
     return Dataset(ds.X, ds.y, make_partition_bounds(ds.rows, k))
 
 
+def _draw_workers() -> int:
+    """Threads ``gen_synthetic`` draws its blocks on: one per core this
+    process may use. It schedules blocks and changes no bit."""
+    return len(os.sched_getaffinity(0))
+
+
 def gen_synthetic(
     rng: np.random.Generator, d: int = 554400, p: int = 100
 ) -> tuple[Dataset, np.ndarray]:
-    """Draw the two-cluster logistic workload; returns (dataset, beta_star)."""
+    """Draw the two-cluster logistic workload; returns (dataset, beta_star).
+
+    ``rng`` draws mu1, mu2 and beta_star, in that order. The rows are cut
+    into blocks of ``_DRAW_ROWS`` (the last is shorter), and block b draws
+    from its own generator, ``rng``'s bit generator jumped b + 1 times:
+    its cluster flags, its normals, then its label uniforms. The blocks
+    run on ``_draw_workers()`` threads, so the data depends on the seed
+    alone, not on the core count. Last, the main thread takes one product
+    ``X @ beta_star`` and turns the uniforms into labels in place:
+    y = 1 where the uniform is below kappa = sigmoid(-2 X beta_star).
+    ``rng`` itself advances by the 3p root draws only.
+    """
     if d < 2 or p < 1:
         raise DimensionMismatch(f"need d >= 2 and p >= 1, got d={d}, p={p}")
     mu1 = rng.standard_normal(p)
     mu2 = rng.standard_normal(p)
     beta_star = rng.standard_normal(p) / np.sqrt(p)
-    component = rng.random(d) < 0.5
-    X = rng.standard_normal((d, p))
-    # Masked in-place adds: no (d, p) temporary for the cluster means.
-    m = component[:, None]
-    np.add(X, mu1, out=X, where=m)
-    np.add(X, mu2, out=X, where=~m)
-    kappa = sigmoid(-2.0 * (X @ beta_star))
-    y = (rng.random(d) < kappa).astype(float)
+    X = np.empty((d, p))
+    y = np.empty(d)
+
+    def draw(b: int) -> None:
+        # numpy's random fills and ufuncs release the GIL; no BLAS runs here.
+        block = np.random.Generator(rng.bit_generator.jumped(b + 1))
+        lo, hi = b * _DRAW_ROWS, min(d, (b + 1) * _DRAW_ROWS)
+        m = (block.random(hi - lo) < 0.5)[:, None]
+        rows = X[lo:hi]
+        block.standard_normal(out=rows)
+        # Masked in-place adds while the block is in cache: no (d, p)
+        # temporary for the cluster means.
+        np.add(rows, mu1, out=rows, where=m)
+        np.add(rows, mu2, out=rows, where=~m)
+        block.random(out=y[lo:hi])
+
+    blocks = range(-(-d // _DRAW_ROWS))
+    with ThreadPoolExecutor(min(_draw_workers(), len(blocks))) as pool:
+        for _ in pool.map(draw, blocks):
+            pass
+    # One whole-matrix product; then y < kappa block by block, in place,
+    # so no d-length buffer but the product's outlives a block.
+    z = X @ beta_star
+    z *= -2.0
+    for lo in range(0, d, _DRAW_ROWS):
+        labels = y[lo:lo + _DRAW_ROWS]
+        np.less(labels, sigmoid(z[lo:lo + _DRAW_ROWS]), out=labels)
     return Dataset(X, y, ((0, d),)), beta_star
 
 

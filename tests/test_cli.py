@@ -900,7 +900,7 @@ def test_an_overflowing_clock_is_reported_before_any_round(tmp_path, capsys, mon
 def test_blas_thread_count_moves_only_the_loss_bits(tmp_path):
     # The partition products round differently at 1 and 2 BLAS threads
     # on some data. Measured on numpy 2.4.6 with scipy-openblas 0.3.31:
-    # 20 of these 100 loss rows differed, by at most 2.4e-16 relative;
+    # 21 of these 100 loss rows differed, by at most 2.8e-16 relative;
     # the clock, the survivors and the AUC did not move. At seeds 5, 6
     # and 8 no row differed.
     argv = ["simulate", "--strategy", "coded", "--kind", "frac", "--n", "24", "--s", "3",
@@ -929,11 +929,11 @@ def test_blas_thread_count_moves_only_the_loss_bits(tmp_path):
     ["compare", "--bundle", "--n", 2, "--s", 1, "--out-prefix", "x"],
 ])
 def test_a_one_class_holdout_fails_before_any_round(tmp_path, capsys, monkeypatch, argv):
-    # d=10 holds out 2 rows; under data seed 1 both are positive.
+    # d=10 holds out 2 rows; under data seed 4 both are positive.
     rounds = []
     monkeypatch.setattr(sim, "run_iteration", lambda *a, **kw: rounds.append(a))
     argv = [tmp_path / a if a.startswith("x") else a for a in map(str, argv)]
-    assert run(*argv, "--d", 10, "--p", 2, "--iterations", 3, "--seed-all", 0) == 3
+    assert run(*argv, "--d", 10, "--p", 2, "--iterations", 3, "--seed-all", 3) == 3
     out, err = capsys.readouterr()
     assert "need both classes, got 2 positives of 2" in err
     assert "run " not in out

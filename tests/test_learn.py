@@ -10,6 +10,7 @@ frozen by hand.
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -392,19 +393,57 @@ def test_log_loss_into_a_buffer_is_bit_identical_and_allocates_at_most_the_budge
     assert peak <= learn._GROUP_BYTES
 
 
-def test_gen_synthetic_matches_dense_mean_expression():
-    # The masked in-place adds give the same X as adding a dense
-    # (d, p) array of cluster means, on the same draws.
-    seed, d, p = 23, 300, 7
+def sequential_draw(seed: int, d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """gen_synthetic's documented draw order, one block after another,
+    with the cluster means added as a dense ``np.where`` array."""
     rng = make_rng(seed)
     mu1 = rng.standard_normal(p)
     mu2 = rng.standard_normal(p)
-    rng.standard_normal(p)  # beta_star
-    component = rng.random(d) < 0.5
-    X = rng.standard_normal((d, p))
-    X += np.where(component[:, None], mu1, mu2)
-    ds, _ = learn.gen_synthetic(make_rng(seed), d, p)
-    assert np.array_equal(ds.X, X)
+    beta_star = rng.standard_normal(p) / np.sqrt(p)
+    blocks, uniforms = [], []
+    for b, lo in enumerate(range(0, d, learn._DRAW_ROWS)):
+        block = np.random.Generator(rng.bit_generator.jumped(b + 1))
+        rows = min(learn._DRAW_ROWS, d - lo)
+        component = block.random(rows) < 0.5
+        X = block.standard_normal((rows, p))
+        X += np.where(component[:, None], mu1, mu2)
+        blocks.append(X)
+        uniforms.append(block.random(rows))
+    X = np.vstack(blocks)
+    kappa = learn.sigmoid(-2.0 * (X @ beta_star))
+    return X, (np.concatenate(uniforms) < kappa).astype(float)
+
+
+# Below one block, an exact multiple of a block, and a multiple plus a remainder.
+DRAW_SIZES = [300, 2 * learn._DRAW_ROWS, 2 * learn._DRAW_ROWS + 77]
+
+
+def test_gen_synthetic_matches_dense_mean_expression():
+    # The threaded blocks with masked in-place adds give the X and y of
+    # drawing the blocks in order and adding a dense array of cluster means.
+    for d in DRAW_SIZES:
+        X, y = sequential_draw(23, d, 7)
+        ds, _ = learn.gen_synthetic(make_rng(23), d, 7)
+        assert np.array_equal(ds.X, X), d
+        assert np.array_equal(ds.y, y), d
+
+
+@pytest.mark.parametrize("d", DRAW_SIZES)
+def test_gen_synthetic_does_not_depend_on_the_worker_count(monkeypatch, d):
+    draws = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(learn, "_draw_workers", lambda: workers)
+        ds, _ = learn.gen_synthetic(make_rng(29), d, 3)
+        draws.append((ds.X, ds.y))
+    for X, y in draws[1:]:
+        assert np.array_equal(X, draws[0][0]) and np.array_equal(y, draws[0][1])
+
+
+def test_gen_synthetic_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(learn, "_draw_workers", lambda: 3)
+    before = threading.active_count()
+    learn.gen_synthetic(make_rng(31), 3 * learn._DRAW_ROWS, 2)
+    assert threading.active_count() == before
 
 
 def test_gen_synthetic_deterministic():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "parity.py"
 
@@ -47,6 +49,17 @@ def test_each_differing_exit_code_line_and_file_is_reported(tmp_path):
     assert parity.differences(old, old) == []
 
 
+def test_a_file_over_the_text_size_is_kept_as_its_sha256(tmp_path):
+    old = _tree(tmp_path / "old", 0, [], ["a", "1"])
+    new = _tree(tmp_path / "new", 0, [], ["a", "2"])
+    short, hashed = parity.snapshot(old, 4), parity.snapshot(old, 3)
+    assert short["files"] == {"run.csv": ["a", "1"]}
+    assert list(hashed["files"]["run.csv"]) == ["sha256"]
+    assert parity.snapshot_differences(hashed, parity.snapshot(new, 3)) == [
+        "run.csv: sha256 differs"]
+    assert parity.snapshot_differences(hashed, parity.snapshot(old, 3)) == []
+
+
 def test_every_differing_output_line_is_reported(tmp_path):
     rows = ["a", "1"]
     old = _tree(tmp_path / "old", 0, ["k=4", "same", "rows=2", "end"], rows)
@@ -78,3 +91,16 @@ def test_each_tree_runs_at_the_benchmarks_blas_thread_count(monkeypatch):
         assert [env[var] for var in parity.BLAS_THREAD_VARS] == [threads] * 3
         assert env["GRADCODE_PARITY_PROBE"] == "kept"
         assert env["COLUMNS"] == parity.HELP_COLUMNS
+
+
+def test_the_package_writes_the_golden_outputs(tmp_path):
+    # tests/golden/parity-small.json holds every --small, seed 0 output;
+    # a change that moves one rewrites it (tools/parity.py src --write-golden).
+    golden = json.loads(parity.GOLDEN.read_text())
+    here = parity.build()
+    if golden["build"] != here:
+        pytest.skip(f"outputs unchecked: the golden file was written on {golden['build']}, "
+                    f"this is {here}")
+    parity.run_subprocess(str(ROOT / "src"), tmp_path, True, 0)
+    found = parity.snapshot_differences(golden, parity.golden_snapshot(tmp_path))
+    assert found == [], "\n".join(found)

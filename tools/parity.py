@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/parity.py OLD_SRC NEW_SRC [--small] [--seed N]
+    python3 tools/parity.py SRC --write-golden
 
 OLD_SRC and NEW_SRC are directories that hold the ``gradcode`` package
 (a checkout's ``src``). Each tree runs one fixed list of CLI invocations
@@ -69,6 +70,16 @@ runs the same invocations at sizes that finish in about a second;
 ``--seed`` (default 0) moves every seed.
 The full run holds the paper-scale data, about 450 MB, in one
 subprocess at a time.
+
+    python3 tools/parity.py SRC --write-golden
+
+runs SRC's tree once at ``--small``, seed 0, and writes ``GOLDEN``: the
+build the outputs depend on (``build``: Python, numpy, its BLAS build and
+the BLAS thread count), each invocation's exit code and output lines, and
+each written file, as its lines when it is at most ``GOLDEN_TEXT_BYTES``
+long and as its sha256 otherwise. ``tests/test_parity.py`` checks the
+package against it, so a change that moves an output rewrites the file in
+the same diff.
 """
 
 from __future__ import annotations
@@ -76,6 +87,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -91,6 +103,8 @@ K_MISMATCH = "k-mismatch.json"
 WEAK = "weak.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HELP_COLUMNS = "100"
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden" / "parity-small.json"
+GOLDEN_TEXT_BYTES = 2048
 
 
 def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
@@ -266,27 +280,47 @@ def _line_differences(old: list[str], new: list[str]) -> list[str]:
     return found
 
 
+def snapshot(workdir: Path, text_bytes: int | None = None) -> dict:
+    """One tree's outputs in ``workdir``: ``runs``, the manifest's records,
+    and ``files``, each written file's lines by name, or ``{"sha256": ...}``
+    for a file over ``text_bytes`` long (None keeps every file's lines)."""
+    files = {}
+    for path in sorted(workdir.iterdir()):
+        if path.name == MANIFEST:
+            continue
+        data = path.read_bytes()
+        files[path.name] = data.decode().splitlines() \
+            if text_bytes is None or len(data) <= text_bytes \
+            else {"sha256": hashlib.sha256(data).hexdigest()}
+    return {"runs": json.loads((workdir / MANIFEST).read_text()), "files": files}
+
+
 def differences(old_dir: Path, new_dir: Path) -> list[str]:
     """One line per exit code, output line or written file that differs."""
+    return snapshot_differences(snapshot(old_dir), snapshot(new_dir))
+
+
+def snapshot_differences(old: dict, new: dict) -> list[str]:
+    """``differences`` between two ``snapshot``s."""
     found = []
-    old_runs = json.loads((old_dir / MANIFEST).read_text())
-    new_runs = json.loads((new_dir / MANIFEST).read_text())
-    for old, new in zip(old_runs, new_runs):
-        if old["exit"] != new["exit"]:
-            found.append(f"{old['name']}: exit {old['exit']} != {new['exit']}")
-        found.extend(f"{old['name']} output: {line}"
-                     for line in _line_differences(old["lines"], new["lines"]))
-    old_files = {p.name for p in old_dir.iterdir()} - {MANIFEST}
-    new_files = {p.name for p in new_dir.iterdir()} - {MANIFEST}
-    for name in sorted(old_files ^ new_files):
+    for a, b in zip(old["runs"], new["runs"]):
+        if a["exit"] != b["exit"]:
+            found.append(f"{a['name']}: exit {a['exit']} != {b['exit']}")
+        found.extend(f"{a['name']} output: {line}"
+                     for line in _line_differences(a["lines"], b["lines"]))
+    old_files, new_files = old["files"], new["files"]
+    for name in sorted(old_files.keys() ^ new_files.keys()):
         found.append(f"{name}: written by {'OLD' if name in old_files else 'NEW'} only")
-    for name in sorted(old_files & new_files):
-        old_text = (old_dir / name).read_text().splitlines()
-        new_text = (new_dir / name).read_text().splitlines()
-        if old_text != new_text:
-            columns = _differing_columns(old_text, new_text) if name.endswith(".csv") else []
-            where = f"columns {', '.join(columns)} differ; " if columns else ""
-            found.append(f"{name}: {where}{_line_differences(old_text, new_text)[0]}")
+    for name in sorted(old_files.keys() & new_files.keys()):
+        a, b = old_files[name], new_files[name]
+        if a == b:
+            continue
+        if isinstance(a, dict) or isinstance(b, dict):
+            found.append(f"{name}: sha256 differs")
+            continue
+        columns = _differing_columns(a, b) if name.endswith(".csv") else []
+        where = f"columns {', '.join(columns)} differ; " if columns else ""
+        found.append(f"{name}: {where}{_line_differences(a, b)[0]}")
     return found
 
 
@@ -312,27 +346,68 @@ def subprocess_env() -> dict[str, str]:
             "COLUMNS": HELP_COLUMNS}
 
 
+def build() -> dict[str, str]:
+    """What the outputs depend on besides the source: the numpy version,
+    the BLAS build numpy uses, the BLAS thread count that
+    ``subprocess_env`` sets, and the Python version, whose argparse
+    formats the help text."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": "{}.{}".format(*sys.version_info),
+            "numpy": numpy.__version__,
+            "blas": " ".join(str(blas.get(key)) for key in
+                             ("name", "version", "openblas configuration")),
+            "threads": subprocess_env()[BLAS_THREAD_VARS[0]]}
+
+
+def run_subprocess(src: str, workdir: Path, small: bool, seed: int) -> None:
+    """``run_tree`` in a fresh Python, with ``subprocess_env()``."""
+    cmd = [sys.executable, __file__, "--run", src, str(workdir), "--seed", str(seed)]
+    if small:
+        cmd.append("--small")
+    subprocess.run(cmd, check=True, env=subprocess_env())
+
+
+def golden_snapshot(workdir: Path) -> dict:
+    """The ``GOLDEN`` record of a ``--small``, seed 0 run in ``workdir``."""
+    return {"build": build(), **snapshot(workdir, GOLDEN_TEXT_BYTES)}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
-    parser.add_argument("new_src")
+    parser.add_argument("new_src", nargs="?")
     parser.add_argument("--small", action="store_true",
                         help="run every invocation at test sizes")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--write-golden", action="store_true",
+                        help="run OLD_SRC alone at --small, seed 0, and write "
+                             "tests/golden/parity-small.json")
     parser.add_argument("--run", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.run:  # one tree's subprocess: old_src is the tree, new_src the directory
         run_tree(args.old_src, args.new_src, args.small, args.seed)
         return 0
+    if args.write_golden:
+        if args.new_src is not None or args.small or args.seed:
+            parser.error("--write-golden takes one tree and no --small or --seed")
+        with tempfile.TemporaryDirectory() as tmp:
+            run_subprocess(args.old_src, Path(tmp), True, 0)
+            golden = golden_snapshot(Path(tmp))
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+        print(f"wrote {GOLDEN.name}: {len(golden['runs'])} invocations, "
+              f"{len(golden['files'])} files")
+        return 0
+    if args.new_src is None:
+        parser.error("comparing needs OLD_SRC and NEW_SRC")
     with tempfile.TemporaryDirectory() as tmp:
         dirs = []
         for tag, src in (("old", args.old_src), ("new", args.new_src)):
             workdir = Path(tmp) / tag
             workdir.mkdir()
-            cmd = [sys.executable, __file__, "--run", src, str(workdir), "--seed", str(args.seed)]
-            if args.small:
-                cmd.append("--small")
-            subprocess.run(cmd, check=True, env=subprocess_env())
+            run_subprocess(src, workdir, args.small, args.seed)
             dirs.append(workdir)
         found = differences(*dirs)
     for line in found:
