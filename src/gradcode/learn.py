@@ -93,7 +93,8 @@ class Dataset:
 
     @cached_property
     def gradient_plan(self) -> tuple[_Group, ...]:
-        """``partition_gradients``' groups of partitions, built from
+        """``partition_gradients``' groups, each a run of equal contiguous
+        partitions that takes one stacked product pair, built from
         ``partition_bounds`` and ``_GROUP_BYTES`` on first use and kept:
         a run's partitioned dataset builds its plan once, in round 1."""
         return _plan_groups(self)
@@ -115,8 +116,10 @@ def with_partitions(ds: Dataset, k: int) -> Dataset:
 
 def _draw_workers() -> int:
     """Threads ``gen_synthetic`` draws its blocks on: one per core this
-    process may use. It schedules blocks and changes no bit."""
-    return len(os.sched_getaffinity(0))
+    process may use, or per core of the machine where the OS reports no
+    affinity (macOS, Windows). It schedules blocks and changes no bit."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def gen_synthetic(
@@ -304,46 +307,38 @@ def partial_gradient(ds: Dataset, j: int, beta: np.ndarray) -> np.ndarray:
 
 
 class _Group(NamedTuple):
-    """Rows ``lo`` to ``hi - 1``: their labels and, for each run of m
-    equal partitions from j on, (j, m, row offset in the group, rows per
-    partition, the run's ``(m, rows, dim)`` view of X)."""
+    """Partitions j to j + m - 1, m equal contiguous partitions covering
+    rows ``lo`` to ``hi - 1``: their labels and the ``(m, rows, dim)``
+    view ``X`` of their rows."""
 
+    j: int
     lo: int
     hi: int
     y: np.ndarray
-    runs: tuple[tuple[int, int, int, int, np.ndarray], ...]
+    X: np.ndarray
 
 
 def _plan_groups(ds: Dataset) -> tuple[_Group, ...]:
-    """Consecutive partitions grouped up to ``_GROUP_BYTES`` of rows, each
-    group split into its runs of equal partitions."""
+    """Runs of consecutive, contiguous, equal-size partitions, each cut at
+    ``_GROUP_BYTES`` of rows; a group holds at least one partition."""
     bounds = ds.partition_bounds
     row_bytes = ds.X.itemsize * ds.dim
     groups = []
-    first = 0
-    while first < len(bounds):
-        lo, hi = bounds[first]
-        last = first + 1
+    j = 0
+    while j < len(bounds):
+        lo, hi = bounds[j]
+        rows, m = hi - lo, 1
         while (
-            last < len(bounds)
-            and bounds[last][0] == hi
-            and (bounds[last][1] - lo) * row_bytes <= _GROUP_BYTES
+            j + m < len(bounds)
+            and bounds[j + m] == (hi, hi + rows)
+            and (hi + rows - lo) * row_bytes <= _GROUP_BYTES
         ):
-            hi = bounds[last][1]
-            last += 1
-        runs = []
-        j = first
-        while j < last:
-            a, b = bounds[j]
-            rows, m = b - a, 1
-            while j + m < last and bounds[j + m][1] - bounds[j + m][0] == rows:
-                m += 1
-            # Splitting a slice's row axis gives a view, never a copy, so
-            # the stacked products read X in place.
-            runs.append((j, m, a - lo, rows, ds.X[a : a + m * rows].reshape(m, rows, ds.dim)))
-            j += m
-        groups.append(_Group(lo, hi, ds.y[lo:hi], tuple(runs)))
-        first = last
+            hi += rows
+            m += 1
+        # Splitting a slice's row axis gives a view, never a copy, so the
+        # stacked products read X in place.
+        groups.append(_Group(j, lo, hi, ds.y[lo:hi], ds.X[lo:hi].reshape(m, rows, ds.dim)))
+        j += m
     return tuple(groups)
 
 
@@ -352,19 +347,18 @@ def partition_gradients(
 ) -> np.ndarray:
     """Every partition's gradient: row j equals ``partial_gradient(ds, j, beta)``.
 
-    Consecutive partitions are grouped up to ``_GROUP_BYTES`` of rows.
-    The groups are fixed per partitioned dataset: ``ds.gradient_plan``
-    builds them, with each run's stacked view of X, on the first call and
-    every later call reuses them, so a test that changes the budget must
-    build its dataset afterwards.
-    Within a group, each run of consecutive partitions of one size takes
-    its products in one stacked ``np.matmul`` call: its logits as the
-    ``(m, rows, dim)`` view of its rows times ``beta``, written into one
-    buffer for the group. The logistic map and the label subtraction run
-    once over the buffer; then each run writes its ``X_j.T @ r_j``, as
-    the ``(m, 1, rows)`` view of ``r`` times its rows, into its rows of
-    the ``(partitions, dim)`` result. Under ``make_partition_bounds`` a
-    group holds at most two runs. numpy computes a stacked product as one
+    A group is a run of consecutive, contiguous partitions of one size,
+    cut at ``_GROUP_BYTES`` of rows; under ``make_partition_bounds`` only
+    the uneven last partition starts a run of its own. The groups are
+    fixed per partitioned dataset: ``ds.gradient_plan`` builds them, with
+    each group's stacked view of X, on the first call and every later
+    call reuses them, so a test that changes the budget must build its
+    dataset afterwards.
+    Each group takes one pair of stacked ``np.matmul`` calls: its logits
+    as the ``(m, rows, dim)`` view of its rows times ``beta``, then, after
+    one logistic map and one label subtraction over them, its rows of the
+    ``(partitions, dim)`` result as the ``(m, 1, rows)`` view of the
+    residuals times its rows. numpy computes a stacked product as one
     BLAS matrix-vector call per stack item, on the same strides as the
     partition's own slice, so each value is computed by the same
     operations as in ``partial_gradient`` and the results are
@@ -377,19 +371,19 @@ def partition_gradients(
     partitions unread, a pass took 42.9 ms against 39.4 ms skipping them
     (medians; 2-core host, numpy 2.4.6, scipy-openblas 0.3.31).
 
-    ``logits``, when given, is a buffer of ``ds.rows`` entries that the
-    groups' logits are written into, so it ends up holding every
-    partition's ``X_j @ beta``.
+    ``logits``, when given, is a C-contiguous buffer of ``ds.rows``
+    entries that the groups' logits are written into, so it ends up
+    holding every partition's ``X_j @ beta``.
     """
     G = np.empty((ds.partitions, ds.dim))
-    for lo, hi, y, runs in ds.gradient_plan:
+    for j, lo, hi, y, X in ds.gradient_plan:
+        m, rows = X.shape[:2]
         z = np.empty(hi - lo) if logits is None else logits[lo:hi]
-        for _, m, at, rows, X in runs:
-            np.matmul(X, beta, out=z[at : at + m * rows].reshape(m, rows))
+        np.matmul(X, beta, out=z.reshape(m, rows))
         r = sigmoid(z)
         r -= y
-        for j, m, at, rows, X in runs:
-            np.matmul(r[at : at + m * rows].reshape(m, 1, rows), X, out=G[j : j + m, None])
+        np.matmul(r.reshape(m, 1, rows), X, out=G[j : j + m, None])
+        del r  # before the next group's sigmoid allocates its own
     return G
 
 

@@ -90,9 +90,11 @@ def test_partition_gradients_equal_partial_gradient(monkeypatch, d, k, group):
     assert sum(calls) == d
     if group == "default":
         # 1 MiB holds 3542 rows of 37 floats, so 8000 rows of 66-row
-        # partitions make groups of 53, 53 and 14 partitions; every
-        # smaller dataset here fits in one group.
-        assert groups == (3 if d == 8000 else 1)
+        # partitions make groups of 53, 53 and 13 partitions and the
+        # 146-row last one. Every smaller dataset here fits in the budget,
+        # so its groups are its run of equal partitions and, when it is
+        # uneven, its last partition.
+        assert groups == {8000: 4, 1003: 2, 997: 2}.get(d, 1)
     elif group == "one_each":
         assert groups == k
     elif k > 3:
@@ -166,9 +168,9 @@ def test_gradient_plan_is_built_once_per_partitioned_dataset(monkeypatch):
 
 
 @pytest.mark.parametrize("budget, groups", [
-    # 24 partitions of 333 x 100 rows, the last 341: 1 MiB holds three,
-    # 8 x 341 rows' bytes eight, one byte one.
-    (None, 8), (8 * 341 * 800, 3), (1, 24),
+    # 24 partitions of 333 x 100 rows, the last 341, which is a group of
+    # its own: 1 MiB holds three, 8 x 341 rows' bytes eight, one byte one.
+    (None, 9), (8 * 341 * 800, 4), (1, 24),
 ])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_gradient_plan_groups_by_the_budget_it_was_built_under(monkeypatch, budget, groups,
@@ -183,15 +185,16 @@ def test_gradient_plan_groups_by_the_budget_it_was_built_under(monkeypatch, budg
     plan = ds.gradient_plan
     assert len(plan) == groups
     covered = []
-    for group in plan:
-        assert np.shares_memory(group.y, ds.y)
-        for j, m, at, rows, X in group.runs:
-            # A view of the run's rows, never a copy.
-            assert np.shares_memory(X, ds.X) and X.shape == (m, rows, ds.dim)
-            lo = ds.partition_bounds[j][0]
-            assert lo == group.lo + at
-            assert np.array_equal(X.reshape(m * rows, ds.dim), ds.X[lo : lo + m * rows])
-            covered += range(j, j + m)
+    for j, lo, hi, y, X in plan:
+        m, rows, dim = X.shape
+        # Views of the group's rows and labels, never copies.
+        assert np.shares_memory(y, ds.y) and np.shares_memory(X, ds.X)
+        assert dim == ds.dim and hi - lo == m * rows
+        assert ds.partition_bounds[j : j + m] == tuple(
+            (lo + i * rows, lo + (i + 1) * rows) for i in range(m))
+        assert np.array_equal(X.reshape(m * rows, ds.dim), ds.X[lo:hi])
+        assert np.array_equal(y, ds.y[lo:hi])
+        covered += range(j, j + m)
     assert covered == list(range(24))
     for j in range(24):
         assert np.array_equal(G[j], learn.partial_gradient(ds, j, beta))
@@ -216,11 +219,11 @@ class _CountingNumpy:
 
 
 @pytest.mark.parametrize("k, calls", [
-    # 24 partitions of 333 rows (the last 341) make groups of 3: two runs
-    # in the last group, one in every other, and a call per run and
-    # direction. 120 of 66 rows (the last 146) make groups of 19 and a
-    # last group of 6. One call per partition and direction made 48 and
-    # 240.
+    # One call per group and direction, and a group is a run of equal
+    # partitions cut at the budget. 24 partitions of 333 rows (the last
+    # 341) make eight groups of at most three and the last partition's;
+    # 120 of 66 rows (the last 146) seven of at most 19 and the last
+    # partition's. One call per partition and direction made 48 and 240.
     (24, 18),
     (120, 16),
 ])
@@ -230,6 +233,25 @@ def test_one_matmul_per_run_of_equal_partitions(monkeypatch, k, calls):
     monkeypatch.setattr(learn, "np", counting)
     learn.partition_gradients(ds, make_rng(14).standard_normal(ds.dim))
     assert counting.matmuls == calls
+
+
+@pytest.mark.parametrize("rows, k, groups", [
+    # The desk workload's training rows at its cyclic and two-stage
+    # partition counts, and the paper workload's at its 12: only the
+    # uneven last partition leaves its run, and a 29.6 MB paper partition
+    # is over the budget on its own.
+    (8000, 24, 9), (8000, 120, 8), (443_520, 12, 12),
+])
+def test_gradient_plan_group_counts_under_make_partition_bounds(rows, k, groups):
+    # A broadcast matrix: the plan reads only shapes, strides and bounds.
+    X = np.broadcast_to(np.zeros(1), (rows, 100))
+    ds = learn.Dataset(X, np.zeros(rows), learn.make_partition_bounds(rows, k))
+    plan = ds.gradient_plan
+    assert len(plan) == groups
+    # The groups take the partitions in order, the last one alone.
+    starts, sizes = [g.j for g in plan], [len(g.X) for g in plan]
+    assert starts == [sum(sizes[:i]) for i in range(groups)] and sum(sizes) == k
+    assert (starts[-1], sizes[-1]) == (k - 1, 1)
 
 
 def test_partition_gradients_never_group_across_a_gap():
@@ -393,6 +415,33 @@ def test_log_loss_into_a_buffer_is_bit_identical_and_allocates_at_most_the_budge
     assert peak <= learn._GROUP_BYTES
 
 
+@pytest.mark.parametrize("budget", [None, 20_000 * 3 * 8])
+def test_partition_gradients_into_a_buffer_allocate_about_three_group_arrays(monkeypatch,
+                                                                             budget):
+    # Four 20,000-row partitions: the default budget groups them in
+    # pairs, the other one to a group. Beside G, the pass allocates only
+    # the logistic map's arrays over one group's rows; at one partition a
+    # group, three of them are less than one array over the training set.
+    if budget is not None:
+        monkeypatch.setattr(learn, "_GROUP_BYTES", budget)
+    rng = make_rng(33)
+    rows = 80_000
+    ds = learn.with_partitions(
+        learn.Dataset(rng.standard_normal((rows, 3)), (rng.random(rows) < 0.5).astype(float),
+                      ((0, rows),)), 4)
+    beta = rng.standard_normal(3)
+    buf = np.empty(rows)
+    tracemalloc.start()
+    try:
+        G = learn.partition_gradients(ds, beta, buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    largest = max(group.hi - group.lo for group in ds.gradient_plan)
+    assert largest == (40_000 if budget is None else 20_000)
+    assert peak <= 3 * largest * 8 + G.nbytes
+
+
 def sequential_draw(seed: int, d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """gen_synthetic's documented draw order, one block after another,
     with the cluster means added as a dense ``np.where`` array."""
@@ -437,6 +486,18 @@ def test_gen_synthetic_does_not_depend_on_the_worker_count(monkeypatch, d):
         draws.append((ds.X, ds.y))
     for X, y in draws[1:]:
         assert np.array_equal(X, draws[0][0]) and np.array_equal(y, draws[0][1])
+
+
+def test_gen_synthetic_without_an_affinity_call_draws_the_same_bits(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the draw then runs
+    # on the machine's cores, and the data does not change.
+    expected, _ = learn.gen_synthetic(make_rng(37), 2 * learn._DRAW_ROWS + 5, 4)
+    monkeypatch.delattr(learn.os, "sched_getaffinity", raising=False)
+    assert learn._draw_workers() == (learn.os.cpu_count() or 1)
+    ds, _ = learn.gen_synthetic(make_rng(37), 2 * learn._DRAW_ROWS + 5, 4)
+    assert np.array_equal(ds.X, expected.X) and np.array_equal(ds.y, expected.y)
+    monkeypatch.setattr(learn.os, "cpu_count", lambda: None)  # undeterminable
+    assert learn._draw_workers() == 1
 
 
 def test_gen_synthetic_leaves_no_thread_behind(monkeypatch):

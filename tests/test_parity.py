@@ -85,12 +85,22 @@ def test_each_tree_runs_at_the_benchmarks_blas_thread_count(monkeypatch):
     monkeypatch.setenv("COLUMNS", "37")
     src = str(ROOT / "src")
     assert parity.main([src, src, "--small"]) == 0
-    threads = str(len(os.sched_getaffinity(0)))
+    threads = str(parity.cores())
     assert len(envs) == 2
     for env in envs:
         assert [env[var] for var in parity.BLAS_THREAD_VARS] == [threads] * 3
         assert env["GRADCODE_PARITY_PROBE"] == "kept"
         assert env["COLUMNS"] == parity.HELP_COLUMNS
+
+
+def test_cores_fall_back_to_the_machines_without_an_affinity_call(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert parity.cores() == 5
+    assert parity.subprocess_env()[parity.BLAS_THREAD_VARS[0]] == "5"
+    assert parity.build()["threads"] == "5"
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert parity.cores() == 1
 
 
 def test_the_package_writes_the_golden_outputs(tmp_path):

@@ -338,10 +338,17 @@ def _differing_columns(old: list[str], new: list[str]) -> list[str]:
             if column(old_rows, i) != column(new_rows, i)]
 
 
+def cores() -> int:
+    """The cores this process may use, or the machine's where the OS
+    reports no affinity (macOS, Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def subprocess_env() -> dict[str, str]:
     """This process's environment with every BLAS thread count set to
     the number of cores it may use, and ``COLUMNS`` to ``HELP_COLUMNS``."""
-    threads = str(len(os.sched_getaffinity(0)))
+    threads = str(cores())
     return {**os.environ, **{var: threads for var in BLAS_THREAD_VARS},
             "COLUMNS": HELP_COLUMNS}
 
