@@ -162,7 +162,10 @@ def _coerce(key: str, value):
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"config field {key!r} is too large for a float") from None
     if want is str:
         if not isinstance(value, str):
             raise ConfigError(f"config field {key!r} must be a string, got {value!r}")
@@ -632,6 +635,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except VALIDATION_ERRORS as err:
         print(f"validation error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as err:
+        detail = f" ({err})" if str(err) else ""
+        print(f"validation error: the run's arrays do not fit in memory{detail}", file=sys.stderr)
         return EXIT_VALIDATION
     except NUMERICAL_ERRORS as err:
         print(f"numerical error: {err}", file=sys.stderr)

@@ -404,6 +404,8 @@ def code_from_dict(raw: dict, extra_fields: tuple[str, ...] = ()) -> GradientCod
         return GradientCode(kind, n, s, np.array(B, dtype=float), h_seed=h_seed)
     except GradientCodingError as err:
         raise ParseError(f"scheme violates its invariants: {err}") from err
+    except OverflowError:
+        raise ParseError("field 'B' has an entry too large for a float") from None
 
 
 def read_json_object(path) -> dict:

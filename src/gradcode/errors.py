@@ -19,7 +19,7 @@ class DimensionMismatch(GradientCodingError):
 
 
 class NonFinite(GradientCodingError):
-    """An input, an iterate or a simulated compute time is NaN or infinite."""
+    """An input, an iterate or a simulated time is NaN or infinite."""
 
 
 class DivisibilityError(GradientCodingError):

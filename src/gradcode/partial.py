@@ -203,6 +203,8 @@ def import_plan(path) -> TwoStagePlan:
         plan = TwoStagePlan(alpha=float(alpha), code=code)
     except GradientCodingError as err:
         raise ParseError(f"plan violates its invariants: {err}") from err
+    except OverflowError:
+        raise ParseError("field 'alpha' is too large for a float") from None
     if r != plan.naive_per_worker:
         raise ParseError(
             f"plan violates its invariants: naive_per_worker={r} inconsistent with "

@@ -32,9 +32,10 @@ only as copies of the clock kept for observers.
 Time is simulated, never measured: a worker's compute cost is
 proportional to the rows it processes, scaled so that
 ``compute_time_per_partition`` is the cost of one n-way partition. A
-stage-k message arrives at jitter * slowdown * (compute of stages 0..k)
-+ (k + 1) * comm + injected delay. Among messages of one kind, ties in
-time go to the lower worker index, so every run resolves them alike.
+stage-k message arrives at the worker's round multiplier, jitter times
+slowdown, times the cumulative compute of stages 0..k, + (k + 1) * comm
++ injected delay. Among messages of one kind, ties in time go to the
+lower worker index, so every run resolves them alike.
 All randomness flows from three named seeds (data, latency, straggler);
 jitter is drawn for all workers of every round whether or not anyone
 straggles, so a model trajectory can never depend on the straggler
@@ -273,6 +274,8 @@ class TrainingConfig:
             raise ConfigError(f"auc interval must be >= 1, got {self.auc_interval}")
         if not 0.0 < self.holdout_frac < 1.0:
             raise ConfigError(f"holdout fraction must be in (0, 1), got {self.holdout_frac}")
+        if self.d * self.p > np.iinfo(np.intp).max:
+            raise ConfigError(f"a d={self.d} by p={self.p} data matrix is too large to index")
         train_rows = self.d - learn.holdout_rows(self.d, self.holdout_frac)
         partitions = self.strategy.partition_count
         if train_rows < partitions:
@@ -365,12 +368,14 @@ def schedule(strategy: Strategy, train: learn.Dataset, latency: LatencyModel,
     on numpy 2.4.6 and pinned by
     test_one_jitter_draw_equals_a_draw_per_round. The stragglers are
     drawn one round at a time, since ``Generator.choice`` has no batched
-    form with the same stream. Raises NonFinite when a compute time
-    overflows, and StarvedIteration when a required message can never
-    arrive, each for the first round where it happens.
+    form with the same stream. A worker's compute takes one multiplier a
+    round, jitter times slowdown, and its stages' times are one cumulative
+    sum over the stages. Raises NonFinite when a compute time, an arrival
+    time under a finite delay or the total simulated time overflows, and
+    StarvedIteration when an infinite delay holds back a required
+    message, each for the first round where it happens.
     """
     n, rounds = strategy.n, np.arange(iterations)[:, None]
-    latency_rng = make_rng(seeds.latency)
     straggler_rng = make_rng(seeds.straggler)
     if policy.mode == "random":
         stragglers = np.array([straggler_rng.choice(n, size=policy.count, replace=False)
@@ -378,35 +383,29 @@ def schedule(strategy: Strategy, train: learn.Dataset, latency: LatencyModel,
     else:  # the fixed workers, or none
         workers = np.array(policy.workers, dtype=np.intp)
         stragglers = np.broadcast_to(workers, (iterations, workers.size))
-    slow = np.ones((iterations, n))
-    extra = np.zeros((iterations, n))
-    if policy.kind == "slowdown":
-        slow[rounds, stragglers] = policy.alpha
-    else:
-        extra[rounds, stragglers] = policy.extra
     sizes = np.array([hi - lo for lo, hi in train.partition_bounds])
     rows = np.array([sizes[index].sum(axis=1) for index in strategy.index], dtype=float)
     per_row = latency.compute_time_per_partition * n / train.rows
-    jitter = np.ones((iterations, n))
-    finish = np.empty((iterations, len(rows), n))
+    sigma = latency.jitter_sigma or 0.0  # exp(0 * z) is exactly 1
+    extra = np.zeros((iterations, n))
     # An overflow is reported below, with its round.
     with np.errstate(over="ignore"):
-        if latency.jitter_sigma is not None:
-            jitter = np.exp(latency.jitter_sigma * latency_rng.standard_normal((iterations, n)))
-        compute = jitter * slow * per_row * rows[0]
-        finish[:, 0] = compute + latency.comm_time + extra
-        # A later stage's message goes out after all earlier stages' compute,
-        # at the first stage's per-row cost, jitter and slowdown included.
-        scale = compute / rows[0]
-        for k in range(1, len(rows)):
-            compute = compute + scale * rows[k]
-            finish[:, k] = compute + (k + 1) * latency.comm_time + extra
-    overflow = ~np.isfinite(compute).all(axis=1)
-    if overflow.any():
-        raise NonFinite(
-            f"round {int(np.argmax(overflow)) + 1}: a worker's compute time overflows "
-            f"at jitter_sigma={latency.jitter_sigma}"
-        )
+        multiplier = np.exp(sigma * make_rng(seeds.latency).standard_normal((iterations, n)))
+        if policy.kind == "slowdown":
+            multiplier[rounds, stragglers] *= policy.alpha
+        else:
+            extra[rounds, stragglers] = policy.extra
+        stage0 = multiplier * per_row * rows[0]
+        # A later stage runs at the first stage's cost per row after all
+        # earlier stages' compute, and stage k's message is the (k + 1)-th sent.
+        compute = np.cumsum(np.concatenate(
+            [stage0[:, None], (stage0 / rows[0])[:, None] * rows[1:]], axis=1), axis=1)
+        finish = compute + np.arange(1, len(rows) + 1)[:, None] * latency.comm_time + extra[:, None]
+    _fail_at(~np.isfinite(compute).all(axis=(1, 2)),
+             f"a worker's compute time overflows at jitter_sigma={latency.jitter_sigma}")
+    # Only an infinite delay may keep a message from arriving.
+    _fail_at((~np.isfinite(finish) & np.isfinite(extra)[:, None]).any(axis=(1, 2)),
+             "a message's arrival time overflows")
     # Every message of the earlier stages, then the first n - s of the last.
     early = finish[:, :-1].max(axis=(1, 2), initial=0.0)
     times = finish[:, -1]
@@ -421,7 +420,16 @@ def schedule(strategy: Strategy, train: learn.Dataset, latency: LatencyModel,
                 "the aggregator needs every naive message; a full delay never arrives"
             )
         raise StarvedIteration(f"fewer than {need} of {n} workers can ever finish")
-    return Clock(finish, np.maximum(early, last), np.sort(first, axis=1))
+    durations = np.maximum(early, last)
+    with np.errstate(over="ignore"):
+        _fail_at(~np.isfinite(np.cumsum(durations)), "the simulated time overflows")
+    return Clock(finish, durations, np.sort(first, axis=1))
+
+
+def _fail_at(bad: np.ndarray, what: str) -> None:
+    """Raise NonFinite naming the first round where ``bad`` holds."""
+    if bad.any():
+        raise NonFinite(f"round {int(np.argmax(bad)) + 1}: {what}")
 
 
 # ---------------------------------------------------------------------------

@@ -897,6 +897,93 @@ def test_an_overflowing_clock_is_reported_before_any_round(tmp_path, capsys, mon
     assert calls == []
 
 
+@pytest.mark.parametrize("argv, err", [
+    # Worker 1's delay of 1e308 s is finite, but two such rounds are not.
+    (["--strategy", "naive", "--straggler-mode", "fixed", "--straggler-workers", "1",
+      "--straggler-extra", "1e308"], "round 2: the simulated time overflows"),
+    # The coded stage's message goes out after 2 * comm = inf, with no straggler.
+    (["--strategy", "partial", "--kind", "frac", "--s", 1, "--alpha", 2,
+      "--comm-time", "1e308", "--jitter-sigma", "none"],
+     "round 1: a message's arrival time overflows"),
+], ids=["total time", "arrival"])
+def test_an_overflowing_time_under_finite_delays_is_reported_before_any_round(
+        tmp_path, capsys, monkeypatch, argv, err):
+    calls = []
+    monkeypatch.setattr(learn, "partition_gradients", lambda *args: calls.append(args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("simulate", "--n", 4, "--d", 300, "--p", 3, "--iterations", 3, *argv,
+                   "--seed-all", 1, "--out", tmp_path / "o.csv")
+    assert code == 4
+    assert capsys.readouterr() == ("", f"numerical error: {err}\n")
+    assert caught == []
+    assert list(tmp_path.iterdir()) == []
+    assert calls == []
+
+
+TOO_BIG = 10**400  # an integer JSON and argparse accept, too large for a float
+
+
+def test_a_config_number_too_large_for_a_float_is_a_validation_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"strategy": "naive", "n": 4, "comm_time": TOO_BIG}))
+    assert run("simulate", "--config", cfg_path, "--seed-all", 1,
+               "--out", tmp_path / "x.csv") == 3
+    assert capsys.readouterr().err == (
+        "validation error: config field 'comm_time' is too large for a float\n")
+
+
+@pytest.mark.parametrize("build, field, err", [
+    ([], "B", "field 'B' has an entry too large for a float"),
+    (["--alpha", 2.0], "alpha", "field 'alpha' is too large for a float"),
+], ids=["scheme", "plan"])
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+def test_a_file_number_too_large_for_a_float_is_a_file_error(tmp_path, capsys, build, field,
+                                                             err, command):
+    path = tmp_path / "file.json"
+    assert run("scheme", "build", "--kind", "frac", "--n", 4, "--s", 1, *build,
+               "--out", path) == 0
+    raw = json.loads(path.read_text())
+    if field == "B":
+        raw["B"][2][1] = TOO_BIG
+    else:
+        raw["alpha"] = TOO_BIG
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run("scheme", command, path) == 5
+    assert capsys.readouterr() == ("", f"file error: {err}\n")
+
+
+@pytest.mark.parametrize("place", ["flag", "config"])
+def test_a_data_size_too_large_to_index_is_refused_before_any_draw(tmp_path, capsys,
+                                                                   monkeypatch, place):
+    calls = []
+    monkeypatch.setattr(learn, "gen_synthetic", lambda *args: calls.append(args))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d": TOO_BIG}))
+    given = ["--d", TOO_BIG] if place == "flag" else ["--config", cfg_path]
+    assert run("simulate", "--strategy", "naive", "--n", 4, *given, "--p", 3,
+               "--seed-all", 1, "--out", tmp_path / "x.csv") == 3
+    assert capsys.readouterr().err == (
+        f"validation error: a d={TOO_BIG} by p=3 data matrix is too large to index\n")
+    assert calls == []
+
+
+def test_arrays_that_do_not_fit_in_memory_are_a_validation_error(tmp_path, capsys,
+                                                                 monkeypatch):
+    # Never a real size: one that fits the address space may be mapped.
+    def unable(*args):
+        raise MemoryError("Unable to allocate 7.28 PiB for an array with shape "
+                          "(1000000000000000, 100) and data type float64")
+
+    monkeypatch.setattr(learn, "gen_synthetic", unable)
+    assert run(*sim_args(tmp_path)) == 3
+    assert capsys.readouterr() == ("", (
+        "validation error: the run's arrays do not fit in memory (Unable to allocate "
+        "7.28 PiB for an array with shape (1000000000000000, 100) and data type float64)\n"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_blas_thread_count_moves_only_the_loss_bits(tmp_path):
     # The partition products round differently at 1 and 2 BLAS threads
     # on some data. Measured on numpy 2.4.6 with scipy-openblas 0.3.31:

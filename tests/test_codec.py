@@ -406,6 +406,20 @@ def test_import_rejects_malformed_files(tmp_path):
         codec.import_code(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_B_is_refused_where_it_enters(tmp_path, bad):
+    # The solver trusts the codec's arrays, so a code refuses them when
+    # it is built or read, before any solve.
+    B = codec.build_frac(4, 1).B.copy()
+    B[2, 1] = bad
+    with pytest.raises(NonFinite, match="non-finite"):
+        codec.GradientCode(codec.FRAC, 4, 1, B)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**codec.code_to_dict(codec.build_frac(4, 1)), "B": B.tolist()}))
+    with pytest.raises(ParseError, match="non-finite"):
+        codec.import_code(path)
+
+
 def test_import_accepts_column_deficient_but_valid_rows(tmp_path):
     # Densities satisfy the header, so import succeeds; only the
     # exhaustive span check can catch the weak column.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gradcode.errors import DimensionMismatch, NonFinite
 from gradcode.numerics import RESIDUAL_TOL, make_rng, solve_right
 
 
@@ -53,26 +52,6 @@ def test_solve_left_square_round_trip(seed):
     y, res = solve_right(M.T, M @ y0)
     assert res < RESIDUAL_TOL
     np.testing.assert_allclose(y, y0, atol=1e-7)
-
-
-def test_shape_validation():
-    M = np.eye(2)
-    with pytest.raises(DimensionMismatch):
-        solve_right(M, np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        solve_right(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(DimensionMismatch):
-        solve_right(np.ones(4), np.ones(2))
-
-
-def test_nonfinite_inputs_rejected():
-    M = np.eye(2)
-    bad = M.copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(NonFinite):
-        solve_right(bad, np.ones(2))
-    with pytest.raises(NonFinite):
-        solve_right(M, np.array([np.inf, 0.0]))
 
 
 def test_make_rng_is_deterministic():

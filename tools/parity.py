@@ -52,7 +52,9 @@ directory:
 * ``simulate --help`` and ``compare --help``, and two simulates refused
   before any training (exit 3): a naive run given an ``--s`` it never
   reads, and one given ``--eta -1``. These keep their sizes under
-  ``--small`` too.
+  ``--small`` too;
+* a naive simulate whose fixed stragglers are delayed by 1e308 seconds,
+  so that its total simulated time overflows in round 2 (exit 4).
 
 Each subprocess runs with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` set to the number of cores this process may use,
@@ -210,6 +212,7 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
         ("compare help", ["compare", "--help"]),
         ("unread setting", refused_naive("--s", "2")),
         ("refused optimizer constant", refused_naive("--eta", "-1")),
+        ("naive overflowing delay", delayed(["naive"], "fixed", "1e308", 150, "overflow.csv")),
     ]
 
 
