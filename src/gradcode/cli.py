@@ -30,12 +30,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import codec, learn, partial, sim
-from .errors import (
-    ConfigError,
-    IO_ERRORS,
-    NUMERICAL_ERRORS,
-    VALIDATION_ERRORS,
-)
+from .errors import ConfigError, NumericalError, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -633,17 +628,17 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except VALIDATION_ERRORS as err:
+    except ValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as err:
         detail = f" ({err})" if str(err) else ""
         print(f"validation error: the run's arrays do not fit in memory{detail}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NUMERICAL_ERRORS as err:
+    except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (*IO_ERRORS, OSError) as err:
+    except (ParseError, OSError) as err:
         print(f"file error: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    ConfigError,
     DimensionMismatch,
     DivisibilityError,
     GradientCodingError,
@@ -52,7 +53,7 @@ from .errors import (
     RetryExhausted,
     SpanFailure,
 )
-from .numerics import RESIDUAL_TOL, make_rng, solve_right
+from .numerics import RESIDUAL_TOL, check_indexable, make_rng, solve_right
 
 FRAC = "frac"
 CYC = "cyc"
@@ -124,11 +125,17 @@ class MdsReport:
     min_singular: float
 
 
+def _check_shape(n: int, s: int) -> None:
+    """Refuse an s outside [1, n) and an n whose n x n B numpy cannot lay out."""
+    if not 1 <= s < n:
+        raise DimensionMismatch(f"need 1 <= s < n, got s={s}, n={n}")
+    check_indexable(f"an n={n} by n={n} code matrix", n, n)
+
+
 def _validate_code(code: GradientCode) -> None:
     if code.kind not in KINDS:
         raise DimensionMismatch(f"unknown scheme kind {code.kind!r}")
-    if not 1 <= code.s < code.n:
-        raise DimensionMismatch(f"need 1 <= s < n, got s={code.s}, n={code.n}")
+    _check_shape(code.n, code.s)
     if code.B.shape != (code.n, code.n):
         raise DimensionMismatch(f"B has shape {code.B.shape}, expected ({code.n}, {code.n})")
     if not np.all(np.isfinite(code.B)):
@@ -162,8 +169,7 @@ def build_frac(n: int, s: int) -> GradientCode:
     removals leave every block a holder; ``decode_row``'s minimum-norm
     row gives each of a block's h surviving holders the coefficient 1/h.
     """
-    if not 1 <= s < n:
-        raise DimensionMismatch(f"need 1 <= s < n, got s={s}, n={n}")
+    _check_shape(n, s)
     if n % (s + 1) != 0:
         raise DivisibilityError(
             f"fractional repetition needs (s+1) | n, got n={n}, s={s}"
@@ -207,7 +213,7 @@ def cyc_h_matrix(n: int, s: int, h_seed: int) -> np.ndarray:
     return H
 
 
-def build_cyc(n: int, s: int, seed: int) -> GradientCode:
+def build_cyc(n: int, s: int, seed: int | None) -> GradientCode:
     """Cyclic repetition code from a random Gaussian null-space basis.
 
     H is s x n standard normal with the last column overwritten so every
@@ -215,10 +221,12 @@ def build_cyc(n: int, s: int, seed: int) -> GradientCode:
     with leading coefficient 1 and the rest solving H[:, rest] y = -H[:, i].
     A draw with a numerically singular s x s subsystem, which
     ``_cyc_rows`` rejects, is retried with seed + 1, at most 5 draws in
-    total; ``h_seed`` records the accepted draw's seed.
+    total; ``h_seed`` records the accepted draw's seed. Raises
+    ConfigError when ``seed`` is None.
     """
-    if not 1 <= s < n:
-        raise DimensionMismatch(f"need 1 <= s < n, got s={s}, n={n}")
+    _check_shape(n, s)
+    if seed is None:
+        raise ConfigError("a cyclic code draws H at random and needs an explicit seed")
     last: GradientCodingError | None = None
     for attempt in range(MAX_CONSTRUCTION_DRAWS):
         h_seed = seed + attempt
@@ -361,16 +369,13 @@ def _expect_int(raw: dict, name: str) -> int:
     return v
 
 
-def code_from_dict(raw: dict, extra_fields: tuple[str, ...] = ()) -> GradientCode:
-    """Build a validated GradientCode from parsed JSON.
-
-    ``extra_fields`` names additions (used by plan files) that are not
-    errors here; anything else unknown is rejected.
-    """
+def code_from_dict(raw: dict) -> GradientCode:
+    """Build a validated GradientCode from parsed JSON; an unknown field
+    is an error."""
     if not isinstance(raw, dict):
         raise ParseError(f"scheme file must hold a JSON object, got {type(raw).__name__}")
     known = {"version", "kind", "n", "k", "s", "h_seed", "B"}
-    unknown = sorted(set(raw) - known - set(extra_fields))
+    unknown = sorted(set(raw) - known)
     if unknown:
         raise ParseError(f"unknown fields: {', '.join(unknown)}")
     missing = sorted({"version", "kind", "n", "k", "s", "B"} - set(raw))
@@ -391,6 +396,8 @@ def code_from_dict(raw: dict, extra_fields: tuple[str, ...] = ()) -> GradientCod
     h_seed = raw.get("h_seed")
     if h_seed is not None and (not isinstance(h_seed, int) or isinstance(h_seed, bool)):
         raise ParseError(f"field 'h_seed' must be an integer, got {h_seed!r}")
+    if h_seed is not None and h_seed < 0:
+        raise ParseError(f"field 'h_seed' must be non-negative, got {h_seed}")
     B = raw["B"]
     if not isinstance(B, list) or len(B) != n:
         raise ParseError(f"field 'B' must be a list of {n} rows")

@@ -1,10 +1,11 @@
 """Exception hierarchy shared by all gradcode modules.
 
-Every error raised by this package derives from GradientCodingError so
-callers can catch one type. The CLI maps subfamilies to exit codes:
-validation problems (bad arguments, violated preconditions), numerical
-failures (span failures, exhausted construction draws, divergence), and
-I/O or format problems (unreadable or malformed scheme files).
+Every error raised by this package derives from GradientCodingError, so
+callers can catch one type, and from exactly one of three families, each
+a CLI exit code: ValidationError (3: bad arguments, violated
+preconditions, sizes numpy cannot index), NumericalError (4: span
+failures, exhausted draws, overflow, starved rounds) and ParseError (5:
+unreadable or malformed scheme, plan and config files).
 """
 
 from __future__ import annotations
@@ -14,23 +15,31 @@ class GradientCodingError(Exception):
     """Base class for all errors raised by gradcode."""
 
 
-class DimensionMismatch(GradientCodingError):
+class ValidationError(GradientCodingError):
+    """An argument or configuration violates a precondition."""
+
+
+class NumericalError(GradientCodingError):
+    """A computation failed: it lost the span, diverged or overflowed."""
+
+
+class DimensionMismatch(ValidationError):
     """Operands have incompatible shapes for the requested operation."""
 
 
-class NonFinite(GradientCodingError):
+class NonFinite(NumericalError):
     """An input, an iterate or a simulated time is NaN or infinite."""
 
 
-class DivisibilityError(GradientCodingError):
+class DivisibilityError(ValidationError):
     """A construction needs (s + 1) to divide n and it does not."""
 
 
-class RetryExhausted(GradientCodingError):
+class RetryExhausted(NumericalError):
     """A bounded resampling loop ran out of attempts."""
 
 
-class SpanFailure(GradientCodingError):
+class SpanFailure(NumericalError):
     """The all-ones row is not in the span of the surviving code rows."""
 
     def __init__(self, message: str, survivors: tuple[int, ...] = (), residual: float = float("nan")):
@@ -39,55 +48,34 @@ class SpanFailure(GradientCodingError):
         self.residual = residual
 
 
-class BudgetExceeded(GradientCodingError):
+class BudgetExceeded(ValidationError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
 class ParseError(GradientCodingError):
-    """A scheme or plan file is malformed or violates its invariants."""
+    """A scheme, plan or config file is unreadable, malformed or invalid."""
 
 
-class IndexOutOfRange(GradientCodingError):
+class IndexOutOfRange(ValidationError):
     """A worker or partition index is outside the valid range."""
 
 
-class InvalidAlpha(GradientCodingError):
+class InvalidAlpha(ValidationError):
     """A partial-straggler slowdown factor must be strictly greater than 1."""
 
 
-class DegenerateLabels(GradientCodingError):
+class DegenerateLabels(ValidationError):
     """A label vector has only one class, so ranking metrics are undefined."""
 
 
-class StarvedIteration(GradientCodingError):
+class StarvedIteration(NumericalError):
     """Too few workers can ever finish for the strategy to complete a round."""
 
 
-class MismatchedConfigs(GradientCodingError):
+class MismatchedConfigs(ValidationError):
     """Runs being compared are none, repeat a label, or differ in their data."""
 
 
-class ConfigError(GradientCodingError):
+class ConfigError(ValidationError):
     """A run configuration is malformed (unknown fields, bad values)."""
 
-
-# Families used by the CLI to pick exit codes.
-VALIDATION_ERRORS = (
-    DimensionMismatch,
-    DivisibilityError,
-    BudgetExceeded,
-    IndexOutOfRange,
-    InvalidAlpha,
-    DegenerateLabels,
-    MismatchedConfigs,
-    ConfigError,
-)
-
-NUMERICAL_ERRORS = (
-    NonFinite,
-    RetryExhausted,
-    SpanFailure,
-    StarvedIteration,
-)
-
-IO_ERRORS = (ParseError,)

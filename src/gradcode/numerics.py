@@ -20,9 +20,20 @@ check scale it by their matrix's largest entry.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import ConfigError
+
 RESIDUAL_TOL = 1e-8
+
+
+def check_indexable(what: str, *shape: int) -> None:
+    """Raise ConfigError, naming ``what``, unless numpy can lay out a
+    float64 array of ``shape``: its size in bytes must fit an intp."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} is too large to index")
 
 
 def make_rng(seed: int) -> np.random.Generator:

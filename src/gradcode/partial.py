@@ -136,18 +136,13 @@ def plan_partial(
 ) -> TwoStagePlan:
     """Lay out naive and coded partitions for alpha-partial stragglers.
 
-    ``kind`` picks the stage-two code; cyclic codes need ``seed``.
-    Raises InvalidAlpha for alpha <= 1 and propagates DivisibilityError
-    from the fractional construction.
+    ``kind`` picks the stage-two code; cyclic codes need ``seed``. The
+    code's construction refuses its (n, s) and seed, and ``TwoStagePlan``
+    refuses alpha with InvalidAlpha.
     """
-    alpha = check_alpha(alpha)
-    if not 1 <= s < n:
-        raise DimensionMismatch(f"need 1 <= s < n, got s={s}, n={n}")
     if kind == FRAC:
         code = build_frac(n, s)
     elif kind == CYC:
-        if seed is None:
-            raise ConfigError("a cyclic stage-two code needs an explicit seed")
         code = build_cyc(n, s, seed)
     else:
         raise ConfigError(f"stage-two kind must be {FRAC!r} or {CYC!r}, got {kind!r}")
@@ -189,7 +184,7 @@ def import_plan(path) -> TwoStagePlan:
     missing = sorted(set(PLAN_FIELDS) - set(raw))
     if missing:
         raise ParseError(f"missing plan fields: {', '.join(missing)}")
-    code = code_from_dict(raw, extra_fields=PLAN_FIELDS)
+    code = code_from_dict({k: v for k, v in raw.items() if k not in PLAN_FIELDS})
     alpha = raw["alpha"]
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ParseError(f"field 'alpha' must be a number, got {alpha!r}")

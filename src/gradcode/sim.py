@@ -71,7 +71,7 @@ from .errors import (
     SpanFailure,
     StarvedIteration,
 )
-from .numerics import make_rng
+from .numerics import check_indexable, make_rng
 from .partial import TwoStagePlan, check_alpha
 
 # Lognormal jitter multiplier exp(sigma * Z): sigma chosen so that
@@ -217,6 +217,7 @@ def Naive(n: int) -> Strategy:
     """Uncoded: one partition per worker, every message required."""
     if n < 1:
         raise ConfigError(f"need at least one worker, got n={n}")
+    check_indexable(f"a worker count of n={n}", n)
     index, coef = _plain_stage(np.arange(n)[:, None])
     return Strategy("naive", 0, (index,), (coef,))
 
@@ -225,6 +226,7 @@ def IgnoreStragglers(n: int, s: int) -> Strategy:
     """Uncoded, but the aggregator stops waiting after n - s messages."""
     if not 1 <= s < n:
         raise ConfigError(f"need 1 <= s < n, got s={s}, n={n}")
+    check_indexable(f"a worker count of n={n}", n)
     index, coef = _plain_stage(np.arange(n)[:, None])
     return Strategy(f"ignore_s{s}", s, (index,), (coef,))
 
@@ -274,8 +276,10 @@ class TrainingConfig:
             raise ConfigError(f"auc interval must be >= 1, got {self.auc_interval}")
         if not 0.0 < self.holdout_frac < 1.0:
             raise ConfigError(f"holdout fraction must be in (0, 1), got {self.holdout_frac}")
-        if self.d * self.p > np.iinfo(np.intp).max:
-            raise ConfigError(f"a d={self.d} by p={self.p} data matrix is too large to index")
+        check_indexable(f"a d={self.d} by p={self.p} data matrix", self.d, self.p)
+        # The clock's arrival times are one (T, stages, n) array.
+        check_indexable(f"a clock of iterations={self.iterations} rounds by n={self.strategy.n} "
+                        "workers", self.iterations, len(self.strategy.index), self.strategy.n)
         train_rows = self.d - learn.holdout_rows(self.d, self.holdout_frac)
         partitions = self.strategy.partition_count
         if train_rows < partitions:

@@ -170,6 +170,28 @@ def test_a_file_whose_k_is_not_n_is_a_file_error(tmp_path, capsys, raw, strategy
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("alpha, strategy", [((), "coded"), (("--alpha", 2), "partial")],
+                         ids=["scheme", "plan"])
+@pytest.mark.parametrize("command", ["verify", "inspect", "simulate"])
+def test_a_file_with_a_negative_h_seed_is_a_file_error(tmp_path, capsys, alpha, strategy,
+                                                       command):
+    # numpy's generators take no negative seed, so no draw reproduces it.
+    path = tmp_path / "cyc.json"
+    assert run("scheme", "build", "--kind", "cyc", "--n", 4, "--s", 1, "--seed", 3, *alpha,
+               "--out", path) == 0
+    raw = json.loads(path.read_text())
+    raw["h_seed"] = -1
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    argv = ["scheme", command, path] if command != "simulate" else [
+        "simulate", "--strategy", strategy, "--scheme-file", path, "--d", 480, "--p", 6,
+        "--seed-all", 3, "--out", tmp_path / "run.csv"]
+    assert run(*argv) == 5
+    assert capsys.readouterr() == ("", "file error: field 'h_seed' must be non-negative, "
+                                       "got -1\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_malformed_scheme_file_is_io_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -967,6 +989,47 @@ def test_a_data_size_too_large_to_index_is_refused_before_any_draw(tmp_path, cap
     assert capsys.readouterr().err == (
         f"validation error: a d={TOO_BIG} by p=3 data matrix is too large to index\n")
     assert calls == []
+
+
+SIZE_REFUSALS = {
+    "simulate-iterations": (["simulate", "--strategy", "naive", "--n", 4,
+                             "--iterations", TOO_BIG],
+                            f"a clock of iterations={TOO_BIG} rounds by n=4 workers"),
+    "simulate-naive-n": (["simulate", "--strategy", "naive", "--n", TOO_BIG],
+                         f"a worker count of n={TOO_BIG}"),
+    "simulate-ignore-n": (["simulate", "--strategy", "ignore", "--n", TOO_BIG, "--s", 1],
+                          f"a worker count of n={TOO_BIG}"),
+    "simulate-frac-n": (["simulate", "--strategy", "coded", "--kind", "frac", "--n", TOO_BIG,
+                         "--s", 1], f"an n={TOO_BIG} by n={TOO_BIG} code matrix"),
+    "build-frac-n": (["scheme", "build", "--kind", "frac", "--n", TOO_BIG, "--s", 1],
+                     f"an n={TOO_BIG} by n={TOO_BIG} code matrix"),
+    "build-cyc-n": (["scheme", "build", "--kind", "cyc", "--n", TOO_BIG, "--s", 1,
+                     "--seed", 0], f"an n={TOO_BIG} by n={TOO_BIG} code matrix"),
+}
+
+
+@pytest.mark.parametrize("argv, what", SIZE_REFUSALS.values(), ids=SIZE_REFUSALS)
+def test_a_size_too_large_to_index_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                              argv, what):
+    calls = []
+    monkeypatch.setattr(learn, "gen_synthetic", lambda *args: calls.append(args))
+    out = ["--out", tmp_path / "x.json"] if argv[0] == "scheme" else [
+        "--d", 300, "--p", 3, "--seed-all", 1, "--out", tmp_path / "x.csv"]
+    assert run(*argv, *out) == 3
+    assert capsys.readouterr() == ("", f"validation error: {what} is too large to index\n")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--seed-all", "--auc-interval"])
+def test_a_seed_or_auc_interval_too_large_to_index_still_runs(tmp_path, flag):
+    # Neither sizes an array: a seed seeds PCG64, and an interval only
+    # has to exceed the round count.
+    seeds = [] if flag == "--seed-all" else ["--seed-all", 1]
+    assert run("simulate", "--strategy", "coded", "--kind", "cyc", "--n", 4, "--s", 1,
+               "--d", 300, "--p", 3, "--iterations", 3, *seeds, flag, TOO_BIG,
+               "--out", tmp_path / "x.csv") == 0
+    assert len(read_csv(tmp_path / "x.csv")) == 3
 
 
 def test_arrays_that_do_not_fit_in_memory_are_a_validation_error(tmp_path, capsys,

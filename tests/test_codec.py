@@ -25,6 +25,7 @@ import pytest
 from gradcode import codec
 from gradcode.errors import (
     BudgetExceeded,
+    ConfigError,
     DimensionMismatch,
     DivisibilityError,
     IndexOutOfRange,
@@ -169,6 +170,11 @@ def test_build_cyc_deterministic_per_seed():
     assert np.array_equal(a.B, b.B)
     assert a.h_seed == b.h_seed
     assert not np.array_equal(a.B, c.B)
+
+
+def test_build_cyc_needs_a_seed():
+    with pytest.raises(ConfigError, match="needs an explicit seed"):
+        codec.build_cyc(4, 1, None)
 
 
 def test_build_cyc_gives_up_after_its_draw_budget(monkeypatch):

@@ -54,7 +54,11 @@ directory:
   reads, and one given ``--eta -1``. These keep their sizes under
   ``--small`` too;
 * a naive simulate whose fixed stragglers are delayed by 1e308 seconds,
-  so that its total simulated time overflows in round 2 (exit 4).
+  so that its total simulated time overflows in round 2 (exit 4);
+* a naive simulate of a 401-digit ``--iterations``, whose clock numpy
+  cannot index (exit 3), and a ``scheme verify`` of a cyclic scheme file
+  whose ``h_seed`` is -1 (``NEGATIVE_H_SEED``), written to the tree's
+  directory first (exit 5). These keep their sizes under ``--small`` too.
 
 Each subprocess runs with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` set to the number of cores this process may use,
@@ -63,15 +67,15 @@ output bits depend on the BLAS thread count, so a verdict holds at the
 thread count the benchmark measures. ``COLUMNS`` is set to
 ``HELP_COLUMNS``, so that argparse wraps help text alike in both trees.
 
-Then it prints every exit code and output line that differs between the
-two trees, output paths stripped, and each written file that differs,
-and exits 1 if any does (0 if none). A differing file is reported by its
-first differing line, after the header name of every column with a
-differing cell when it is a CSV whose header is unchanged. ``--small``
-runs the same invocations at sizes that finish in about a second;
-``--seed`` (default 0) moves every seed.
-The full run holds the paper-scale data, about 450 MB, in one
-subprocess at a time.
+An error that escapes ``cli.main`` is recorded as exit 1 and one line,
+its type and message. Then it prints every exit code and output line
+that differs between the two trees, output paths stripped, and each
+written file that differs, and exits 1 if any does (0 if none). A
+differing file is reported by its first differing line, after the header
+name of every column with a differing cell when it is a CSV whose header
+is unchanged. ``--small`` runs the same invocations at sizes that finish
+in about a second; ``--seed`` (default 0) moves every seed. The full run
+holds the paper-scale data, about 450 MB, in one subprocess at a time.
 
     python3 tools/parity.py SRC --write-golden
 
@@ -103,6 +107,7 @@ UNEVEN = "uneven.json"
 DUPLICATE = "duplicate.json"
 K_MISMATCH = "k-mismatch.json"
 WEAK = "weak.json"
+NEGATIVE_H_SEED = "negative-h-seed.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HELP_COLUMNS = "100"
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden" / "parity-small.json"
@@ -213,6 +218,11 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
         ("unread setting", refused_naive("--s", "2")),
         ("refused optimizer constant", refused_naive("--eta", "-1")),
         ("naive overflowing delay", delayed(["naive"], "fixed", "1e308", 150, "overflow.csv")),
+        ("iterations too large to index", ["simulate", "--strategy", "naive", "--n", "4",
+                                           "--d", "300", "--p", "3",
+                                           "--iterations", str(10**400),
+                                           "--seed-all", str(seed + 160), "--out", "huge.csv"]),
+        ("negative h_seed", ["scheme", "verify", NEGATIVE_H_SEED]),
     ]
 
 
@@ -240,13 +250,17 @@ def duplicate_config(seed: int) -> dict:
 
 
 def hand_written_schemes() -> dict[str, dict]:
-    """``K_MISMATCH`` (n=4 rows over k=3 partitions) and ``WEAK`` (two
-    partitions held by one worker only), by file name."""
+    """``K_MISMATCH`` (n=4 rows over k=3 partitions), ``WEAK`` (two
+    partitions held by one worker only) and ``NEGATIVE_H_SEED`` (the
+    n=2, s=1 cyclic code, which every draw gives, recorded with h_seed
+    -1), by file name."""
     four_by_three = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
     weak = [[1.0, 1.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 1.0, 1.0]]
     head = {"version": 1, "kind": "frac", "n": 4, "s": 1}
     return {K_MISMATCH: {**head, "k": 3, "B": four_by_three},
-            WEAK: {**head, "k": 4, "B": weak}}
+            WEAK: {**head, "k": 4, "B": weak},
+            NEGATIVE_H_SEED: {"version": 1, "kind": "cyc", "n": 2, "k": 2, "s": 1,
+                              "h_seed": -1, "B": [[1.0, 1.0], [1.0, 1.0]]}}
 
 
 def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
@@ -267,7 +281,11 @@ def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
     for name, argv in invocations(small, seed):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except Exception as escaped:  # Python would exit 1 with a traceback
+                code = 1
+                print(f"{type(escaped).__name__}: {escaped}", file=sys.stderr)
         text = out.getvalue() + err.getvalue()
         lines = [line.replace(workdir, "") for line in text.splitlines()]
         records.append({"name": name, "exit": code, "lines": lines})
