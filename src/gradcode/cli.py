@@ -226,13 +226,6 @@ def _need(merged: dict, key: str, why: str):
     return merged[key]
 
 
-def _load_scheme_or_plan(path):
-    raw = codec.read_json_object(path)
-    if "alpha" in raw:
-        return partial.import_plan(path)
-    return codec.import_code(path)
-
-
 def _build_scheme(kind: str, n: int, s: int, alpha: float | None, seed: int | None,
                   seed_flag: str) -> codec.GradientCode | partial.TwoStagePlan:
     """The (n, s) code of ``kind``, or the two-stage plan over it when
@@ -256,7 +249,7 @@ def _build_strategy(merged: dict) -> sim.Strategy:
         return sim.IgnoreStragglers(_need(merged, "n", why), _need(merged, "s", why))
     path = merged["scheme_file"]
     if path is not None:
-        scheme = _load_scheme_or_plan(path)
+        scheme = partial.import_scheme(path)
         is_plan = isinstance(scheme, partial.TwoStagePlan)
         if is_plan and name == "coded":
             raise ConfigError(f"{path} holds a two-stage plan; use --strategy partial")
@@ -404,7 +397,7 @@ def _verify_code(code: codec.GradientCode, budget: int) -> bool:
 
 
 def cmd_scheme_verify(args: argparse.Namespace) -> int:
-    loaded = _load_scheme_or_plan(args.file)
+    loaded = partial.import_scheme(args.file)
     if isinstance(loaded, partial.TwoStagePlan):
         print(
             f"plan: alpha={_fmt(loaded.alpha)} naive_per_worker={loaded.naive_per_worker} "
@@ -420,7 +413,7 @@ def cmd_scheme_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scheme_inspect(args: argparse.Namespace) -> int:
-    loaded = _load_scheme_or_plan(args.file)
+    loaded = partial.import_scheme(args.file)
     if isinstance(loaded, partial.TwoStagePlan):
         plan = loaded
         print(f"two-stage plan: n={plan.n} s={plan.s} alpha={_fmt(plan.alpha)}")

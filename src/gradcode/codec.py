@@ -2,12 +2,12 @@
 
 A scheme assigns each of n workers a sparse row b_i over the data
 partitions. The paper writes B as n x k; this package fixes k = n, one
-partition per worker. Worker i sends the single vector
-sum(B[i, j] * g_j) over its support, and the aggregator recovers the
-full gradient sum from any n - s of those messages by solving for
-combination coefficients x with x @ B[I, :] = all-ones. Robustness to
-every straggler pattern is exactly the requirement that the all-ones row
-lies in the span of every (n - s)-row submatrix of B.
+partition per worker. Worker i sends the single vector sum(B[i, j] * g_j)
+over its support, and the aggregator recovers the full gradient sum from
+any n - s of those messages by solving, afresh for each survivor set I,
+for coefficients x with x @ B[I, :] = all-ones (``decode_row``).
+Robustness to every straggler pattern is exactly the requirement that the
+all-ones row lies in the span of every (n - s)-row submatrix of B.
 
 The paper's lower bound: to survive any s stragglers, every partition
 must be held by at least s + 1 workers, so B has at least n(s + 1)
@@ -25,10 +25,6 @@ times:
 * ``build_cyc``: support pattern {i, ..., i + s} (mod n) with real
   coefficients from the null space of a random Gaussian matrix whose
   columns sum to zero; works for any s < n.
-
-Decode coefficients are computed lazily per observed survivor set and
-memoized in a plain dict keyed by the sorted survivor tuple (values are
-idempotent, so concurrent inserts of the same key are harmless).
 """
 
 from __future__ import annotations
@@ -104,9 +100,6 @@ class DecodeRow:
         c = np.array(self.coeffs, dtype=float)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-
-DecodeCache = dict[SurvivorSet, DecodeRow]
 
 
 @dataclass(frozen=True)
@@ -255,16 +248,14 @@ def normalize_survivors(survivors, n: int, size: int) -> SurvivorSet:
     return idx
 
 
-def decode_row(code: GradientCode, survivors, cache: DecodeCache | None = None) -> DecodeRow:
+def decode_row(code: GradientCode, survivors) -> DecodeRow:
     """Coefficients x with x @ B[I, :] = all-ones for survivor set I.
 
-    Raises SpanFailure when the least-squares residual exceeds
-    ``RESIDUAL_TOL``, which is how an unservable straggler pattern
-    announces itself.
+    One least-squares solve on every call. Raises SpanFailure when its
+    residual exceeds ``RESIDUAL_TOL``, which is how an unservable
+    straggler pattern announces itself.
     """
     I = normalize_survivors(survivors, code.n, code.survivors_needed)
-    if cache is not None and I in cache:
-        return cache[I]
     x, res = solve_right(code.B.take(I, axis=0), np.ones(code.n))
     if res > RESIDUAL_TOL:
         raise SpanFailure(
@@ -273,10 +264,7 @@ def decode_row(code: GradientCode, survivors, cache: DecodeCache | None = None) 
             I,
             res,
         )
-    row = DecodeRow(I, x, res)
-    if cache is not None:
-        cache[I] = row
-    return row
+    return DecodeRow(I, x, res)
 
 
 def verify_bspan(code: GradientCode, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> BspanReport:

@@ -174,13 +174,22 @@ def export_plan(plan: TwoStagePlan, path) -> None:
     Path(path).write_text(json.dumps(out, indent=1) + "\n")
 
 
+def import_scheme(path) -> GradientCode | TwoStagePlan:
+    """A scheme or plan file, read once: a plan is the object with ``alpha``."""
+    raw = read_json_object(path)
+    return _plan_from_dict(raw) if "alpha" in raw else code_from_dict(raw)
+
+
 def import_plan(path) -> TwoStagePlan:
     """Load and fully re-validate a plan file.
 
     The stored ``naive_per_worker`` and ``naive_assignment`` must equal
     what ``alpha`` and the code determine.
     """
-    raw = read_json_object(path)
+    return _plan_from_dict(read_json_object(path))
+
+
+def _plan_from_dict(raw: dict) -> TwoStagePlan:
     missing = sorted(set(PLAN_FIELDS) - set(raw))
     if missing:
         raise ParseError(f"missing plan fields: {', '.join(missing)}")

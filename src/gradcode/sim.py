@@ -54,7 +54,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codec, learn
-from .codec import DecodeCache, GradientCode, decode_row
+from .codec import GradientCode, decode_row
 from .errors import (
     ConfigError,
     IndexOutOfRange,
@@ -226,9 +226,7 @@ def IgnoreStragglers(n: int, s: int) -> Strategy:
     """Uncoded, but the aggregator stops waiting after n - s messages."""
     if not 1 <= s < n:
         raise ConfigError(f"need 1 <= s < n, got s={s}, n={n}")
-    check_indexable(f"a worker count of n={n}", n)
-    index, coef = _plain_stage(np.arange(n)[:, None])
-    return Strategy(f"ignore_s{s}", s, (index,), (coef,))
+    return replace(Naive(n), label=f"ignore_s{s}", s=s)
 
 
 def Coded(code: GradientCode) -> Strategy:
@@ -471,7 +469,6 @@ def run_iteration(
     t: int,
     train: learn.Dataset,
     point: np.ndarray,
-    cache: DecodeCache,
     verify_decode: bool = False,
     logits: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, tuple[int, ...], str, tuple[Event, ...]]:
@@ -502,7 +499,7 @@ def run_iteration(
     parts = [_messages(G, index, coef) for index, coef in used]
     if strategy.code is not None:
         # The coded messages are the last stage's, one per survivor.
-        parts[-1] *= decode_row(strategy.code, survivors, cache).coeffs[:, None]
+        parts[-1] *= decode_row(strategy.code, survivors).coeffs[:, None]
     gradient = _sequential_sum(parts[0] if len(parts) == 1 else np.concatenate(parts))
     if verify_decode and strategy.code is not None:
         _check_exact(gradient, G, survivors)
@@ -617,7 +614,6 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
     lipschitz = data.lipschitz if config.optimizer.needs_lipschitz else None
     opt = learn.make_optimizer(config.optimizer, config.p, lipschitz)
 
-    cache: DecodeCache = {}
     losses: list[float] = []
     aucs: list[float | None] = []
     # ``logits`` gets X @ the eval point from each round's gradients;
@@ -629,7 +625,7 @@ def run_training(config: TrainingConfig, data: TrainingData | None = None) -> Ru
         point = opt.eval_point()
         a, b = opt.eval_weights()
         gradient = run_iteration(
-            config.strategy, clock, t - 1, train, point, cache, config.verify_decode, logits
+            config.strategy, clock, t - 1, train, point, config.verify_decode, logits
         )[0]
         if b:
             carried *= b  # free to scale: it is the next round's logits buffer

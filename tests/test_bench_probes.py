@@ -62,6 +62,6 @@ def test_round_probe_counts_sent_and_used_messages(monkeypatch, strategy, sent, 
     policy = sim.StragglerPolicy(mode="random", count=1, kind="delay", extra=5.0)
     clock = sim.schedule(strategy, train, sim.LatencyModel(), policy,
                          sim.SeedBundle(data=0, latency=1, straggler=2), 1)
-    args = (strategy, clock, 0, train, np.zeros(3), {})
+    args = (strategy, clock, 0, train, np.zeros(3))
     attrs = spans._iteration_after({}, args, {}, sim.run_iteration(*args))
     assert (attrs["sent"], attrs["used"]) == (sent, used)

@@ -684,6 +684,27 @@ def test_simulate_strategy_file_kind_mismatch(tmp_path, capsys):
     assert run("simulate", "--strategy", "partial", "--scheme-file", scheme_path, *common) == 3
 
 
+@pytest.mark.parametrize("strategy, flags", [("coded", []), ("partial", ["--alpha", 2.0])])
+def test_each_command_reads_a_scheme_or_plan_file_once(tmp_path, monkeypatch, strategy, flags):
+    path = tmp_path / "scheme.json"
+    run("scheme", "build", "--kind", "frac", "--n", 4, "--s", 1, *flags, "--out", path)
+    reads = []
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        if self == path:
+            reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    for argv in (["scheme", "verify", path], ["scheme", "inspect", path],
+                 ["simulate", "--strategy", strategy, "--scheme-file", path, "--d", 480,
+                  "--p", 6, "--iterations", 2, "--seed-all", 3, "--out", tmp_path / "x.csv"]):
+        reads.clear()
+        assert run(*argv) == 0
+        assert len(reads) == 1, argv[:2]
+
+
 def scheme_files(tmp_path):
     """A frac n=4 s=1 alpha=2 plan file and a cyc n=6 s=1 scheme file."""
     plan_path, cyc_path = tmp_path / "plan4.json", tmp_path / "cyc6.json"
@@ -1094,8 +1115,8 @@ def test_a_one_class_holdout_fails_before_any_round(tmp_path, capsys, monkeypatc
 def test_verify_decode_turns_a_wrong_decode_into_a_span_failure(tmp_path, capsys, monkeypatch):
     decode = sim.decode_row
 
-    def off(code, survivors, cache=None):
-        row = decode(code, survivors, cache)
+    def off(code, survivors):
+        row = decode(code, survivors)
         return codec.DecodeRow(row.survivors, row.coeffs * 1.01, row.residual)
 
     monkeypatch.setattr(sim, "decode_row", off)

@@ -233,11 +233,10 @@ def test_coded_decode_replay_bit_exact():
     policy = sim.StragglerPolicy(mode="random", count=2, kind="delay", extra=30.0)
     cfg = small_config(sim.Coded(code), policy=policy, d=515, iterations=20)
     res = sim.run_training(cfg)
-    cache = {}
 
     def decoded(train, point, survivors):
         G = [learn.partial_gradient(train, j, point) for j in range(code.n)]
-        row = codec.decode_row(code, survivors, cache)
+        row = codec.decode_row(code, survivors)
         msgs = [
             seq_sum([code.B[w, j] * G[j] for j in codec.assignment(code, w)])
             for w in survivors
@@ -259,14 +258,13 @@ def test_partial_two_stage_replay_bit_exact():
     cfg = small_config(sim.PartialCoded(plan), policy=policy, d=1056, iterations=15)
     res = sim.run_training(cfg)
     code, off = plan.code, plan.naive_stage.size
-    cache = {}
 
     def two_stage(train, point, survivors):
         G = [learn.partial_gradient(train, j, point) for j in range(train.partitions)]
         naive = [
             seq_sum([G[j] for j in plan.naive_stage[w].tolist()]) for w in range(plan.n)
         ]
-        row = codec.decode_row(code, survivors, cache)
+        row = codec.decode_row(code, survivors)
         coded = [
             seq_sum([code.B[w, j] * G[off + j] for j in codec.assignment(code, w)])
             for w in survivors
@@ -340,7 +338,7 @@ def test_array_aggregation_matches_the_term_loop(name, p, verify):
     for t in range(6):
         point = rng.standard_normal(p)
         gradient, _, survivors, _, _ = sim.run_iteration(
-            strategy, clock, t, train, point, {}, verify
+            strategy, clock, t, train, point, verify
         )
         G = [learn.partial_gradient(train, j, point) for j in range(train.partitions)]
         assert np.array_equal(gradient, _reference_gradient(strategy, stages, G, survivors))

@@ -58,7 +58,10 @@ directory:
 * a naive simulate of a 401-digit ``--iterations``, whose clock numpy
   cannot index (exit 3), and a ``scheme verify`` of a cyclic scheme file
   whose ``h_seed`` is -1 (``NEGATIVE_H_SEED``), written to the tree's
-  directory first (exit 5). These keep their sizes under ``--small`` too.
+  directory first (exit 5). These keep their sizes under ``--small`` too;
+* a desk-size cyc ``--verify-decode`` simulate whose fixed stragglers 2,
+  9 and 17 never arrive, so that every round decodes the same survivor
+  set, their complement.
 
 Each subprocess runs with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` set to the number of cores this process may use,
@@ -223,6 +226,11 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                                            "--iterations", str(10**400),
                                            "--seed-all", str(seed + 160), "--out", "huge.csv"]),
         ("negative h_seed", ["scheme", "verify", NEGATIVE_H_SEED]),
+        ("cyc fixed complement", ["simulate", "--strategy", "coded", "--kind", "cyc",
+                                  "--n", "24", "--s", "3", *desk, "--straggler-mode", "fixed",
+                                  "--straggler-workers", "2,9,17", "--straggler-kind", "delay",
+                                  "--straggler-extra", "inf", "--verify-decode",
+                                  "--seed-all", str(seed + 170), "--out", "complement.csv"]),
     ]
 
 
