@@ -145,35 +145,16 @@ def _coerce(key: str, value):
     if key not in _RUN_SCHEMA:
         raise ConfigError(f"unknown config field {key!r}")
     field = _RUN_SCHEMA[key]
-    want = field.type
+    what = f"config field {key!r}"
     if value is None:
         if field.default is None or field.null_ok:
             return None
-        raise ConfigError(f"config field {key!r} must not be null")
-    if want is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
-        return value
-    if want is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"config field {key!r} is too large for a float") from None
-    if want is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"config field {key!r} must be a string, got {value!r}")
-        return value
-    if want is tuple:
-        if not isinstance(value, list) or not all(
-            isinstance(w, int) and not isinstance(w, bool) for w in value
-        ):
-            raise ConfigError(f"config field {key!r} must be a list of integers")
+        raise ConfigError(f"{what} must not be null")
+    if field.type is tuple:
+        if not isinstance(value, list) or not all(codec.is_json(w, int) for w in value):
+            raise ConfigError(f"{what} must be a list of integers")
         return tuple(value)
-    if not isinstance(value, bool):
-        raise ConfigError(f"config field {key!r} must be true or false")
-    return value
+    return codec.json_value(value, field.type, what, ConfigError)
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:

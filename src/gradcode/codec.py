@@ -350,13 +350,6 @@ def export_code(code: GradientCode, path) -> None:
     Path(path).write_text(json.dumps(code_to_dict(code), indent=1) + "\n")
 
 
-def _expect_int(raw: dict, name: str) -> int:
-    v = raw.get(name)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ParseError(f"field {name!r} must be an integer, got {v!r}")
-    return v
-
-
 def code_from_dict(raw: dict) -> GradientCode:
     """Build a validated GradientCode from parsed JSON; an unknown field
     is an error."""
@@ -369,22 +362,21 @@ def code_from_dict(raw: dict) -> GradientCode:
     missing = sorted({"version", "kind", "n", "k", "s", "B"} - set(raw))
     if missing:
         raise ParseError(f"missing fields: {', '.join(missing)}")
-    if raw["version"] != SCHEME_FORMAT_VERSION:
+    version = json_value(raw["version"], int, "field 'version'")
+    if version != SCHEME_FORMAT_VERSION:
         raise ParseError(
-            f"unsupported format version {raw['version']!r}, expected {SCHEME_FORMAT_VERSION}"
+            f"unsupported format version {version!r}, expected {SCHEME_FORMAT_VERSION}"
         )
-    kind = raw["kind"]
+    kind = json_value(raw["kind"], str, "field 'kind'")
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}, expected one of {list(KINDS)}")
-    n, k, s = (_expect_int(raw, name) for name in ("n", "k", "s"))
+    n, k, s = (json_value(raw[name], int, f"field {name!r}") for name in ("n", "k", "s"))
     if k != n:
         raise ParseError(
             f"scheme violates its invariants: partition count k={k} must equal worker count n={n}"
         )
     h_seed = raw.get("h_seed")
-    if h_seed is not None and (not isinstance(h_seed, int) or isinstance(h_seed, bool)):
-        raise ParseError(f"field 'h_seed' must be an integer, got {h_seed!r}")
-    if h_seed is not None and h_seed < 0:
+    if h_seed is not None and json_value(h_seed, int, "field 'h_seed'") < 0:
         raise ParseError(f"field 'h_seed' must be non-negative, got {h_seed}")
     B = raw["B"]
     if not isinstance(B, list) or len(B) != n:
@@ -393,7 +385,7 @@ def code_from_dict(raw: dict) -> GradientCode:
         if not isinstance(r, list) or len(r) != n:
             raise ParseError(f"B row {i} must be a list of {n} numbers")
         for v in r:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not is_json(v, float):
                 raise ParseError(f"B row {i} contains a non-numeric entry {v!r}")
     try:
         return GradientCode(kind, n, s, np.array(B, dtype=float), h_seed=h_seed)
@@ -401,6 +393,31 @@ def code_from_dict(raw: dict) -> GradientCode:
         raise ParseError(f"scheme violates its invariants: {err}") from err
     except OverflowError:
         raise ParseError("field 'B' has an entry too large for a float") from None
+
+
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def is_json(value, want: type) -> bool:
+    """Whether a parsed JSON value is of type ``want`` (int, float, str or
+    bool): a bool is only a bool, and an integer is also a number."""
+    if isinstance(value, bool):
+        return want is bool
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def json_value(value, want: type, what: str, error: type[GradientCodingError] = ParseError):
+    """``value`` as ``want`` (int, float, str or bool), the type rule of every
+    scheme, plan and config file field; ``error``, naming ``what``, if it is
+    not of that type or is a number too large for a float."""
+    if not is_json(value, want):
+        raise error(f"{what} must be {_JSON_TYPE_NAMES[want]}, got {value!r}")
+    if want is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None
 
 
 def read_json_object(path) -> dict:

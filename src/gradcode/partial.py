@@ -35,6 +35,7 @@ from .codec import (
     build_frac,
     code_from_dict,
     code_to_dict,
+    json_value,
     read_json_object,
 )
 from .errors import (
@@ -175,9 +176,10 @@ def export_plan(plan: TwoStagePlan, path) -> None:
 
 
 def import_scheme(path) -> GradientCode | TwoStagePlan:
-    """A scheme or plan file, read once: a plan is the object with ``alpha``."""
+    """A scheme or plan file, read once: a plan is an object with any of
+    ``PLAN_FIELDS``."""
     raw = read_json_object(path)
-    return _plan_from_dict(raw) if "alpha" in raw else code_from_dict(raw)
+    return _plan_from_dict(raw) if raw.keys() & PLAN_FIELDS else code_from_dict(raw)
 
 
 def import_plan(path) -> TwoStagePlan:
@@ -194,21 +196,16 @@ def _plan_from_dict(raw: dict) -> TwoStagePlan:
     if missing:
         raise ParseError(f"missing plan fields: {', '.join(missing)}")
     code = code_from_dict({k: v for k, v in raw.items() if k not in PLAN_FIELDS})
-    alpha = raw["alpha"]
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise ParseError(f"field 'alpha' must be a number, got {alpha!r}")
-    r = raw["naive_per_worker"]
-    if isinstance(r, bool) or not isinstance(r, int):
-        raise ParseError(f"field 'naive_per_worker' must be an integer, got {r!r}")
+    alpha = json_value(raw["alpha"], float, "field 'alpha'")
+    r = json_value(raw["naive_per_worker"], int, "field 'naive_per_worker'")
     rows = raw["naive_assignment"]
     if not isinstance(rows, list) or any(not isinstance(row, list) for row in rows):
         raise ParseError("field 'naive_assignment' must be a list of index lists")
+    rows = [[json_value(i, int, "an index in field 'naive_assignment'") for i in row] for row in rows]
     try:
-        plan = TwoStagePlan(alpha=float(alpha), code=code)
+        plan = TwoStagePlan(alpha=alpha, code=code)
     except GradientCodingError as err:
         raise ParseError(f"plan violates its invariants: {err}") from err
-    except OverflowError:
-        raise ParseError("field 'alpha' is too large for a float") from None
     if r != plan.naive_per_worker:
         raise ParseError(
             f"plan violates its invariants: naive_per_worker={r} inconsistent with "

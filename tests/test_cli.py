@@ -997,6 +997,69 @@ def test_a_file_number_too_large_for_a_float_is_a_file_error(tmp_path, capsys, b
     assert capsys.readouterr() == ("", f"file error: {err}\n")
 
 
+CONFIG_READERS = ("simulate --config", "compare run entry")
+WRONG_TYPES = [
+    *((reader, key, bad, f"config field {key!r} {rule}") for reader in CONFIG_READERS
+      for key, bad, rule in (
+          ("n", True, "must be an integer, got True"),
+          ("comm_time", True, "must be a number, got True"),
+          ("straggler_workers", [1, True], "must be a list of integers"),
+          ("verify_decode", 1, "must be true or false, got 1"))),
+    ("scheme file", "n", True, "field 'n' must be an integer, got True"),
+    ("scheme file", "h_seed", True, "field 'h_seed' must be an integer, got True"),
+    ("scheme file", "version", True, "field 'version' must be an integer, got True"),
+    ("scheme file", "version", 1.0, "field 'version' must be an integer, got 1.0"),
+    ("plan file", "alpha", True, "field 'alpha' must be a number, got True"),
+    ("plan file", "naive_per_worker", True,
+     "field 'naive_per_worker' must be an integer, got True"),
+    # The alpha = 3 plan's naive stage is [[0], [1], [2], [3]], which both compare equal to.
+    ("plan file", "naive_assignment", [[0.0], [1.0], [2.0], [3.0]],
+     "an index in field 'naive_assignment' must be an integer, got 0.0"),
+    ("plan file", "naive_assignment", [[False], [True], [2], [3]],
+     "an index in field 'naive_assignment' must be an integer, got False"),
+]
+
+
+@pytest.mark.parametrize("reader, key, bad, err", WRONG_TYPES,
+                         ids=[f"{reader}: {key}={bad!r}" for reader, key, bad, _ in WRONG_TYPES])
+def test_every_reader_refuses_a_json_value_of_the_wrong_type(tmp_path, capsys, reader, key,
+                                                             bad, err):
+    # One type rule for every input file: a bool is only a bool, and an
+    # integer field takes neither true nor 1.0.
+    path = tmp_path / "input.json"
+    if reader in CONFIG_READERS:
+        shared = {"d": 480, "p": 6, "iterations": 2, "seed_all": 1}
+        entry = {"strategy": "coded", "kind": "frac", "n": 4, "s": 1, key: bad}
+        if reader == "simulate --config":
+            path.write_text(json.dumps({**shared, **entry}))
+            argv = ["simulate", "--config", path, "--out", tmp_path / "run.csv"]
+        else:
+            path.write_text(json.dumps({"shared": shared, "runs": [entry]}))
+            argv = ["compare", "--config", path, "--out-prefix", tmp_path / "cmp"]
+        want = (3, f"validation error: {err}\n")
+    else:
+        if reader == "scheme file":
+            codec.export_code(codec.build_cyc(4, 1, 3), path)
+        else:
+            partial.export_plan(partial.plan_partial(4, 1, 3.0), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: bad}))
+        argv = ["scheme", "verify", path]
+        want = (5, f"file error: {err}\n")
+    code = run(*argv)
+    assert (code, capsys.readouterr()) == (want[0], ("", want[1]))
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_plan_without_alpha_is_reported_as_a_plan(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    partial.export_plan(partial.plan_partial(4, 1, 3.0), path)
+    raw = json.loads(path.read_text())
+    del raw["alpha"]
+    path.write_text(json.dumps(raw))
+    assert run("scheme", "verify", path) == 5
+    assert capsys.readouterr() == ("", "file error: missing plan fields: alpha\n")
+
+
 @pytest.mark.parametrize("place", ["flag", "config"])
 def test_a_data_size_too_large_to_index_is_refused_before_any_draw(tmp_path, capsys,
                                                                    monkeypatch, place):

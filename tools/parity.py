@@ -62,6 +62,12 @@ directory:
 * a desk-size cyc ``--verify-decode`` simulate whose fixed stragglers 2,
   9 and 17 never arrive, so that every round decodes the same survivor
   set, their complement.
+* a ``scheme verify`` of three hand-written files, each written to the
+  tree's directory first, at one size under ``--small`` too: a frac scheme
+  whose ``version`` is ``true`` (``VERSION_TRUE``), a frac plan whose
+  ``naive_assignment`` holds floats (``FLOAT_ASSIGNMENT``), both exit 5,
+  and that plan with integer indices but no ``alpha`` (``NO_ALPHA``,
+  exit 5, naming the missing plan field).
 
 Each subprocess runs with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` set to the number of cores this process may use,
@@ -111,6 +117,9 @@ DUPLICATE = "duplicate.json"
 K_MISMATCH = "k-mismatch.json"
 WEAK = "weak.json"
 NEGATIVE_H_SEED = "negative-h-seed.json"
+VERSION_TRUE = "version-true.json"
+FLOAT_ASSIGNMENT = "float-assignment.json"
+NO_ALPHA = "no-alpha.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HELP_COLUMNS = "100"
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden" / "parity-small.json"
@@ -231,6 +240,9 @@ def invocations(small: bool, seed: int) -> list[tuple[str, list[str]]]:
                                   "--straggler-workers", "2,9,17", "--straggler-kind", "delay",
                                   "--straggler-extra", "inf", "--verify-decode",
                                   "--seed-all", str(seed + 170), "--out", "complement.csv"]),
+        ("version true", ["scheme", "verify", VERSION_TRUE]),
+        ("float naive assignment", ["scheme", "verify", FLOAT_ASSIGNMENT]),
+        ("plan without alpha", ["scheme", "verify", NO_ALPHA]),
     ]
 
 
@@ -259,16 +271,24 @@ def duplicate_config(seed: int) -> dict:
 
 def hand_written_schemes() -> dict[str, dict]:
     """``K_MISMATCH`` (n=4 rows over k=3 partitions), ``WEAK`` (two
-    partitions held by one worker only) and ``NEGATIVE_H_SEED`` (the
-    n=2, s=1 cyclic code, which every draw gives, recorded with h_seed
-    -1), by file name."""
+    partitions held by one worker only), ``NEGATIVE_H_SEED`` (the n=2,
+    s=1 cyclic code, which every draw gives, recorded with h_seed -1),
+    ``VERSION_TRUE`` (the n=4, s=1 frac scheme at version ``true``), and
+    that scheme's alpha=3 plan with the naive assignment as floats
+    (``FLOAT_ASSIGNMENT``) or without ``alpha`` (``NO_ALPHA``), by file
+    name."""
     four_by_three = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
     weak = [[1.0, 1.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 1.0, 1.0]]
     head = {"version": 1, "kind": "frac", "n": 4, "s": 1}
+    frac = {**head, "k": 4, "B": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]] * 2}
     return {K_MISMATCH: {**head, "k": 3, "B": four_by_three},
             WEAK: {**head, "k": 4, "B": weak},
             NEGATIVE_H_SEED: {"version": 1, "kind": "cyc", "n": 2, "k": 2, "s": 1,
-                              "h_seed": -1, "B": [[1.0, 1.0], [1.0, 1.0]]}}
+                              "h_seed": -1, "B": [[1.0, 1.0], [1.0, 1.0]]},
+            VERSION_TRUE: {**frac, "version": True},
+            FLOAT_ASSIGNMENT: {**frac, "alpha": 3.0, "naive_per_worker": 1,
+                               "naive_assignment": [[0.0], [1.0], [2.0], [3.0]]},
+            NO_ALPHA: {**frac, "naive_per_worker": 1, "naive_assignment": [[0], [1], [2], [3]]}}
 
 
 def run_tree(src: str, workdir: str, small: bool, seed: int) -> None:
